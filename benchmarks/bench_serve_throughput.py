@@ -55,11 +55,11 @@ from check_bench_regression import (  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    # The throughput variant serves the numerics-relaxed ``turbo`` backend
-    # (production int8 numerics); the bit-identity gate always checks a
+    # The throughput variant serves the native ``int8`` backend (the
+    # deployment numerics); the bit-identity gate always checks a
     # ``reference``-backend variant of the same model against direct
     # CompiledPlan.run.
-    parser.add_argument("--model", default="resnet18-w0.25-F4-int8@turbo")
+    parser.add_argument("--model", default="resnet18-w0.25-F4-int8@int8")
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweep for CI smoke"
     )

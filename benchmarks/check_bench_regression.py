@@ -37,7 +37,7 @@ MIN_CORES_PER_WORKER = 2
 ARTIFACT_SPEEDUP_GATE = 10.0
 
 #: ``plan.run`` with tracing *disabled* must stay within this many
-#: percent of the pristine untraced executor loop.  Like the artifact
+#: percent of the executor loop called with no tracer.  Like the artifact
 #: gate it is a same-run, same-host ratio (interleaved min-of-N legs),
 #: so it is enforced everywhere (docs/observability.md
 #: 'Overhead budget').
@@ -388,9 +388,10 @@ def _check_trace_overhead(baseline: dict, fresh: dict) -> list:
     """Tracing-off overhead rule (engine reports only; host-independent).
 
     ``overhead_disabled_pct`` compares ``plan.run`` (tracing disabled)
-    against the pristine ``_run_untraced`` loop within one interleaved
-    measurement, so the ratio holds on any host and is enforced
-    unconditionally.  The entry disappearing after a baseline carried it
+    against the pristine leg — the one executor loop, ``_execute``,
+    called directly with no tracer — within one interleaved measurement,
+    so the ratio holds on any host and is enforced unconditionally.
+    It times ``run``'s ambient-tracer lookup and dispatch.  The entry disappearing after a baseline carried it
     is itself a failure — the gate must not silently stop being
     measured.  The traced leg is informational, never gated.
     """

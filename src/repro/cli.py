@@ -62,6 +62,8 @@ EXPERIMENTS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine.registry import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce tables/figures of 'Searching for Winograd-aware "
@@ -114,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--backend",
         default="fast",
-        choices=("fast", "reference", "turbo", "int8"),
+        choices=BACKENDS,
         help="engine backend (contract per backend: docs/architecture.md "
         "'Backends')",
     )
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model",
         default=None,
         help="model name (default: the server's only loaded model; "
-        "for --sweep: resnet18-w0.25-F4-int8@turbo)",
+        "for --sweep: resnet18-w0.25-F4-int8@int8)",
     )
     loadgen.add_argument(
         "--concurrency",
@@ -800,6 +802,7 @@ def run_serve(args) -> int:
     import signal
 
     from repro.engine import CompileError
+    from repro.engine.artifact import ArtifactError
     from repro.serve import (
         AdmissionPolicy,
         BatchPolicy,
@@ -856,8 +859,8 @@ def run_serve(args) -> int:
             continue
         try:
             served = registry.load(name)
-        except (ValueError, CompileError) as exc:  # bad name or @backend
-            print(f"error: {exc}", file=sys.stderr)
+        except (ValueError, CompileError, ArtifactError) as exc:
+            print(f"error: {exc}", file=sys.stderr)  # bad name, @backend or file
             return 2
         suffix = " (brownout fallback)" if name in ladder_extras else ""
         if served.plan is None:
@@ -1016,7 +1019,7 @@ def run_loadgen(args) -> int:
         from repro.serve.loadgen import measure_overload_goodput
 
         entry = measure_overload_goodput(
-            args.model or "resnet18-w0.25-F4-int8@turbo",
+            args.model or "resnet18-w0.25-F4-int8@int8",
             workers=args.workers,
             quick=args.quick,
             seed=args.seed,
@@ -1031,7 +1034,7 @@ def run_loadgen(args) -> int:
 
     if args.sweep:
         report = benchmark_serving(
-            model_name=args.model or "resnet18-w0.25-F4-int8@turbo",
+            model_name=args.model or "resnet18-w0.25-F4-int8@int8",
             requests_per_level=args.requests,
             workers=args.workers,
             workers_scale=args.workers_scale,

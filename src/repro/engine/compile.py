@@ -11,7 +11,7 @@ precomputing everything the eager path recomputes per forward:
   plan instead of being rebuilt every forward;
 * eval-mode BatchNorm statistics.
 
-A peephole fusion pass (``fast`` backend only) then folds BatchNorm into
+A peephole fusion pass (not on ``reference``) then folds BatchNorm into
 the preceding convolution's weights and fuses trailing ReLUs into their
 producer steps, so a ``Conv→BN→ReLU`` chain executes as one kernel.
 Quantized convolutions keep BN as a separate (ReLU-fused) affine step:
@@ -427,7 +427,7 @@ def _lower_resnext20(lw, module, reg):
 
 
 # ---------------------------------------------------------------------------
-# Fusion (fast / turbo backends)
+# Fusion (fast / int8 backends)
 # ---------------------------------------------------------------------------
 
 _FOLDABLE = ("conv2d", "winograd_conv2d")
@@ -455,9 +455,7 @@ def _fold_bn(producer: Step, affine: Step) -> None:
     producer.label = (producer.label + " +bn").strip()
 
 
-def _fuse(steps: List[Step], output_reg: int, backend: str) -> List[Step]:
-    if backend == "reference":
-        return steps
+def _fuse(steps: List[Step], output_reg: int) -> List[Step]:
     producers: Dict[int, Step] = {}
 
     # Pass 1: fold BN into the preceding float conv (single-use output).
@@ -503,7 +501,7 @@ def _fuse(steps: List[Step], output_reg: int, backend: str) -> List[Step]:
     return out
 
 
-def _finalize_fast(steps: List[Step], backend: str = "fast") -> None:
+def _finalize_fast(steps: List[Step]) -> None:
     """Precompute the fast kernels' GEMM-ready weight layouts."""
     for step in steps:
         if step.op == "conv2d":
@@ -543,14 +541,12 @@ def _finalize_fast(steps: List[Step], backend: str = "fast") -> None:
             # * t > 8 (F(6, 5)) — the one-shot t² product sum loses too
             #   much precision against the ill-conditioned large-tile
             #   Cook–Toom transforms;
-            # * quantized steps on the ``fast`` backend — a fake-quant
-            #   stage snaps the transformed tiles to a grid, and the kron
-            #   reassociation can flip values sitting on bin boundaries;
-            #   through a deep int8 network one flip avalanches, so
-            #   ``fast`` keeps eager's exact operation order there.
-            #   ``turbo`` opts into the reassociated grid decisions for
-            #   throughput (see repro.engine.registry docs).
-            if t <= 8 and (backend == "turbo" or not step.attrs.get("quantized")):
+            # * quantized steps — a fake-quant stage snaps the
+            #   transformed tiles to a grid, and the kron reassociation
+            #   can flip values sitting on bin boundaries; through a deep
+            #   int8 network one flip avalanches, so the float kernels
+            #   keep eager's exact operation order there.
+            if t <= 8 and not step.attrs.get("quantized"):
                 BT, AT = step.attrs["BT"], step.attrs["AT"]
                 step.attrs["btk"] = np.ascontiguousarray(np.kron(BT, BT).transpose())
                 step.attrs["atk"] = np.ascontiguousarray(np.kron(AT, AT).transpose())
@@ -562,12 +558,11 @@ def _finalize_fast(steps: List[Step], backend: str = "fast") -> None:
 
 
 def _residency_float_edge(producer: Step, consumer: Step) -> Optional[dict]:
-    """Eligibility + edge dict for a float (fast/turbo) resident pair.
+    """Eligibility + edge dict for a float (``fast``) resident pair.
 
     Requires the Kronecker tile transforms on both steps and declines
-    quantized steps entirely: on ``fast`` a quantized step has no ``btk``
-    by design (grid-order preservation), and declining on ``turbo`` too
-    keeps the turbo ≡ fast bit-identity contract intact.
+    quantized steps entirely: a quantized step has no ``btk`` by design
+    (grid-order preservation).
     """
     for step in (producer, consumer):
         if step.domain != "float" or step.attrs.get("quantized"):
@@ -619,7 +614,7 @@ def _residency_int8_edge(producer: Step, consumer: Step) -> Optional[dict]:
     }
 
 
-def _plan_residency(steps: List[Step], output_reg: int, backend: str) -> int:
+def _plan_residency(steps: List[Step], output_reg: int) -> int:
     """Keep consecutive Winograd convolutions resident in the transform
     domain where the algebra allows it.
 
@@ -642,8 +637,6 @@ def _plan_residency(steps: List[Step], output_reg: int, backend: str) -> int:
     :func:`repro.engine.int8.enable_per_tap`).  Returns the number of
     edges wired.
     """
-    if backend not in ("fast", "turbo", "int8"):
-        return 0
     from repro.engine.int8 import enable_per_tap
 
     counts = _use_counts(steps, output_reg)
@@ -702,19 +695,20 @@ def compile_model(
     output_reg = lowerer.lower(model, 0)
     if not lowerer.steps:
         raise CompileError(f"{type(model).__name__} lowered to an empty plan")
-    steps = _fuse(lowerer.steps, output_reg, backend)
-    if backend in ("fast", "turbo", "int8"):
+    steps = lowerer.steps
+    if backend != "reference":
+        steps = _fuse(steps, output_reg)
         # The int8 backend keeps the fast layouts too: they serve float
         # steps and the per-step fallback path (cold observers, flex
         # transforms).  Quantized Winograd steps keep the nested (eager
         # grid order) form there, so lazily-frozen ranges match eager.
-        _finalize_fast(steps, "fast" if backend == "int8" else backend)
-    if backend == "int8":
-        from repro.engine.int8 import finalize_int8
+        _finalize_fast(steps)
+        if backend == "int8":
+            from repro.engine.int8 import finalize_int8
 
-        steps = finalize_int8(steps, output_reg)
-    if residency:
-        _plan_residency(steps, output_reg, backend)
+            steps = finalize_int8(steps, output_reg)
+        if residency:
+            _plan_residency(steps, output_reg)
     for step in steps:
         step.fn = registry.get(step.op, backend)
     return CompiledPlan(

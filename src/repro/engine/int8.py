@@ -562,7 +562,7 @@ def finalize_int8(steps: List, output_reg: int) -> List:
     Mutates step attrs in place (adding the ``i8`` dict) and returns the
     new step list with absorbed ``affine`` steps removed.  Steps left
     without an ``i8`` dict (or with none at all on float models) simply
-    execute through the ``turbo`` → ``fast`` → ``reference`` fallback
+    execute through the ``fast`` → ``reference`` fallback
     kernels — compilation never fails on ineligible layers.
     """
     for step in steps:

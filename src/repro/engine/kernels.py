@@ -18,7 +18,7 @@ the step's frozen attribute dict; quantization stages appear as
 observer) or ``{"dynamic_bits": b}`` (uncalibrated observer: range taken
 from the batch, mirroring the eager fallback), or ``None`` when disabled.
 
-Memory discipline (``fast``/``turbo``/``int8`` only — the ``reference``
+Memory discipline (``fast``/``int8`` only — the ``reference``
 kernels keep their original allocation pattern as the fidelity oracle):
 every hot kernel asks the executor's per-run arena for its buffers —
 :func:`~repro.engine.memplan.take_out` for the step's planned output
@@ -805,7 +805,7 @@ def _emit_resident_fast(
 # blocking, and reassociation-friendly layouts (the transform output is
 # produced directly in the Hadamard layout; the output transform
 # consumes the Hadamard layout directly) are safe in a way they are not
-# for the float ``fast``/``turbo`` paths.
+# for the float ``fast`` path.
 
 #: Set True (tests/debugging) to assert at run time that every integer
 #: accumulator stays within its compile-time bound.

@@ -70,9 +70,9 @@ MIN_PARALLEL_BYTES = 1 << 14
 #: these — the big fused GEMMs (conv2d/winograd/linear) keep whatever
 #: decomposition the thread-count-independent cache policy chose, because
 #: BLAS may round a different M differently at the last ulp.  The
-#: ``fast``/``turbo`` backends carry a float-tolerance contract (and the
-#: ``int8`` integer GEMMs are exact at any blocking), so there every
-#: chunkable op may be thread-split.
+#: ``fast`` backend carries a float-tolerance contract (and the ``int8``
+#: integer GEMMs are exact at any blocking), so there every chunkable op
+#: may be thread-split.
 _SPLIT_SAFE_OPS = frozenset(
     {
         "add",
@@ -228,8 +228,8 @@ class CompiledPlan:
         arena,
         step_index: int,
         out_view: Optional[np.ndarray],
-        tracer: Optional["obs_trace.TraceBuffer"] = None,
-        parent_id: Optional[str] = None,
+        tracer: Optional["obs_trace.TraceBuffer"],
+        parent_id: Optional[str],
     ) -> np.ndarray:
         """Execute one row-independent step in batch chunks of ``chunk``,
         fanned out over up to ``threads`` worker lanes.
@@ -309,27 +309,58 @@ class CompiledPlan:
         call; 0 means "all cores".  ``trace`` records one span per step
         into the given :class:`repro.obs.TraceBuffer` (``None`` falls
         back to the ambient ``REPRO_TRACE`` tracer; tracing never changes
-        results — the instrumented path executes the identical step
-        schedule).  With tracing disabled this is a single ``is None``
-        branch in front of the untouched hot loop.
+        results — both paths execute the identical step schedule).
         """
         tracer = trace if trace is not None else obs_trace.active_tracer()
-        if tracer is not None:
-            return self._run_traced(x, threads, tracer)
-        return self._run_untraced(x, threads)
+        return self._execute(x, threads, tracer)
 
-    def _run_untraced(
-        self, x: np.ndarray, threads: Optional[int] = None
+    def _step_chunk(
+        self, step: Step, args: Tuple[np.ndarray, ...], n: int, nthreads: int
+    ) -> int:
+        """The batch chunk one step executes in (``n`` = unsplit).
+
+        Row-independent steps whose inputs exceed ``chunk_bytes`` shrink
+        to the largest sub-batch that fits; steps worth fanning out are
+        capped at one chunk per thread.  On ``reference`` only the
+        split-safe ops may split (see ``_SPLIT_SAFE_OPS``)."""
+        if (
+            n <= 1
+            or step.op not in _CHUNKABLE_OPS
+            or any(a.shape[0] != n for a in args)
+            or self._has_cold_observer(step)
+            or "resident_out" in step.attrs
+            or "resident_src" in step.attrs
+            or (self.backend == "reference" and step.op not in _SPLIT_SAFE_OPS)
+        ):
+            return n
+        in_bytes = sum(a.nbytes for a in args)
+        chunk = n
+        if self.chunk_bytes and in_bytes > self.chunk_bytes:
+            chunk = max(1, n * self.chunk_bytes // in_bytes)
+        if nthreads > 1 and in_bytes >= MIN_PARALLEL_BYTES:
+            chunk = min(chunk, -(-n // nthreads))
+        return chunk
+
+    def _execute(
+        self,
+        x: np.ndarray,
+        threads: Optional[int],
+        tracer: Optional["obs_trace.TraceBuffer"],
     ) -> np.ndarray:
-        """The pristine executor loop (no instrumentation on this path;
-        ``repro bench engine`` measures it against :meth:`run` to pin the
-        tracing-disabled overhead ≤ 1%)."""
+        """The executor loop.  With a ``tracer`` it records one ``kernel``
+        span per step, per-chunk child spans under the thread scheduler,
+        and a ``plan_run`` root span; with ``None`` the only extra work
+        per step is two ``is None`` checks (``repro bench engine`` gates
+        the tracing-disabled :meth:`run` against this loop at 1%)."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
         nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes = self.chunk_bytes
         pool = self._memory(x.shape[1:])
         arena = pool.checkout() if pool is not None else None
+        root_id = step_span_id = None
+        if tracer is not None:
+            root_id = obs_trace.new_span_id()
+            t_run = obs_trace.now_ns()
         try:
             if arena is not None:
                 arena.begin_run(n)
@@ -337,39 +368,15 @@ class CompiledPlan:
             regs[self.input_reg] = x
             for step_index, step in enumerate(self.steps):
                 args = tuple(regs[i] for i in step.inputs)
-                chunk = n
-                if (
-                    n > 1
-                    and step.op in _CHUNKABLE_OPS
-                    and all(a.shape[0] == n for a in args)
-                    and not self._has_cold_observer(step)
-                    and "resident_out" not in step.attrs
-                    and "resident_src" not in step.attrs
-                ):
-                    in_bytes = sum(a.nbytes for a in args)
-                    if (
-                        chunk_bytes
-                        and in_bytes > chunk_bytes
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        # Largest sub-batch whose working set fits the budget.
-                        chunk = max(1, n * chunk_bytes // in_bytes)
-                    if (
-                        nthreads > 1
-                        and in_bytes >= MIN_PARALLEL_BYTES
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = min(chunk, -(-n // nthreads))
+                chunk = self._step_chunk(step, args, n, nthreads)
                 out_view = arena.reg_view(step.output) if arena is not None else None
+                if tracer is not None:
+                    step_span_id = obs_trace.new_span_id()
+                    t_step = obs_trace.now_ns()
                 if chunk < n:
                     regs[step.output] = self._run_split(
-                        step, args, n, chunk, nthreads, arena, step_index, out_view
+                        step, args, n, chunk, nthreads, arena, step_index,
+                        out_view, tracer, step_span_id,
                     )
                 else:
                     prev = memplan.bind_step(arena, step_index, 0, out_view)
@@ -377,6 +384,34 @@ class CompiledPlan:
                         regs[step.output] = step.fn(args, step.attrs)
                     finally:
                         memplan.unbind_step(prev)
+                if tracer is not None:
+                    n_chunks = -(-n // chunk) if chunk < n else 1
+                    wino = step.op == "winograd_conv2d"
+                    if step.domain == "int8":
+                        domain = "int8-wino" if wino else "int8"
+                    else:
+                        domain = "winograd" if wino else "fp32"
+                    tracer.record(
+                        step.label or step.op,
+                        "kernel",
+                        t_step,
+                        attrs={
+                            "step": step_index,
+                            "op": step.op,
+                            "backend": self.backend,
+                            "domain": domain,
+                            "batch": n,
+                            "chunk": chunk,
+                            "chunks": n_chunks,
+                            "lanes": min(nthreads, n_chunks) if nthreads > 1 else 1,
+                            "out_bytes": int(regs[step.output].nbytes),
+                            "slot_bytes": (
+                                int(out_view.nbytes) if out_view is not None else None
+                            ),
+                        },
+                        span_id=step_span_id,
+                        parent_id=root_id,
+                    )
                 for reg in step.frees:
                     if reg != step.output:
                         regs[reg] = None
@@ -388,140 +423,20 @@ class CompiledPlan:
                 out = out.copy()
             return out
         finally:
-            if arena is not None:
-                pool.checkin(arena)
-
-    def _run_traced(
-        self,
-        x: np.ndarray,
-        threads: Optional[int],
-        tracer: "obs_trace.TraceBuffer",
-    ) -> np.ndarray:
-        """The instrumented twin of :meth:`_run_untraced`: the same step
-        schedule (chunk sizes, lane counts, arena bindings) with one
-        ``kernel`` span per step, per-chunk child spans under the thread
-        scheduler, and a ``plan_run`` root span.  Kept as a separate loop
-        so the untraced path carries zero per-step branches."""
-        x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
-        n = x.shape[0]
-        nthreads = resolve_threads(self.threads if threads is None else threads)
-        chunk_bytes = self.chunk_bytes
-        pool = self._memory(x.shape[1:])
-        arena = pool.checkout() if pool is not None else None
-        root_id = obs_trace.new_span_id()
-        t_run = obs_trace.now_ns()
-        try:
-            if arena is not None:
-                arena.begin_run(n)
-            regs: List[Optional[np.ndarray]] = [None] * self.num_regs
-            regs[self.input_reg] = x
-            for step_index, step in enumerate(self.steps):
-                args = tuple(regs[i] for i in step.inputs)
-                chunk = n
-                if (
-                    n > 1
-                    and step.op in _CHUNKABLE_OPS
-                    and all(a.shape[0] == n for a in args)
-                    and not self._has_cold_observer(step)
-                    and "resident_out" not in step.attrs
-                    and "resident_src" not in step.attrs
-                ):
-                    in_bytes = sum(a.nbytes for a in args)
-                    if (
-                        chunk_bytes
-                        and in_bytes > chunk_bytes
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = max(1, n * chunk_bytes // in_bytes)
-                    if (
-                        nthreads > 1
-                        and in_bytes >= MIN_PARALLEL_BYTES
-                        and (
-                            self.backend != "reference"
-                            or step.op in _SPLIT_SAFE_OPS
-                        )
-                    ):
-                        chunk = min(chunk, -(-n // nthreads))
-                out_view = arena.reg_view(step.output) if arena is not None else None
-                step_span_id = obs_trace.new_span_id()
-                t_step = obs_trace.now_ns()
-                if chunk < n:
-                    regs[step.output] = self._run_split(
-                        step,
-                        args,
-                        n,
-                        chunk,
-                        nthreads,
-                        arena,
-                        step_index,
-                        out_view,
-                        tracer=tracer,
-                        parent_id=step_span_id,
-                    )
-                else:
-                    prev = memplan.bind_step(arena, step_index, 0, out_view)
-                    try:
-                        regs[step.output] = step.fn(args, step.attrs)
-                    finally:
-                        memplan.unbind_step(prev)
-                result = regs[step.output]
-                n_chunks = -(-n // chunk) if chunk < n else 1
-                if step.domain == "int8":
-                    domain = (
-                        "int8-wino" if step.op == "winograd_conv2d" else "int8"
-                    )
-                else:
-                    domain = (
-                        "winograd" if step.op == "winograd_conv2d" else "fp32"
-                    )
+            if tracer is not None:
                 tracer.record(
-                    step.label or step.op,
-                    "kernel",
-                    t_step,
+                    "plan_run",
+                    "engine",
+                    t_run,
                     attrs={
-                        "step": step_index,
-                        "op": step.op,
                         "backend": self.backend,
-                        "domain": domain,
+                        "source": self.source,
                         "batch": n,
-                        "chunk": chunk,
-                        "chunks": n_chunks,
-                        "lanes": (
-                            min(nthreads, n_chunks) if nthreads > 1 else 1
-                        ),
-                        "out_bytes": int(result.nbytes),
-                        "slot_bytes": (
-                            int(out_view.nbytes) if out_view is not None else None
-                        ),
+                        "steps": len(self.steps),
+                        "threads": nthreads,
                     },
-                    span_id=step_span_id,
-                    parent_id=root_id,
+                    span_id=root_id,
                 )
-                for reg in step.frees:
-                    if reg != step.output:
-                        regs[reg] = None
-            out = regs[self.output_reg]
-            assert out is not None, "plan produced no output"
-            if arena is not None and arena.owns(out):
-                out = out.copy()
-            return out
-        finally:
-            tracer.record(
-                "plan_run",
-                "engine",
-                t_run,
-                attrs={
-                    "backend": self.backend,
-                    "source": self.source,
-                    "batch": n,
-                    "steps": len(self.steps),
-                    "threads": nthreads,
-                },
-                span_id=root_id,
-            )
             if arena is not None:
                 pool.checkin(arena)
 

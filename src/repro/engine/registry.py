@@ -2,21 +2,13 @@
 
 Every plan step names an *op type* ("conv2d", "winograd_conv2d", ...);
 the registry maps ``(op, backend)`` to the callable that executes it.
-Two backends ship with the engine:
+Three backends ship with the engine:
 
 * ``reference`` — mirrors the eager eval-mode computation operation for
   operation (the correctness oracle);
 * ``fast`` — the optimised deployment path, still faithful to eager's
   quantization-grid decisions (quantized Winograd keeps eager's nested
   transform order);
-* ``turbo`` — ``fast`` plus numerics-relaxed quantized Winograd: the
-  Kronecker-form tile transforms apply to quantized steps too, so values
-  sitting exactly on a quantization-bin boundary may snap differently
-  than eager.  The quantized pipeline structure (every stage, frozen
-  ranges) is unchanged — the grid decisions are equally valid
-  quantizations, just not bit-matched to the training-time fake-quant,
-  the same trade production int8 engines make against their training
-  frameworks;
 * ``int8`` — native integer-arithmetic execution of quantized layers:
   activations are quantized to integer codes once, the transform-domain
   and im2row GEMMs run over integer-valued arrays (exact under BLAS at
@@ -28,9 +20,9 @@ Two backends ship with the engine:
   transforms, partially-disabled stages, accumulators past 2^53) fall
   back per step to the ``fast`` quantized kernels.
 
-Kernel resolution falls back ``int8`` → ``turbo`` → ``fast`` →
-``reference``, so an op needs one kernel to be usable and more only
-where a faster implementation exists.
+Kernel resolution falls back ``int8`` → ``fast`` → ``reference``, so an
+op needs one kernel to be usable and more only where a faster
+implementation exists.
 """
 
 from __future__ import annotations
@@ -42,10 +34,10 @@ from typing import Callable, Dict, Optional, Tuple
 #: attribute dict (weights, scales, fusion flags, ...).
 Kernel = Callable[[tuple, dict], object]
 
-BACKENDS = ("reference", "fast", "turbo", "int8")
+BACKENDS = ("reference", "fast", "int8")
 
 #: Kernel-resolution fallback chain per backend.
-_FALLBACK = {"int8": "turbo", "turbo": "fast", "fast": "reference"}
+_FALLBACK = {"int8": "fast", "fast": "reference"}
 
 
 class KernelRegistry:
@@ -66,8 +58,8 @@ class KernelRegistry:
         return decorator
 
     def get(self, op: str, backend: str = "fast") -> Kernel:
-        """Resolve a kernel along the ``int8`` → ``turbo`` → ``fast`` →
-        ``reference`` fallback chain."""
+        """Resolve a kernel along the ``int8`` → ``fast`` → ``reference``
+        fallback chain."""
         if backend not in BACKENDS:
             raise KeyError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         probe: Optional[str] = backend

@@ -54,7 +54,7 @@ class SearchConfig:
     #: Closed-loop clients used by the "served" source.
     served_concurrency: int = 8
     #: Engine backend the "measured"/"served" probes compile candidates
-    #: with ("fast", "turbo" or "int8") — searching with "int8" optimises
+    #: with ("fast" or "int8") — searching with "int8" optimises
     #: latency of the native integer execution path that quantized
     #: candidates would actually be deployed on.
     engine_backend: str = "fast"

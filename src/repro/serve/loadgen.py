@@ -917,7 +917,7 @@ def measure_selfheal_goodput(
        64-deep queue with ``crash_storm`` chaos, replicas pinned at 1;
     3. selfheal leg: the *same* offered schedule and chaos seed, but the
        control loop may scale 1..``workers`` replicas and step the
-       brownout ladder down to the ``@turbo`` rung under sustained
+       brownout ladder down to the native ``@int8`` rung under sustained
        pressure (journaling every decision to ``--state-dir``);
     4. the kill -9 recovery drill (:func:`_crash_recovery_drill`).
 
@@ -939,7 +939,7 @@ def measure_selfheal_goodput(
 
     base = model_name.split("@")[0]
     spec = ModelSpec.parse(base)
-    fallback = base + "@turbo"
+    fallback = base + "@int8"
     workers = max(2, int(workers))
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((32,) + spec.sample_shape).astype(np.float32)
@@ -982,7 +982,7 @@ def measure_selfheal_goodput(
         # the static leg *must* saturate (its only release valves are 64
         # queue slots, sheds, and deadline expiries), while the selfheal
         # leg can still absorb more by scaling 1 -> ``workers`` replicas
-        # and stepping down to the turbo rung.  The bounded queue is
+        # and stepping down to the int8 rung.  The bounded queue is
         # what turns overload into a goodput difference instead of
         # silent buffering — and the load generator must run *more*
         # client threads than there are queue slots, or client-side
@@ -1134,7 +1134,7 @@ def measure_selfheal_goodput(
 
 
 def benchmark_serving(
-    model_name: str = "resnet18-w0.25-F4-int8@turbo",
+    model_name: str = "resnet18-w0.25-F4-int8@int8",
     concurrencies: Sequence[int] = (1, 4, 16, 32, 64),
     requests_per_level: int = 384,
     workers: int = 0,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.engine import get_cached_plan
 from repro.engine.cache import PlanCache
+from repro.engine.registry import BACKENDS
 
 #: architecture → (input channels, image size, default width multiplier).
 ARCHITECTURES: Dict[str, Tuple[int, int, Optional[float]]] = {
@@ -58,6 +59,10 @@ class ModelSpec:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
                 f"expected one of {sorted(ARCHITECTURES)}"
+            )
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
 
     @property
@@ -303,7 +308,10 @@ def load_artifact_served(path: str, lazy: bool = False) -> ServedModel:
             f"{path}: manifest records no 'extra.model' variant name "
             "(not written by 'repro compile'?)"
         )
-    spec = ModelSpec.parse(spec_name)
+    try:
+        spec = ModelSpec.parse(spec_name)
+    except ValueError as exc:
+        raise ArtifactFormatError(f"{path}: {exc}") from exc
     seed = (manifest.get("extra") or {}).get("seed")
     if seed is not None:
         spec = dataclasses.replace(spec, seed=int(seed))

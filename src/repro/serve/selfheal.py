@@ -20,7 +20,7 @@ entire incident timelines without sleeping:
   half-opens and admits nothing but an operator-invisible probe batch;
   a passing probe closes it, a failing one re-opens it.
 * :class:`BrownoutLadder` — an operator-declared fallback chain per
-  model (e.g. ``fp32@fast → int8@int8 → int8@turbo``: the paper's own
+  model (e.g. ``fp32@fast → int8@int8``: the paper's own
   accuracy/latency frontier used as a degradation axis).  Sustained
   shed/deadline pressure steps the model *down* one rung (served via
   the blue/green batcher swap, stamped on responses as

@@ -977,23 +977,29 @@ class InferenceServer:
                         break
                     key, _, value = line.decode("latin1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
-                if length > MAX_BODY_BYTES:
-                    await self._write_json(
-                        writer,
-                        413,
-                        {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
-                        close=True,
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                close = headers.get("connection", "").lower() == "close"
-                path, _, query = target.partition("?")
                 # Every request gets an id at ingress: the client's
                 # X-Request-Id is respected, otherwise one is minted; it
                 # is echoed on the response and keys trace spans and
                 # latency-bucket exemplars.
                 request_id = headers.get("x-request-id") or f"r-{uuid.uuid4().hex[:16]}"
+                raw_length = headers.get("content-length") or "0"
+                valid = raw_length.isascii() and raw_length.isdigit()
+                if not valid or int(raw_length) > MAX_BODY_BYTES:
+                    # The body's extent is unknown or refused, so the
+                    # stream cannot be resynchronised: reply and close.
+                    status, error = (
+                        (413, f"body exceeds {MAX_BODY_BYTES} bytes") if valid
+                        else (400, f"invalid Content-Length {raw_length!r}")
+                    )
+                    await self._write_json(
+                        writer, status, {"error": error, "status": status},
+                        close=True, extra_headers=[f"X-Request-Id: {request_id}"],
+                    )
+                    break
+                length = int(raw_length)
+                body = await reader.readexactly(length) if length else b""
+                close = headers.get("connection", "").lower() == "close"
+                path, _, query = target.partition("?")
                 try:
                     status, retry_after = 200, None
                     payload = await self._route(

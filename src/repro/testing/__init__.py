@@ -1,7 +1,7 @@
-"""Randomized differential-testing support (ISSUE 5).
+"""Randomized differential-testing support.
 
 The engine now exposes a product of execution modes — ``reference`` /
-``fast`` / ``turbo`` / ``int8`` backends × thread counts × batch
+``fast`` / ``int8`` backends × thread counts × batch
 chunking × arena planning — and hand-written parity tests cannot cover
 that space.  This package generates *seeded random models* spanning the
 paper's search dimensions (conv algorithm F(m, r) vs im2row, widths,

@@ -14,6 +14,7 @@ its two normative halves:
 """
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.engine.artifact import (
     save_plan,
 )
 from repro.engine.plan import CompiledPlan, Step
+from repro.engine.registry import BACKENDS
 from repro.testing.modelgen import generate_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -215,6 +217,19 @@ class TestRejection:
         with open(path, "r+b") as fh:
             fh.write(b"NOTAPLAN")
         with pytest.raises(ArtifactFormatError, match="magic"):
+            load_plan(path)
+
+    def test_retired_backend_is_typed_format_error(self, tmp_path):
+        # A v2 artifact compiled for a backend this engine no longer
+        # ships (the check reads only the header's name) is refused.
+        gm = generate_model(FP32_SEED)
+        plan = compile_model(gm.model, backend="fast")
+        plan.backend = "retired"
+        path, _ = _saved(tmp_path, plan, gm.sample_input())
+        manifest = read_manifest(path, verify=True)
+        assert manifest["format"]["version"] == FORMAT_VERSION == 2
+        expected = f"unknown backend 'retired'; expected one of {BACKENDS}"
+        with pytest.raises(ArtifactFormatError, match=re.escape(expected)):
             load_plan(path)
 
     def test_typed_errors_are_artifact_errors(self):

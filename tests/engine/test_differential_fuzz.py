@@ -8,8 +8,7 @@ asserted (:mod:`repro.testing.diffcheck`):
 
 * ``reference`` must equal the eager forward **bitwise**, and stay
   bitwise under batch chunking and the thread scheduler;
-* ``fast``/``turbo`` must stay within their documented float/grid
-  tolerances;
+* ``fast`` must stay within its documented float/grid tolerances;
 * ``int8`` outputs must be bit-identical to the exact int64-GEMM oracle
   (PR 3's exactness contract), bit-stable under threads/chunking when
   fully native, and any quantization-bin flip at an auditable Winograd

@@ -12,13 +12,13 @@ Contract (ISSUE 3):
   rint/clip grids in exact integer arithmetic, where the reference
   backend composes them through float32 GEMMs.  Values landing within a
   float32 ulp of a quantization-bin boundary may therefore snap
-  differently (the same trade the ``turbo`` backend documents), so
-  model-level parity is judged against the quantization grid — tight
+  differently (the same trade production int8 engines make against
+  their training frameworks), so model-level parity is judged against the quantization grid — tight
   relative tolerance, tiny mismatch mass, identical argmax — not
   bitwise.  Single quantized layers and pure-im2row models are
   empirically bit-identical to reference.
 * **Fallbacks** — float models and ineligible steps (flex transforms,
-  partially-disabled stages) execute through the turbo→fast→reference
+  partially-disabled stages) execute through the fast→reference
   chain; cold-compiled plans run the fast path until their ranges freeze
   and then switch to native integer execution.
 """
@@ -142,9 +142,9 @@ class TestModelGridConsistency:
 
         (End-to-end logits are *not* compared value-wise: these random
         smoke nets are chaotic, so one legitimate boundary flip in an
-        early layer avalanches — the same reason ``turbo`` pins parity
-        per grid, and why the int64-oracle bitwise test above is the
-        real contract.)
+        early layer avalanches — which is why parity is pinned per grid,
+        and why the int64-oracle bitwise test above is the real
+        contract.)
         """
         from repro.engine.kernels import _strided_patches, fake_quant
 

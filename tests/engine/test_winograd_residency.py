@@ -1,12 +1,12 @@
-"""Transform-domain residency (ISSUE 10): the compiler pass that keeps
+"""Transform-domain residency: the compiler pass that keeps
 activations resident in the Winograd transform domain across
 consecutive stride-1 ``winograd_conv2d`` steps.
 
 Contracts pinned here (docs/architecture.md 'Transform-domain
 residency'):
 
-* float (``fast``/``turbo``): residency on vs off is **bitwise
-  identical** — the pass is copy elision, never algebra;
+* float (``fast``, and ``int8`` on float steps): residency on vs off
+  is **bitwise identical** — the pass is copy elision, never algebra;
 * int8: each configuration (on and off) is bit-identical to the int64
   oracle compiled the same way; eligible edges refine to per-tap
   requant grids that preserve every tap's representable range;
@@ -107,7 +107,7 @@ class TestFloatResidency:
         off = compile_model(model, backend="fast", residency=False)
         np.testing.assert_array_equal(on.run(x), off.run(x))
         np.testing.assert_array_equal(
-            compile_model(model, backend="turbo").run(x), on.run(x)
+            compile_model(model, backend="int8").run(x), on.run(x)
         )
 
     def test_resident_steps_excluded_from_chunking(self):

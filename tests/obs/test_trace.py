@@ -1,18 +1,20 @@
-"""Engine-level tracing contracts (ISSUE 7 tentpole).
+"""Engine-level tracing contracts.
 
 Covers the span recorder itself (ring wrap, fork/env gating helpers),
 the per-step spans the executor emits, the structural well-formedness
-of span trees, the Chrome exporter's schema, the reference-backend
-bit-identity of traced vs untraced runs, and the ``profile_plan``
-sum-vs-median sanity bound.
+of span trees, the Chrome exporter's schema, the bit-identity (and
+identical step schedule) of traced vs untraced runs, and the
+``profile_plan`` sum-vs-median sanity bound.
 """
 
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from repro.engine import compile_model
+from repro.autograd import Tensor, no_grad
+from repro.engine import compile_model, memplan
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.obs.export import (
@@ -29,14 +31,45 @@ from repro.obs.trace import (
     filter_request,
     validate_span_tree,
 )
+from repro.quant.qconfig import fp32, int8
 
 
-def _plan_and_input(backend="fast", batch=4, seed=0):
-    model = lenet(spec=ConvSpec("F2"))
+def _plan_and_input(backend="fast", batch=4, seed=0, qconfig=None):
+    model = lenet(spec=ConvSpec("F2", qconfig or fp32()))
     model.eval()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, 1, 28, 28)).astype(np.float32)
+    if qconfig is not None:
+        with no_grad():  # freeze the quantizer observers before compiling
+            model(Tensor(x))
     return compile_model(model, backend=backend), x
+
+
+def _untraced_schedule(plan, x, threads, monkeypatch):
+    """``{step: (chunk, chunks, lanes)}`` of one untraced run, observed
+    from the kernel calls and lane bindings themselves (no spans)."""
+    lanes, rows = defaultdict(list), defaultdict(list)
+    bind = memplan.bind_step
+
+    def bind_step(arena, index, lane, out):
+        lanes[index].append(lane)
+        return bind(arena, index, lane, out)
+
+    def counted(index, fn):
+        def kernel(args, attrs):
+            rows[index].append(len(args[0]))
+            return fn(args, attrs)
+        return kernel
+
+    monkeypatch.setattr(memplan, "bind_step", bind_step)
+    for index, step in enumerate(plan.steps):
+        monkeypatch.setattr(step, "fn", counted(index, step.fn))
+    out = plan.run(x, threads=threads)
+    monkeypatch.undo()
+    return out, {
+        i: (max(rows[i]) if len(seen) > 1 else len(x), len(seen), len(set(seen)))
+        for i, seen in lanes.items()
+    }
 
 
 class TestTraceBuffer:
@@ -146,6 +179,36 @@ class TestEngineSpans:
         np.testing.assert_array_equal(
             plan.run(x, trace=TraceBuffer()), plan.run(x)
         )
+
+    @pytest.mark.parametrize("backend", ["fast", "int8"])
+    @pytest.mark.parametrize("threads,chunk_bytes", [(1, None), (2, 1 << 12)])
+    def test_traced_vs_untraced_same_bits_and_schedule(
+        self, backend, threads, chunk_bytes, monkeypatch
+    ):
+        # One executor loop serves both paths: the traced run must give
+        # the same bits and report the schedule the untraced run took.
+        plan, x = _plan_and_input(backend=backend, batch=8, qconfig=int8())
+        if backend == "int8":
+            assert plan.int8_report()["native_int8_steps"] > 0
+        if chunk_bytes is not None:
+            plan.chunk_bytes = chunk_bytes
+        untraced, schedule = _untraced_schedule(plan, x, threads, monkeypatch)
+        buf = TraceBuffer()
+        traced = plan.run(x, threads=threads, trace=buf)
+        np.testing.assert_array_equal(traced, untraced)
+        spans = {
+            s.attrs["step"]: s for s in buf.snapshot()
+            if s.cat == "kernel" and "chunk_index" not in s.attrs
+        }
+        assert sorted(spans) == sorted(schedule) == list(range(len(plan)))
+        for index, (chunk, chunks, lanes) in schedule.items():
+            attrs = spans[index].attrs
+            assert (attrs["chunk"], attrs["chunks"], attrs["lanes"]) == (
+                chunk, chunks, lanes,
+            ), f"step {index} ({attrs['op']})"
+        if chunk_bytes is not None:
+            assert any(chunks > 1 for _, chunks, _ in schedule.values())
+            assert any(lanes == threads for _, _, lanes in schedule.values())
 
 
 class TestSpanUtilities:

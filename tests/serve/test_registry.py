@@ -1,9 +1,13 @@
 """ModelSpec naming and the serving registry."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.engine import PlanCache
+from repro.engine.registry import BACKENDS
 from repro.serve.registry import ModelRegistry, ModelSpec, ServedModel
 
 
@@ -15,6 +19,7 @@ class TestModelSpec:
             "squeezenet-w0.5-F4-flex-int10",
             "resnext20-w0.5-im2row-fp32",
             "resnet18-w0.25-F4-int8@reference",
+            "resnet18-w0.25-F4-int8@int8",
         ):
             assert ModelSpec.parse(name).name == name
 
@@ -31,11 +36,29 @@ class TestModelSpec:
         assert ModelSpec.parse("resnet18-F4-int8").sample_shape == (3, 32, 32)
 
     @pytest.mark.parametrize(
-        "bad", ["", "resnet18", "unknownarch-F4-int8", "resnet18-wabc-F4-int8"]
+        "bad",
+        [
+            "",
+            "resnet18",
+            "unknownarch-F4-int8",
+            "resnet18-wabc-F4-int8",
+            "lenet-F2-fp32@bogus",
+        ],
     )
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ValueError):
             ModelSpec.parse(bad)
+
+    def test_unknown_backend_error_lists_backends(self):
+        with pytest.raises(ValueError, match=re.escape(str(BACKENDS))):
+            ModelSpec(architecture="lenet", algorithm="F2", backend="FAST")
+
+    def test_cli_backend_choices_are_the_registry_backends(self):
+        parser = build_parser()
+        for backend in BACKENDS:
+            assert parser.parse_args(["infer", "--backend", backend]).backend == backend
+        with pytest.raises(SystemExit):
+            parser.parse_args(["infer", "--backend", "bogus"])
 
     def test_to_dict_fields(self):
         info = ModelSpec.parse("resnet18-w0.25-F4-int8").to_dict()

@@ -19,6 +19,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
+from repro.engine.artifact import ArtifactFormatError, load_plan, save_plan
 from repro.serve import ModelRegistry, ServeClient, start_in_background
 from repro.serve.autoscale import (
     AutoscalePolicy,
@@ -26,7 +28,7 @@ from repro.serve.autoscale import (
     ReplicaAutoscaler,
 )
 from repro.serve.client import RetryPolicy, ServeCircuitOpen, ServeError
-from repro.serve.registry import ModelSpec, ServedModel
+from repro.serve.registry import ModelSpec, ServedModel, load_artifact_served
 from repro.serve.selfheal import (
     CIRCUIT_CLOSED,
     CIRCUIT_HALF_OPEN,
@@ -44,7 +46,7 @@ from repro.serve.selfheal import (
 from repro.serve.server import InferenceServer
 
 NAME = "lenet-F2-fp32"
-VARIANT = "lenet-F2-fp32@turbo"
+VARIANT = "lenet-F2-fp32@reference"
 
 
 class FakeClock:
@@ -787,6 +789,35 @@ class TestServerJournalReplay:
                     np.zeros((1, 28, 28), dtype=np.float32), model=NAME
                 )
                 assert out.shape == (4,)
+
+
+    def test_retired_backend_artifact_is_skipped_not_fatal(self, tmp_path):
+        # A deploy journaled by an older engine, of an artifact compiled
+        # for a backend this engine no longer ships: boot skips it.
+        _, compiled = self._artifact(tmp_path, seed=1, tag="v2")
+        plan = load_plan(compiled)
+        plan.backend = "retired"
+        name, artifact = "lenet-F2-fp32@retired", str(tmp_path / "retired.rpln")
+        save_plan(plan, artifact, extra={"model": name})
+        for lazy in (False, True):
+            with pytest.raises(ArtifactFormatError, match="unknown backend"):
+                load_artifact_served(artifact, lazy=lazy)
+        assert cli_main(["serve", "--model", artifact]) == 2  # no traceback
+        state_dir = str(tmp_path / "state")
+        journal = StateJournal(state_dir)
+        journal.append(
+            {"event": "deploy", "model": name, "artifact": artifact,
+             "version": "h-retired"}
+        )
+        journal.close()
+        registry = ModelRegistry()
+        registry.add(_stub_served())
+        with start_in_background(registry, state_dir=state_dir) as handle:
+            with ServeClient(handle.base_url) as client:
+                replay = client.models()["journal_replay"]
+                assert replay["deploys_skipped"] == [name]
+                x = np.zeros((1, 28, 28), dtype=np.float32)
+                assert client.predict(x, model=NAME).shape == (4,)
 
 
 class TestServerBrownoutReplay:

@@ -8,8 +8,11 @@ bit-identical to direct ``CompiledPlan.run``, every response within its
 deadline.
 """
 
+import json
+import socket
 import threading
 import time
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -119,6 +122,28 @@ class TestEndpoints:
         with pytest.raises(ServeError) as excinfo:
             client.request("POST", "/predict", payload)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "+5", "1_0", "\u0665"])
+    def test_bad_content_length_is_typed_400_and_closes(self, server, value):
+        handle, _ = server
+        host, port = urllib.parse.urlsplit(handle.base_url).netloc.split(":")
+        request = (
+            "POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"X-Request-Id: bad-length\r\nContent-Length: {value}\r\n\r\n"
+        )
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(request.encode("utf-8"))
+            # Read to EOF: the server must reply and then close.
+            raw = b"".join(iter(lambda: sock.recv(4096), b""))
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "X-Request-Id: bad-length" in lines
+        assert "Connection: close" in lines
+        doc = json.loads(body)
+        assert doc["status"] == 400 and "Content-Length" in doc["error"]
+        with ServeClient(handle.base_url) as client:  # still serving
+            assert client.healthz()["status"] == "ok"
 
     def test_model_optional_when_ambiguous_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
