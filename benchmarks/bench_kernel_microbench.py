@@ -119,35 +119,16 @@ def test_engine_int8_backend_forward(benchmark, engine_workloads, name):
 def test_bench_engine_vs_eager(benchmark, engine_workloads):
     """Engine-vs-eager speedups, persisted to BENCH_engine.json.
 
-    Two acceptance gates ride on this report (see repro.bench for the
-    measurement itself, shared with the ``repro bench engine`` CLI):
-
-    * the compiled fast plan must beat the eager forward by a clear
-      margin on the batched ResNet smoke workload;
-    * the int8 anomaly must stay inverted — the quantized model on its
-      native int8 backend at least matches fp32 on the fast backend,
-      instead of being ~2x slower like int8@fast.
+    The report's gates (engine vs eager, the int8 anomaly, native int8
+    vs int8-on-fast) are rows of the regression guard's rule table,
+    ``benchmarks/check_bench_regression.py``, which CI runs on this
+    report right after the benchmark.  See repro.bench for the
+    measurement itself, shared with the ``repro bench engine`` CLI.
     """
     from repro.bench import run_engine_benchmark
     from repro.engine import compile_model
 
-    report = run_engine_benchmark(out_path=str(REPO_ROOT / "BENCH_engine.json"))
-    summary = report["results"]
-
-    resnet = next(r for r in summary if r["workload"] == "resnet18-w0.25-F4")
+    run_engine_benchmark(out_path=str(REPO_ROOT / "BENCH_engine.json"))
     model, x = engine_workloads["resnet18-w0.25-F4"]
     plan = compile_model(model, backend="fast")
     benchmark(plan.run, x)
-    assert resnet["speedup_fast"] >= 1.2, f"engine regressed vs eager: {resnet}"
-
-    anomaly = report["int8_anomaly"]
-    # Same-run comparison.  The contract is "native int8 at least matches
-    # fp32-fast instead of being ~2x slower"; since the zero-allocation
-    # executor sped fp32-fast up ~15% the two now sit within noise of
-    # each other, so the grace matches check_bench_regression's 25%.
-    assert anomaly["int8_native_ms"] <= 1.25 * anomaly["fp32_fast_ms"], (
-        f"int8 anomaly regressed: {anomaly}"
-    )
-    assert anomaly["int8_native_ms"] < anomaly["int8_fast_ms"], (
-        f"native int8 slower than simulated int8: {anomaly}"
-    )

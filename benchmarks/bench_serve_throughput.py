@@ -7,25 +7,13 @@ model, sweeps closed-loop client concurrency, and persists the result to
 ``BENCH_serve.json`` at the repo root so the serving-perf trajectory is
 tracked across PRs.
 
-Five gates make this a regression test as well as a benchmark (run by the
-CI ``serve-smoke`` job, ``--quick`` there):
-
-* served responses must be **bit-identical** to direct
-  ``CompiledPlan.run`` on the reference backend, under concurrency;
-* dynamic batching must reach **>= 1.5x** the batch-1 throughput at
-  concurrency >= 16;
-* booting from a compiled-plan artifact (mmap) must be **>= 10x**
-  faster than compile-from-scratch, with bit-identical outputs
-  (docs/artifact-format.md);
-* a blue/green hot-swap under load must drop **zero** requests
-  (docs/operations.md 'Blue/green deploys and rollback');
-* the self-healing control plane must earn its keep: under the same
-  crash-storm chaos and offered overload, the autoscaler+brownout server
-  sustains strictly higher goodput than a static single-replica baseline
-  (full runs), and a kill -9 + restart from ``--state-dir`` recovers
-  every model at its pre-kill content-hash version with bit-identical
-  responses (always; docs/operations.md 'Self-healing & autoscaling
-  runbook').
+It is a regression test as well as a benchmark (run by the CI
+``serve-smoke`` job, ``--quick`` there): the fresh report must pass every
+absolute row of the regression guard's rule table
+(``benchmarks/check_bench_regression.py``) -- bit-identity with direct
+``CompiledPlan.run``, the dynamic-batching and workers-scaling speedups,
+the artifact cold start and zero-drop hot-swap, overload honesty and
+self-healing recovery.  Quick reports skip the throughput-shaped rows.
 
 Usage::
 
@@ -41,16 +29,8 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-SPEEDUP_GATE = 1.5
-GATE_CONCURRENCY = 16
-# Workers gate shared with the CI regression guard — one source of truth.
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-from check_bench_regression import (  # noqa: E402
-    ARTIFACT_SPEEDUP_GATE,
-    MIN_CORES_PER_WORKER,
-    WORKERS_SPEEDUP_GATE,
-    _check_selfheal,
-)
+from check_bench_regression import check  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -107,80 +87,7 @@ def main(argv=None) -> int:
         trials=args.trials,
     )
 
-    failures = []
-    if not report["bit_identical_reference"]:
-        failures.append(
-            "served responses are NOT bit-identical to direct plan.run "
-            "on the reference backend"
-        )
-    if report.get("bit_identical_workers") is False:
-        failures.append(
-            "workers-mode responses are NOT bit-identical to the "
-            "in-process reference oracle"
-        )
-    # Artifact gates hold in --quick too: the cold-start speedup is a
-    # same-host ratio and zero-drop hot-swap is pure correctness
-    # (docs/operations.md 'Compile-then-deploy').
-    artifact = report.get("artifact_cold_start") or {}
-    if artifact.get("bit_identical") is False:
-        failures.append(
-            "artifact-loaded plan is NOT bit-identical to the freshly "
-            "compiled plan"
-        )
-    if artifact.get("speedup") is not None and (
-        artifact["speedup"] < ARTIFACT_SPEEDUP_GATE
-    ):
-        failures.append(
-            f"artifact cold-start speedup {artifact['speedup']:.1f}x < "
-            f"{ARTIFACT_SPEEDUP_GATE}x "
-            f"(compile {artifact.get('compile_ms', 0):.0f} ms vs mmap "
-            f"load {artifact.get('load_ms', 0):.1f} ms)"
-        )
-    hot_swap = artifact.get("hot_swap") or {}
-    if hot_swap.get("requests_failed", 0) != 0:
-        failures.append(
-            f"blue/green hot-swap dropped {hot_swap['requests_failed']} "
-            "requests"
-        )
-    # Self-healing gates share the regression guard's rule set (honesty
-    # + kill -9 recovery always; the goodput-improvement expectation
-    # only on full runs) so the benchmark and the guard never diverge.
-    failures += _check_selfheal({}, report)
-    if not args.quick:
-        # The throughput gate is calibrated for the single-core reference
-        # host this repo's BENCH_serve.json is generated on; --quick (CI
-        # smoke on shared multi-core runners) checks correctness only and
-        # just reports the measured speedups.
-        gated = {
-            int(c): s
-            for c, s in report["speedup_dynamic_over_batch1"].items()
-            if int(c) >= GATE_CONCURRENCY
-        }
-        if not gated:
-            failures.append(f"no sweep point at concurrency >= {GATE_CONCURRENCY}")
-        elif max(gated.values()) < SPEEDUP_GATE:
-            failures.append(
-                f"dynamic batching speedup {max(gated.values()):.2f}x "
-                f"< {SPEEDUP_GATE}x at concurrency >= {GATE_CONCURRENCY}"
-            )
-        scaling = report.get("workers_scaling")
-        if scaling and scaling.get("speedup") is not None:
-            # Acceptance: workers=2 sustains >= 1.3x single-process
-            # throughput — but only with enough cores per worker;
-            # smaller hosts record the entry and skip the expectation.
-            if scaling["cpu_count"] >= MIN_CORES_PER_WORKER * scaling["workers"]:
-                if scaling["speedup"] < WORKERS_SPEEDUP_GATE:
-                    failures.append(
-                        f"workers={scaling['workers']} speedup "
-                        f"{scaling['speedup']:.2f}x < {WORKERS_SPEEDUP_GATE}x "
-                        f"on a {scaling['cpu_count']}-core host"
-                    )
-            else:
-                print(
-                    f"workers-scaling gate skipped: {scaling['cpu_count']} "
-                    f"cores for workers={scaling['workers']} "
-                    f"(measured {scaling['speedup']:.2f}x)"
-                )
+    failures = check({}, report)
     if failures and not args.no_gate:
         for failure in failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)

@@ -96,10 +96,10 @@ def run_engine_benchmark(
     zero-allocation contract is tracked in the same artifact.
 
     The ``trace_overhead`` entry pins the observability contract:
-    ``run`` with tracing disabled within 1% of the executor loop called
-    with no tracer (the pristine leg), enforced by
-    ``benchmarks/check_bench_regression.py`` (docs/observability.md
-    'Overhead budget').
+    ``run`` with tracing disabled within budget of the executor loop
+    called with no tracer (the pristine leg), enforced by the
+    ``trace_overhead`` row of ``benchmarks/check_bench_regression.py``
+    (docs/observability.md 'Overhead budget').
     """
     import os
 
@@ -179,8 +179,8 @@ def run_engine_benchmark(
     fast_plan, fast_x = plans[("resnet18-w0.25-F4", "fast")]
 
     # Tracing-off overhead gate: the public ``run`` with tracing
-    # disabled must stay within 1% of the executor loop it dispatches
-    # to, called directly with no tracer (``_execute(x, 1, None)``).
+    # disabled must stay within budget of the executor loop it
+    # dispatches to, called directly with no tracer (``_execute(x, 1, None)``).
     # The three legs are timed interleaved, min-of-N per leg: scheduler
     # interference only ever slows a leg, so interleaved minima compare
     # the same quiet-host conditions instead of whichever leg ran during

@@ -97,8 +97,7 @@ class ArtifactError(Exception):
 
 
 class ArtifactSaveError(ArtifactError):
-    """The plan cannot be serialized (e.g. opaque ``eager_module`` steps
-    carrying a live Python module, or attribute values outside the
+    """The plan cannot be serialized (attribute values outside the
     encodable set listed in ``docs/artifact-format.md``)."""
 
 
@@ -256,9 +255,8 @@ def save_plan(
     stored alongside (the CLI records the model spec name there).
 
     Returns a summary dict (file size, tensor counts, hex content hash).
-    Raises :class:`ArtifactSaveError` for unserializable plans — most
-    notably plans containing opaque ``eager_module`` steps, which carry
-    a live Python module instead of data.
+    Raises :class:`ArtifactSaveError` for unserializable plans (step
+    attributes outside the encodable set).
 
     The write is atomic: bytes go to ``path + ".tmp"`` and are renamed
     into place only when complete, so a crashed save never leaves a
@@ -268,12 +266,6 @@ def save_plan(
     steps_doc = []
     for i, step in enumerate(plan.steps):
         where = f"step {i} ({step.op}{f' [{step.label}]' if step.label else ''})"
-        if step.op == "eager_module":
-            raise ArtifactSaveError(
-                f"{where}: opaque eager_module steps carry a live Python "
-                "module and cannot be serialized; compile a model whose "
-                "layers all have lowering handlers"
-            )
         steps_doc.append(
             {
                 "op": step.op,

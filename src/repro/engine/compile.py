@@ -127,10 +127,10 @@ class _Lowerer:
             handler = _LOWERING.get(klass)
             if handler is not None:
                 return handler(self, module, reg)
-        # Unknown module: run its eager forward as one opaque step so
-        # compilation stays total (no fusion/caching inside it).
-        return self.emit(
-            "eager_module", (reg,), {"module": module}, label=type(module).__name__
+        cls = type(module)
+        raise CompileError(
+            f"no lowering rule for {cls.__name__} "
+            f"({cls.__module__}.{cls.__qualname__}); register one with @lowers"
         )
 
 

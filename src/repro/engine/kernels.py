@@ -231,18 +231,6 @@ def record_hw_kernel(inputs, attrs):
     return x
 
 
-@register_kernel("eager_module")
-def eager_module_kernel(inputs, attrs):
-    """Fallback for module types with no lowering rule: call eager forward."""
-    from repro.autograd.function import no_grad
-    from repro.autograd.tensor import Tensor
-
-    (x,) = inputs
-    with no_grad():
-        out = attrs["module"](Tensor(x))
-    return out.data
-
-
 # ---------------------------------------------------------------------------
 # Pooling
 # ---------------------------------------------------------------------------

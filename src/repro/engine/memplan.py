@@ -7,8 +7,8 @@ removes that:
 * **Shape/dtype inference** derives every register's shape (batch axis
   symbolic — all lowered ops carry the batch on axis 0, so per-sample
   shapes are enough) from the step attributes alone, with no data.
-  Plans containing an op with no shape rule (``eager_module``) keep the
-  legacy allocate-per-step executor.
+  Plans containing an op with no shape rule (a hand-built or
+  custom-registered op) keep the legacy allocate-per-step executor.
 * **Liveness → slot assignment** extends the executor's existing
   ``frees`` analysis into a static buffer-reuse plan: registers whose
   live ranges are disjoint share one arena slot (best-fit over freed

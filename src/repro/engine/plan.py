@@ -350,8 +350,9 @@ class CompiledPlan:
         """The executor loop.  With a ``tracer`` it records one ``kernel``
         span per step, per-chunk child spans under the thread scheduler,
         and a ``plan_run`` root span; with ``None`` the only extra work
-        per step is two ``is None`` checks (``repro bench engine`` gates
-        the tracing-disabled :meth:`run` against this loop at 1%)."""
+        per step is two ``is None`` checks (``repro bench engine`` times
+        the tracing-disabled :meth:`run` against this loop for the
+        ``trace_overhead`` gate)."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
         nthreads = resolve_threads(self.threads if threads is None else threads)

@@ -624,7 +624,7 @@ def measure_artifact_cold_start(
       artifact (mmap + kernel re-resolution) with ``verify=False``, the
       worker boot path: the content hash is checked once at deploy time
       by the parent, not by every booting worker;
-    * ``speedup`` — compile_ms / load_ms (the ≥10x cold-start claim);
+    * ``speedup`` — compile_ms / load_ms (the gated cold-start claim);
     * ``workers_boot_ms`` — wall-clock for a ``--workers N`` server to
       become ready when every worker boots by mmapping the artifact;
     * ``hot_swap`` — a blue/green deploy of a second artifact **while**
@@ -1318,6 +1318,7 @@ def benchmark_serving(
         "workers": workers,
         "executor_threads": executor_threads,
         "requests_per_level": requests_per_level,
+        "quick": bool(quick),
         "bit_identical_reference": bit_identical,
         "bit_identical_workers": bit_identical_workers,
         "policies": results,

@@ -211,6 +211,8 @@ class ServedModel:
         Zero-copy for arrays already in float32 C order (the b64 request
         path hands ``np.frombuffer`` views straight through): ``asarray``
         ``[None]`` and ``ascontiguousarray`` below all stay views then.
+        NaN and ±Inf are rejected here, before they reach the plan and
+        its int8 requant.
         """
         arr = np.asarray(x, dtype=np.float32)
         if arr.shape == self.sample_shape:
@@ -220,6 +222,8 @@ class ServedModel:
                 f"model {self.name!r} expects one sample of shape "
                 f"{self.sample_shape}, got {tuple(np.shape(x))}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"model {self.name!r} input has non-finite values")
         return np.ascontiguousarray(arr)
 
 

@@ -100,7 +100,6 @@ def _roundtrip_plan(plan, x):
     """Save → mmap-load → run; returns the loaded plan's output.
 
     The artifact leg of the corpus: a plan that survives serialization
-    (no opaque ``eager_module`` steps — the corpus never generates them)
     must produce **bitwise identical** output when executed from its
     mmap-loaded artifact, on every backend (docs/artifact-format.md
     'Compatibility and rejection policy').

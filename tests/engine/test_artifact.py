@@ -153,22 +153,22 @@ class TestRoundTrip:
 
 
 class TestRejection:
-    def test_save_rejects_eager_module_steps(self, tmp_path):
+    def test_save_rejects_unencodable_attrs(self, tmp_path):
         class Opaque:
             pass
 
         plan = CompiledPlan(
-            steps=[
-                Step("eager_module", (0,), 1, {"module": Opaque()}, label="Opaque")
-            ],
+            steps=[Step("custom_op", (0,), 1, {"module": Opaque()}, label="Opaque")],
             num_regs=2,
             input_reg=0,
             output_reg=1,
             backend="fast",
             signature="sig",
         )
-        with pytest.raises(ArtifactSaveError, match="eager_module"):
-            save_plan(plan, str(tmp_path / f"bad{EXTENSION}"))
+        path = tmp_path / f"bad{EXTENSION}"
+        with pytest.raises(ArtifactSaveError, match="Opaque is not serializable"):
+            save_plan(plan, str(path))
+        assert os.listdir(tmp_path) == []
 
     def test_truncated_file(self, tmp_path, fp32_case):
         gm, plan = fp32_case

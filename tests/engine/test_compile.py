@@ -83,19 +83,16 @@ class TestFusion:
 
 
 class TestFallback:
-    def test_unknown_module_runs_eagerly(self, rng):
+    def test_unknown_module_raises_compile_error(self):
         class Weird(Module):
             def forward(self, x):
                 return x * 2.0
 
         model = Sequential(Conv2d(3, 4, 3, padding=1), Weird())
         model.eval()
-        plan = compile_model(model)
-        assert "eager_module" in plan.ops_used()
-        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        with no_grad():
-            expected = model(Tensor(x)).data
-        np.testing.assert_allclose(plan.run(x), expected, rtol=1e-5, atol=1e-6)
+        with pytest.raises(CompileError, match=r"no lowering rule for Weird \(") as exc:
+            compile_model(model)
+        assert f"{__name__}." in str(exc.value)  # names its module path
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(CompileError):

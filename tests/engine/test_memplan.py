@@ -97,7 +97,7 @@ class TestLayout:
         assert layout.reg_slot[2] == layout.reg_slot[1]
 
     def test_unknown_op_disables_planning(self):
-        steps = [Step("eager_module", (0,), 1, {"module": None})]
+        steps = [Step("custom_unregistered_op", (0,), 1, {})]
         assert plan_layout(steps, 0, 1, (4, 8, 8)) is None
 
 

@@ -5,9 +5,14 @@ each documented flag, and (c) point at the docs/ tree so ``--help`` and
 the runbook (docs/operations.md) cannot drift apart silently.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: Subcommand → flags its --help must document.  Keep in sync with the
 #: flag tables in docs/operations.md.
@@ -95,3 +100,19 @@ class TestCompileCommand:
     def test_inspect_missing_file_errors(self, capsys, tmp_path):
         assert main(["compile", "--inspect", str(tmp_path / "no.rpln")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBenchGateDocs:
+    """Every row of the benchmark guard's rule table is named in the
+    runbook, which points at the table instead of restating thresholds."""
+
+    def test_every_rule_id_is_documented(self):
+        spec = importlib.util.spec_from_file_location(
+            "check_bench_regression",
+            REPO_ROOT / "benchmarks" / "check_bench_regression.py",
+        )
+        guard = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(guard)
+        runbook = (REPO_ROOT / "docs" / "operations.md").read_text()
+        missing = [r.id for r in guard.RULES if f"`{r.id}`" not in runbook]
+        assert not missing, f"docs/operations.md does not name rules {missing}"

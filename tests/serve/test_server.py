@@ -8,6 +8,7 @@ bit-identical to direct ``CompiledPlan.run``, every response within its
 deadline.
 """
 
+import base64
 import json
 import socket
 import threading
@@ -288,6 +289,55 @@ class TestPredictions:
         assert response["batch_size"] >= 1
         assert response["queue_ms"] >= 0
         assert response["run_ms"] > 0
+
+
+class TestNonFiniteInputs:
+    """NaN/±Inf samples get a typed 400 before batching, so a finite
+    batch-mate sent alongside keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "encoding,bad_value",
+        [("json", np.nan), ("b64", np.nan), ("json", -np.inf), ("b64", np.inf)],
+    )
+    def test_non_finite_is_400_and_batch_mate_bitwise(self, server, encoding, bad_value):
+        handle, registry = server
+        good, bad = _samples(2)
+        bad[0, 3, 5] = bad_value
+        expected = registry.get(REF_MODEL).plan.run(good[None])[0]
+        rid = f"nonfinite-{encoding}-{bad_value}"
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def send(key, x, request_id=None):
+            with ServeClient(handle.base_url) as c:
+                barrier.wait()
+                try:
+                    results[key] = c.predict_raw(
+                        x, model=REF_MODEL, encoding=encoding, request_id=request_id
+                    )
+                except ServeError as exc:
+                    results[key] = exc
+                results[key + "_headers"] = c.last_response_headers
+
+        threads = [
+            threading.Thread(target=send, args=("bad", bad, rid)),
+            threading.Thread(target=send, args=("good", good)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        error = results["bad"]
+        assert isinstance(error, ServeError) and error.status == 400
+        assert "non-finite" in error.message
+        assert results["bad_headers"]["x-request-id"] == rid
+        good_out = results["good"]["output"]
+        if encoding == "b64":
+            good_out = np.frombuffer(base64.b64decode(good_out), dtype="<f4")
+        np.testing.assert_array_equal(
+            np.asarray(good_out, dtype=np.float32).reshape(expected.shape), expected
+        )
 
 
 class TestFailureModes:
