@@ -21,6 +21,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
+        "experiments": ["scipy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

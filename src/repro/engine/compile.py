@@ -33,7 +33,6 @@ from repro.models.lenet import LeNet
 from repro.models.resnet import BasicBlock, ResNet18
 from repro.models.resnext import ResNeXt20, ResNeXtBlock
 from repro.models.squeezenet import Fire, SqueezeNet
-from repro.nas.mixed_op import MixedConv2d
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -304,18 +303,6 @@ def _lower_winograd(lw, module, reg):
     }
     label = f"F({module.m},{module.kernel_size})@{module.qconfig.name}"
     return lw.emit("winograd_conv2d", (reg,), attrs, label=label)
-
-
-@lowers(MixedConv2d)
-def _lower_mixed(lw, module, reg):
-    """Lower a NAS mixed op to its argmax candidate (eval semantics).
-
-    A ``record_hw`` step first writes ``last_input_hw`` on the mixed op
-    so latency-table consumers (wiNAS) see the same shape metadata a
-    probe through the eager model would have left behind.
-    """
-    reg = lw.emit("record_hw", (reg,), {"modules": [module]}, label="mixed-op probe")
-    return lw.lower(module.paths[module.argmax_index()], reg)
 
 
 # -- whole models ------------------------------------------------------------

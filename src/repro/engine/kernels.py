@@ -848,17 +848,22 @@ def _requant_codes(acc, d, q, bias=None, qmax=None):
     ``qmax`` overrides the stage's scalar clip ceiling — per-tap grids
     (see :func:`repro.engine.int8.enable_per_tap`) refine tap ``(i,j)``'s
     scale to ``scale·2^f`` while widening its ceiling to ``qmax·2^-f``,
-    so the override is a broadcastable array of per-tap ceilings.
+    so the override is a broadcastable array of per-tap ceilings.  That
+    case clips as two in-place passes, ``minimum`` then ``maximum``: the
+    same bits as ``np.clip`` (NaN included) without its slow broadcast
+    loop.
     """
     acc *= d
     if bias is not None:
         acc += bias
     scale = _stage_scale(q)
-    if qmax is None:
-        qmax = q["qmax"]
     acc /= scale
     np.rint(acc, out=acc)
-    np.clip(acc, -qmax, qmax, out=acc)
+    if qmax is None:
+        np.clip(acc, -q["qmax"], q["qmax"], out=acc)
+    else:
+        np.minimum(acc, qmax, out=acc)
+        np.maximum(acc, -qmax, out=acc)
     return acc
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor, as_tensor
+from repro.engine.compile import lowers
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nas.search_space import Candidate
@@ -157,3 +158,18 @@ class MixedConv2d(Module):
             f"{len(self.candidates)} candidates, leader={best.name} "
             f"p={probs.max():.2f})"
         )
+
+
+@lowers(MixedConv2d)
+def _lower_mixed(lw, module, reg):
+    """Lower a mixed op to its argmax candidate (eval semantics).
+
+    Registered here rather than in the engine so the engine imports
+    nothing from the search layer; any model holding a ``MixedConv2d``
+    has imported this module, so the rule is in place before it compiles.
+    A ``record_hw`` step first writes ``last_input_hw`` on the mixed op
+    so latency-table consumers (wiNAS) see the same shape metadata a
+    probe through the eager model would have left behind.
+    """
+    reg = lw.emit("record_hw", (reg,), {"modules": [module]}, label="mixed-op probe")
+    return lw.lower(module.paths[module.argmax_index()], reg)

@@ -24,8 +24,8 @@ generated, echoed on the response); ``/predict`` requests are sampled
 into end-to-end traces at ``trace_rate``.
 
 Failure mapping: bad request → 400, unknown model/route → 404, queue
-saturated → 429 (with ``Retry-After``), kernel failure → 500, deadline
-expired in queue → 504.
+saturated → 429 (with ``Retry-After``), non-finite output on the JSON
+encoding → 422, kernel failure → 500, deadline expired in queue → 504.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -1559,6 +1560,19 @@ class InferenceServer:
             )
         if self._selfheal is not None:
             self._selfheal.record_success(name)
+        if encoding == "json" and not all(
+            np.isfinite(r.output[0]).all() for r in results
+        ):
+            # JSON has no NaN/Infinity.  The model ran fine (the circuit
+            # saw a success above); the input drove it out of range, so
+            # refuse with a typed error rather than send an invalid body.
+            # b64 replies carry the raw float32 bits and are unaffected.
+            raise _HttpError(
+                422,
+                f"model {name!r} produced non-finite outputs, which JSON "
+                "cannot encode; request encoding 'b64' for raw float32",
+                reason="non_finite_output",
+            )
 
         if single:
             result = results[0]

@@ -1,7 +1,6 @@
-"""Served-latency probe and the WiNAS ``latency_source="served"`` hookup."""
+"""Served-latency probe (the wiNAS hookup is tested in tests/nas)."""
 
 import numpy as np
-import pytest
 
 from repro.serve.batcher import BatchPolicy
 from repro.serve.probe import served_latency_ms
@@ -46,37 +45,3 @@ def test_probe_policy_override():
     policy = BatchPolicy(max_batch_size=1, max_wait_ms=0, max_queue=64)
     served_latency_ms(plan, x, concurrency=4, requests_per_client=1, policy=policy)
     assert plan.calls == 5  # warmup + one run per request: no batching
-
-
-@pytest.mark.slow
-def test_winas_served_source_populates_latencies():
-    from repro.models.resnet import resnet18
-    from repro.nas.search_space import Candidate
-    from repro.nas.winas import SearchConfig, WiNAS
-
-    candidates = [Candidate("im2row", "fp32", False), Candidate("F4", "fp32", False)]
-    plan = WiNAS.make_plan(candidates)
-    model = resnet18(width_multiplier=0.125, plan=plan)
-    nas = WiNAS(
-        model,
-        SearchConfig(latency_source="served", served_concurrency=2),
-    )
-    x = np.zeros((1, 3, 16, 16), dtype=np.float32)
-    nas.populate_latencies(x)
-    assert all(op.latencies_ms is not None for op in nas.mixed_ops)
-    assert all(len(op.latencies_ms) == 2 for op in nas.mixed_ops)
-    assert all((op.latencies_ms > 0).all() for op in nas.mixed_ops)
-
-
-def test_unknown_latency_source_rejected():
-    from repro.models.resnet import resnet18
-    from repro.nas.search_space import Candidate
-    from repro.nas.winas import WiNAS
-
-    candidates = [Candidate("im2row", "fp32", False)]
-    model = resnet18(width_multiplier=0.125, plan=WiNAS.make_plan(candidates))
-    nas = WiNAS(model)
-    with pytest.raises(ValueError, match="latency source"):
-        nas.populate_latencies(
-            np.zeros((1, 3, 16, 16), dtype=np.float32), source="wishful"
-        )

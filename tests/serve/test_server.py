@@ -291,6 +291,35 @@ class TestPredictions:
         assert response["run_ms"] > 0
 
 
+def _predict_concurrently(base_url, model, requests, encoding="json"):
+    """Send ``requests`` (``{key: (sample, request_id)}``) at once, one
+    client each; returns ``{key: reply or ServeError}`` plus each
+    client's response headers under ``key + "_headers"``."""
+    barrier = threading.Barrier(len(requests))
+    results = {}
+
+    def send(key, x, request_id):
+        with ServeClient(base_url) as c:
+            barrier.wait()
+            try:
+                results[key] = c.predict_raw(
+                    x, model=model, encoding=encoding, request_id=request_id
+                )
+            except ServeError as exc:
+                results[key] = exc
+            results[key + "_headers"] = c.last_response_headers
+
+    threads = [
+        threading.Thread(target=send, args=(key, x, rid))
+        for key, (x, rid) in requests.items()
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results
+
+
 class TestNonFiniteInputs:
     """NaN/±Inf samples get a typed 400 before batching, so a finite
     batch-mate sent alongside keeps its bits."""
@@ -305,28 +334,10 @@ class TestNonFiniteInputs:
         bad[0, 3, 5] = bad_value
         expected = registry.get(REF_MODEL).plan.run(good[None])[0]
         rid = f"nonfinite-{encoding}-{bad_value}"
-        barrier = threading.Barrier(2)
-        results = {}
-
-        def send(key, x, request_id=None):
-            with ServeClient(handle.base_url) as c:
-                barrier.wait()
-                try:
-                    results[key] = c.predict_raw(
-                        x, model=REF_MODEL, encoding=encoding, request_id=request_id
-                    )
-                except ServeError as exc:
-                    results[key] = exc
-                results[key + "_headers"] = c.last_response_headers
-
-        threads = [
-            threading.Thread(target=send, args=("bad", bad, rid)),
-            threading.Thread(target=send, args=("good", good)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results = _predict_concurrently(
+            handle.base_url, REF_MODEL, {"bad": (bad, rid), "good": (good, None)},
+            encoding=encoding,
+        )
 
         error = results["bad"]
         assert isinstance(error, ServeError) and error.status == 400
@@ -338,6 +349,79 @@ class TestNonFiniteInputs:
         np.testing.assert_array_equal(
             np.asarray(good_out, dtype=np.float32).reshape(expected.shape), expected
         )
+
+
+class TestNonFiniteOutputs:
+    """Finite but huge inputs drive the fp32 plan to NaN outputs.  JSON
+    cannot encode them, so the JSON path answers a typed 422 (not a
+    model fault: the circuit stays closed); b64 keeps the raw bits.
+
+    The batcher waits for a pair, so the concurrent requests share one
+    batch.  The finite batch-mate is compared against ``plan.run`` of
+    that same two-row batch: an fp32 ``linear`` step's bits depend on
+    the batch size (BLAS picks a different product for one row), though
+    never on the other row's values.
+    """
+
+    NAME = "lenet-F2-fp32@reference"
+
+    @pytest.fixture(scope="class")
+    def nan_server(self):
+        from repro.serve import SelfHealPolicy
+
+        registry = ModelRegistry(cache=PlanCache())
+        registry.load(self.NAME)
+        # threshold 1: a single error recorded against the model opens it.
+        policy = SelfHealPolicy(circuit_threshold=1, circuit_open_s=30.0)
+        handle = start_in_background(
+            registry,
+            policy=BatchPolicy(max_batch_size=2, max_wait_ms=1000.0, max_queue=64),
+            executor_threads=2,
+            selfheal=policy,
+        )
+        try:
+            wait_until_ready(handle.base_url)
+            yield handle, registry
+        finally:
+            handle.stop()
+
+    def test_json_non_finite_output_is_422_and_batch_mate_bitwise(self, nan_server):
+        handle, registry = nan_server
+        plan = registry.get(self.NAME).plan
+        good, huge = _samples(2)
+        huge[...] = 3e38
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(plan.run(huge[None])).all()
+            expected = plan.run(np.stack([huge, good]))[1]
+        rid = "nonfinite-output"
+        results = _predict_concurrently(
+            handle.base_url, self.NAME, {"huge": (huge, rid), "good": (good, None)}
+        )
+
+        error = results["huge"]
+        assert isinstance(error, ServeError) and error.status == 422
+        assert error.reason == "non_finite_output"
+        assert "non-finite" in error.message
+        assert results["huge_headers"]["x-request-id"] == rid
+        assert results["good"]["batch_size"] == 2
+        good_out = np.asarray(results["good"]["output"], dtype=np.float32)
+        np.testing.assert_array_equal(good_out.reshape(expected.shape), expected)
+
+        with ServeClient(handle.base_url) as c:
+            circuit = c.metrics()["selfheal"]["circuits"][self.NAME]
+            assert circuit["state"] == "closed"
+            assert circuit["opens_total"] == 0
+            c.predict_raw(good, model=self.NAME)  # still served
+
+    def test_b64_non_finite_output_keeps_raw_bits(self, nan_server):
+        handle, registry = nan_server
+        huge = np.full((1, 28, 28), 3e38, dtype=np.float32)
+        with np.errstate(all="ignore"):
+            expected = registry.get(self.NAME).plan.run(huge[None])[0]
+        with ServeClient(handle.base_url) as c:
+            response = c.predict_raw(huge, model=self.NAME, encoding="b64")
+        got = np.frombuffer(base64.b64decode(response["output"]), dtype="<f4")
+        assert got.tobytes() == np.ascontiguousarray(expected, dtype="<f4").tobytes()
 
 
 class TestFailureModes:
