@@ -99,15 +99,6 @@ RULES = (
     Rule("trace_overhead", "trace_overhead", "overhead_disabled_pct", "<=", 1.0,
          unit="%", required=True, disappeared=True,
          what="tracing-off overhead of plan.run over the pristine loop"),
-    Rule("residency_edges", "winograd_residency", "residency_edges", ">=", 1,
-         required=True, disappeared=True,
-         what="residency pass wired zero edges (eligibility regression)"),
-    Rule("residency_speedup", "winograd_residency", "speedup", ">", 1.0,
-         unit="x", required=True, disappeared=True,
-         what="transform-domain residency vs round-trip"),
-    Rule("residency_allocations", "winograd_residency", "steady_state_allocations",
-         "==", 0, disappeared=True,
-         what="resident plan broke the zero-allocation contract"),
     # -- serve reports: BENCH_serve.json ------------------------------------
     Rule("bit_identical_reference", "", "bit_identical_reference", "==", True,
          what="served responses NOT bit-identical to direct plan.run (reference)"),

@@ -228,52 +228,6 @@ def run_engine_benchmark(
         ),
     }
 
-    # Transform-domain residency gate (ISSUE 10): a chained stride-1
-    # Winograd stem compiled with the residency pass on vs off.  Same
-    # interleaved min-of-N discipline as the trace-overhead gate — the
-    # two legs share every quiet-host stretch, so the ratio is the pass,
-    # not the scheduler.  The resident plan must also keep the steady-
-    # state zero-allocation contract (the tap tensor lives in a planned
-    # arena slot, not a per-run allocation).
-    from repro.nn.layers import ReLU
-    from repro.nn.module import Sequential
-    from repro.winograd.layer import WinogradConv2d
-
-    chain_rng = np.random.default_rng(seed + 1)
-    chain_parts = []
-    for i in range(6):
-        chain_parts.append(WinogradConv2d(16, 16, kernel_size=3, m=4, padding=1,
-                                          rng=chain_rng))
-        chain_parts.append(ReLU())
-    chain_model = Sequential(*chain_parts)
-    chain_model.eval()
-    chain_x = chain_rng.standard_normal((4, 16, 32, 32)).astype(np.float32)
-    resident_plan = compile_model(chain_model, backend="fast", residency=True)
-    roundtrip_plan = compile_model(chain_model, backend="fast", residency=False)
-    residency_rounds = 10 if quick else 30
-    for _ in range(max(1, warmup)):
-        resident_plan.run(chain_x, threads=1)
-        roundtrip_plan.run(chain_x, threads=1)
-    best_res = {"resident": float("inf"), "roundtrip": float("inf")}
-    for _ in range(residency_rounds):
-        t0 = _time.perf_counter()
-        resident_plan.run(chain_x, threads=1)
-        best_res["resident"] = min(best_res["resident"], _time.perf_counter() - t0)
-        t0 = _time.perf_counter()
-        roundtrip_plan.run(chain_x, threads=1)
-        best_res["roundtrip"] = min(best_res["roundtrip"], _time.perf_counter() - t0)
-    res_memory = resident_plan.memory_report(batch=int(chain_x.shape[0]))
-    winograd_residency = {
-        "workload": "winograd-chain6-F4@fast",
-        "batch": int(chain_x.shape[0]),
-        "repeats": residency_rounds,
-        "residency_edges": len(resident_plan.residency_report()),
-        "ms_resident": round(best_res["resident"] * 1e3, 4),
-        "ms_roundtrip": round(best_res["roundtrip"] * 1e3, 4),
-        "speedup": round(best_res["roundtrip"] / best_res["resident"], 4),
-        "steady_state_allocations": res_memory["steady_state_allocations"],
-    }
-
     memory = fast_plan.memory_report(batch=int(fp32_row["batch"]))
     report = {
         "benchmark": "bench_engine_vs_eager",
@@ -288,7 +242,6 @@ def run_engine_benchmark(
         },
         "threaded_speedup": threaded,
         "trace_overhead": trace_overhead,
-        "winograd_residency": winograd_residency,
         "memory": {
             "workload": "resnet18-w0.25-F4@fast",
             "steady_state_allocations": memory["steady_state_allocations"],

@@ -694,34 +694,28 @@ def run_compile(args) -> int:
             return 2
         plan_info = manifest["plan"]
         tensors = manifest["tensors"]
-        # Residency edges straight off the encoded step docs: the shared
-        # producer/consumer dict appears as one __obj__ plus a __ref__
-        # back-edge (order depends on which step encoded it first).
-        out_by_id = {}
+        # Per-tap steps straight off the encoded step docs.  An ``i8``
+        # block may be encoded as a __ref__ to a dict first met elsewhere
+        # in the manifest, so index every __obj__ before reading.
+        objects = {}
+
+        def index(doc):
+            if isinstance(doc, dict):
+                if "__obj__" in doc:
+                    objects[doc["__obj__"]] = doc["v"]
+                for item in doc.values():
+                    index(item)
+            elif isinstance(doc, list):
+                for item in doc:
+                    index(item)
+
+        index(manifest["steps"])
+        per_tap = []
         for i, step_doc in enumerate(manifest["steps"]):
-            attrs = (step_doc.get("attrs") or {}).get("v") or {}
-            ro = attrs.get("resident_out")
-            if isinstance(ro, dict):
-                ref = ro.get("__obj__", ro.get("__ref__"))
-                if ref is not None:
-                    out_by_id[ref] = (i, ro.get("v") or {})
-        residency = []
-        for j, step_doc in enumerate(manifest["steps"]):
-            attrs = (step_doc.get("attrs") or {}).get("v") or {}
-            rs = attrs.get("resident_src")
-            if not isinstance(rs, dict):
-                continue
-            ref = rs.get("__ref__", rs.get("__obj__"))
-            if ref in out_by_id:
-                i, ro = out_by_id[ref]
-                residency.append(
-                    {
-                        "producer": i,
-                        "consumer": j,
-                        "tile": f"F({ro.get('m')},{ro.get('r')})",
-                        "per_tap": bool(ro.get("per_tap")),
-                    }
-                )
+            i8 = ((step_doc.get("attrs") or {}).get("v") or {}).get("i8") or {}
+            i8 = objects.get(i8.get("__ref__"), i8.get("v") or {})
+            if i8.get("per_tap"):
+                per_tap.append(i)
         summary = {
             "path": args.inspect,
             "format_version": manifest["format"]["version"],
@@ -734,7 +728,7 @@ def run_compile(args) -> int:
             "input_shape": plan_info["input_shape"],
             "tensors": len(tensors),
             "tensor_bytes": sum(t["nbytes"] for t in tensors),
-            "residency": residency,
+            "per_tap_steps": per_tap,
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

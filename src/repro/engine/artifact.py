@@ -71,11 +71,11 @@ MAGIC = b"REPROPLN"
 #: Current artifact format version.  The loader rejects any other value
 #: (forward *and* backward: a version bump means the layout changed) —
 #: see the compatibility policy in ``docs/artifact-format.md``.
-#: Version 2: plans may carry transform-domain residency edges
-#: (``resident_out``/``resident_src`` shared dicts) and per-tap scale
-#: grids (``tap_fv``/``tap_fh``/``qmax_v``/``qmax_h`` in the ``i8``
-#: block); version-1 readers would silently run resident steps as plain
-#: round trips, so the version gate rejects rather than degrades.
+#: Version 2: an ``i8`` block may carry per-tap scale grids
+#: (``tap_fv``/``tap_fh``/``qmax_v``/``qmax_h``).  Version-2 files from
+#: engines that still had the transform-domain residency pass also carry
+#: its producer/consumer edge attributes; no kernel reads them, so those
+#: files load and run bit-identically on their per-tap grids.
 FORMAT_VERSION = 2
 
 #: Fixed header: magic, format version, header size, total file size,

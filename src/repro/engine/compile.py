@@ -540,131 +540,11 @@ def _finalize_fast(steps: List[Step]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Transform-domain residency
-# ---------------------------------------------------------------------------
-
-
-def _residency_float_edge(producer: Step, consumer: Step) -> Optional[dict]:
-    """Eligibility + edge dict for a float (``fast``) resident pair.
-
-    Requires the Kronecker tile transforms on both steps and declines
-    quantized steps entirely: a quantized step has no ``btk`` by design
-    (grid-order preservation).
-    """
-    for step in (producer, consumer):
-        if step.domain != "float" or step.attrs.get("quantized"):
-            return None
-        if step.attrs.get("btk") is None or step.attrs.get("atk") is None:
-            return None
-    return {
-        "m": consumer.attrs["m"],
-        "r": consumer.attrs["r"],
-        "t": consumer.attrs["t"],
-        "pad": consumer.attrs["pad"],
-        "q_input": consumer.attrs.get("q_input"),
-        "q_input_t": consumer.attrs.get("q_input_t"),
-        "btk": consumer.attrs["btk"],
-    }
-
-
-def _residency_int8_edge(producer: Step, consumer: Step) -> Optional[dict]:
-    """Eligibility + edge dict for an int8 resident pair.
-
-    Both steps must run natively (``i8.ok`` with the integer Kronecker
-    transforms), every quantization range must be frozen, and the
-    integer handoff must already be wired *directly* between the two —
-    the producer's epilogue then emits codes on the consumer's input
-    grid, so its resident tail can tile integer codes straight into the
-    consumer's ``q_input_t`` requant.
-    """
-    from repro.engine.int8 import _all_frozen
-
-    i8p = producer.attrs.get("i8")
-    i8c = consumer.attrs.get("i8")
-    if not (i8p and i8p.get("ok") and "btk" in i8p):
-        return None
-    if not (i8c and i8c.get("ok") and "btk" in i8c):
-        return None
-    if not (_all_frozen(producer) and _all_frozen(consumer)):
-        return None
-    if i8p.get("emit_q") is None or i8p["emit_q"] is not consumer.attrs.get("q_input"):
-        return None
-    if not i8c.get("input_prequantized"):
-        return None
-    return {
-        "m": consumer.attrs["m"],
-        "r": consumer.attrs["r"],
-        "t": consumer.attrs["t"],
-        "pad": consumer.attrs["pad"],
-        "q_input_t": consumer.attrs["q_input_t"],
-        "i8": i8c,
-    }
-
-
-def _plan_residency(steps: List[Step], output_reg: int) -> int:
-    """Keep consecutive Winograd convolutions resident in the transform
-    domain where the algebra allows it.
-
-    For each directly adjacent, single-use ``winograd_conv2d`` →
-    ``winograd_conv2d`` pair (dense, stride-1 by construction), annotate
-    the producer with ``resident_out`` and the consumer with
-    ``resident_src`` — one *shared* dict, whose identity survives
-    artifact round-trips like the int8 ``emit_q`` handoff does.  The
-    producer's kernel then runs the consumer's input stages + forward
-    tile transform as its epilogue tail and writes a tap tensor into its
-    planned register — ``(N, C, th, tw, t, t)`` on float edges, ``(N, t,
-    t, C, th, tw)`` on int8 edges (the batched integer GEMM's own
-    layout); the consumer skips its prologue entirely.  Epilogues (fused ReLU, folded/absorbed BN, bias,
-    every quantization stage) are preserved bit-for-bit because the
-    operation sequence is unchanged — only the spatial round trip
-    through an intermediate register (and its copies) disappears.
-
-    On the int8 backend the pair additionally switches to per-tap
-    transform-domain scale grids where provable (see
-    :func:`repro.engine.int8.enable_per_tap`).  Returns the number of
-    edges wired.
-    """
-    from repro.engine.int8 import enable_per_tap
-
-    counts = _use_counts(steps, output_reg)
-    producer_of: Dict[int, Step] = {s.output: s for s in steps}
-    wired = 0
-    for consumer in steps:
-        if consumer.op != "winograd_conv2d" or len(consumer.inputs) != 1:
-            continue
-        producer = producer_of.get(consumer.inputs[0])
-        if producer is None or producer.op != "winograd_conv2d":
-            continue
-        if counts.get(producer.output, 0) != 1 or producer.output == output_reg:
-            continue
-        if "resident_out" in producer.attrs or "resident_src" in consumer.attrs:
-            continue
-        if producer.attrs["groups"] != 1 or consumer.attrs["groups"] != 1:
-            continue
-        if consumer.domain == "int8" or producer.domain == "int8":
-            ro = _residency_int8_edge(producer, consumer)
-            if ro is not None:
-                ro["per_tap"] = enable_per_tap(consumer) and enable_per_tap(producer)
-        else:
-            ro = _residency_float_edge(producer, consumer)
-        if ro is None:
-            continue
-        producer.attrs["resident_out"] = ro
-        consumer.attrs["resident_src"] = ro
-        producer.label = (producer.label + " >tap").strip()
-        consumer.label = ("tap> " + consumer.label).strip()
-        wired += 1
-    return wired
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def compile_model(
-    model: Module, backend: str = "fast", residency: bool = True
-) -> CompiledPlan:
+def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     """Compile a module into an autograd-free :class:`CompiledPlan`.
 
     The plan freezes eval-mode semantics: BN uses running statistics and
@@ -694,8 +574,6 @@ def compile_model(
             from repro.engine.int8 import finalize_int8
 
             steps = finalize_int8(steps, output_reg)
-        if residency:
-            _plan_residency(steps, output_reg)
     for step in steps:
         step.fn = registry.get(step.op, backend)
     return CompiledPlan(

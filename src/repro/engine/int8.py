@@ -43,7 +43,10 @@ native currency between quantized layers:
   integer codes *directly on the consumer's input grid* and the consumer
   skips its quantization prologue entirely.  ``max_pool`` commutes with
   the (monotone) dequantize, so pooling codes selects the same elements
-  as pooling values.
+  as pooling values;
+* a Winograd pair joined by a direct handoff moves to per-tap
+  transform-domain grids (:func:`enable_per_tap`, selected by
+  :func:`_select_per_tap`).
 
 Handoffs are only wired when every quantization range involved is frozen
 at compile time (a calibrated model); a plan compiled from a cold model
@@ -393,10 +396,12 @@ def enable_per_tap(step) -> bool:
     refinement can only reduce rounding error, never introduce new
     saturation.
 
-    * the grids cost nothing at run time — the per-tap factors ride the
-      existing requant multipliers (``d_v``/``d_h`` and the clip
-      ceilings become tap-shaped arrays broadcasting over the same
-      layouts);
+    * the per-tap factors ride the existing requant multipliers
+      (``d_v``/``d_h`` and the clip ceilings become tap-shaped arrays
+      broadcasting over the same layouts), but those broadcast passes
+      are not free: on ``resnet18-w0.25-F4-int8@int8`` per-tap grids
+      cost 8–10% at p10 against uniform grids (2-vCPU x86 host, one
+      BLAS thread, batch 1 and 8);
     * exactness against the int64 oracle is preserved by construction:
       powers of two are exact in float, and the accumulators the wider
       codes *do* grow — the Hadamard contraction and the output
@@ -556,6 +561,45 @@ def _wire_handoffs(steps: List, output_reg: int) -> None:
         consumer.label = ("int→ " + consumer.label).strip()
 
 
+def _select_per_tap(steps: List) -> None:
+    """Switch directly handed-off Winograd pairs to per-tap grids.
+
+    The rule: a ``winograd_conv2d`` consumer whose only input is the
+    output of a ``winograd_conv2d`` producer, both dense (groups=1) and
+    native with the integer Kronecker transforms, where the producer
+    emits codes straight onto the consumer's input grid (``emit_q`` *is*
+    the consumer's ``q_input``, and the consumer skips its prologue).
+    Such a handoff is only wired for a single-use, fully frozen pair (see
+    :func:`_wire_handoffs`).  The consumer is refined first and the
+    producer only if the consumer took the grids; a pair where the
+    consumer declines stays uniform on both sides.
+
+    Other eligible steps keep uniform grids: on them per-tap grids would
+    change the outputs of most quantized plans and hide their Winograd
+    stems from the bin-boundary audit
+    (:func:`repro.testing.oracle.winograd_stem_flip_report`).
+    """
+
+    def native_dense(step) -> bool:
+        i8 = step.attrs.get("i8")
+        return bool(i8 and i8.get("ok") and "btk" in i8) and step.attrs["groups"] == 1
+
+    producer_of = {step.output: step for step in steps}
+    for consumer in steps:
+        if consumer.op != "winograd_conv2d" or len(consumer.inputs) != 1:
+            continue
+        producer = producer_of.get(consumer.inputs[0])
+        if producer is None or producer.op != "winograd_conv2d":
+            continue
+        if not (native_dense(producer) and native_dense(consumer)):
+            continue
+        q_in = consumer.attrs.get("q_input")
+        direct = q_in is not None and producer.attrs["i8"].get("emit_q") is q_in
+        if direct and consumer.attrs["i8"].get("input_prequantized"):
+            if enable_per_tap(consumer):
+                enable_per_tap(producer)
+
+
 def finalize_int8(steps: List, output_reg: int) -> List:
     """Prepare every eligible step for native integer execution.
 
@@ -579,4 +623,5 @@ def finalize_int8(steps: List, output_reg: int) -> List:
         i8 = step.attrs.get("i8")
         if i8 and i8.get("ok") and _all_frozen(step):
             prepare_runtime(step.op, step.attrs)
+    _select_per_tap(steps)
     return steps

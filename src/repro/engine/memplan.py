@@ -104,18 +104,7 @@ def infer_step_shape(step, in_shapes: List[Optional[tuple]]) -> Optional[tuple]:
         ph, pw = a["padding"]
         return (n, k, (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
     if op == "winograd_conv2d":
-        n = s0[0]
-        k = a["out_channels"]
-        rin = a.get("resident_src")
-        if rin is not None:
-            # Input is a tap tensor — (n, c, th, tw, t, t) on float
-            # edges, (n, t, t, c, th, tw) on int8 edges; the producer's
-            # rule stashed the spatial extents it encodes in the shared
-            # residency dict (steps are processed in plan order, so the
-            # producer always runs first).
-            h, w = rin["plan_hw"]
-        else:
-            _, _, h, w = s0
+        n, _, h, w = s0
         r, pad = a["r"], a["pad"]
         oh, ow = h + 2 * pad - r + 1, w + 2 * pad - r + 1
         if oh <= 0 or ow <= 0:
@@ -126,31 +115,7 @@ def infer_step_shape(step, in_shapes: List[Optional[tuple]]) -> Optional[tuple]:
                 f"for input {h}x{w} (r={r}, pad={pad}); the input is smaller "
                 f"than the kernel's receptive field"
             )
-        ro = a.get("resident_out")
-        if ro is not None:
-            # This step emits the *consumer's* tap tensor: run the
-            # consumer's geometry on our spatial output and record the
-            # spatial extents the tap encodes for the consumer's rule.
-            m2, r2, t2, pad2 = ro["m"], ro["r"], ro["t"], ro["pad"]
-            oh2, ow2 = oh + 2 * pad2 - r2 + 1, ow + 2 * pad2 - r2 + 1
-            if oh2 <= 0 or ow2 <= 0:
-                from repro.engine.kernels import WinogradShapeError
-
-                raise WinogradShapeError(
-                    f"winograd_conv2d output extent {oh2}x{ow2} is "
-                    f"non-positive for input {oh}x{ow} (r={r2}, pad={pad2})"
-                )
-            th2, tw2 = -(-oh2 // m2), -(-ow2 // m2)
-            ro["plan_hw"] = (oh, ow)
-            if "i8" in ro:
-                # int8 edges exchange the tap with the transform axes
-                # ahead of the channel axis — the batched integer
-                # Kronecker GEMM then writes the planned register
-                # directly and the producer pays no relayout copy
-                # (see _emit_resident_int8).
-                return (n, t2, t2, k, th2, tw2)
-            return (n, k, th2, tw2, t2, t2)
-        return (n, k, oh, ow)
+        return (n, a["out_channels"], oh, ow)
     return None
 
 

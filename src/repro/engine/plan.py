@@ -328,8 +328,6 @@ class CompiledPlan:
             or step.op not in _CHUNKABLE_OPS
             or any(a.shape[0] != n for a in args)
             or self._has_cold_observer(step)
-            or "resident_out" in step.attrs
-            or "resident_src" in step.attrs
             or (self.backend == "reference" and step.op not in _SPLIT_SAFE_OPS)
         ):
             return n
@@ -490,47 +488,29 @@ class CompiledPlan:
     def ops_used(self) -> Tuple[str, ...]:
         return tuple(sorted({s.op for s in self.steps}))
 
-    def int8_report(self) -> Dict[str, int]:
+    def int8_report(self) -> Dict[str, Any]:
         """Counts of native-int8 steps and integer-code handoffs (the
-        compile-time fusion the ``int8`` backend performed)."""
-        native = [s for s in self.steps if s.domain == "int8"]
+        compile-time fusion the ``int8`` backend performed), and the
+        indices of the steps running on per-tap transform-domain grids
+        (see :func:`repro.engine.int8.enable_per_tap`)."""
+        native = [
+            (i, s.attrs.get("i8", {}))
+            for i, s in enumerate(self.steps)
+            if s.domain == "int8"
+        ]
         return {
             "native_int8_steps": len(native),
-            "int_handoffs": sum(
-                1 for s in native if s.attrs.get("i8", {}).get("emit_q") is not None
-            ),
-            "absorbed_affines": sum(
-                1 for s in native if s.attrs.get("i8", {}).get("post") is not None
-            ),
+            "int_handoffs": sum(1 for _, i8 in native if i8.get("emit_q") is not None),
+            "absorbed_affines": sum(1 for _, i8 in native if i8.get("post") is not None),
+            "per_tap_steps": [i for i, i8 in native if i8.get("per_tap")],
         }
 
     def residency_report(self) -> List[Dict[str, Any]]:
-        """Transform-domain residency edges wired by the compile pass.
-
-        One entry per producer→consumer pair that exchanges a ``(t,t)``
-        tap tensor instead of a spatial register round trip."""
-        edges = []
-        by_ro = {}
-        for i, step in enumerate(self.steps):
-            ro = step.attrs.get("resident_out")
-            if ro is not None:
-                by_ro[id(ro)] = (i, step)
-        for j, step in enumerate(self.steps):
-            rin = step.attrs.get("resident_src")
-            if rin is None or id(rin) not in by_ro:
-                continue
-            i, producer = by_ro[id(rin)]
-            edges.append(
-                {
-                    "producer": i,
-                    "consumer": j,
-                    "producer_label": producer.label,
-                    "consumer_label": step.label,
-                    "tile": f"F({rin['m']},{rin['r']})",
-                    "per_tap": bool(rin.get("per_tap")),
-                }
-            )
-        return edges
+        """Always ``[]``: no step hands a transform-domain tap tensor to
+        the next, every Winograd step reads and writes spatial registers.
+        The method stays only because the benchmark's per-layer breakdown
+        (``e2ebench/layers.py``) reports its length."""
+        return []
 
     def memory_report(self, batch: Optional[int] = None) -> Dict[str, Any]:
         """The memory planner's static layout plus runtime arena counters.
@@ -586,16 +566,11 @@ class CompiledPlan:
         for i, step in enumerate(self.steps):
             tag = " +relu" if step.attrs.get("fuse_relu") else ""
             if step.domain != "float":
-                tag += f" <{step.domain}>"
+                per_tap = step.attrs.get("i8", {}).get("per_tap")
+                tag += f" <{step.domain}{' per-tap' if per_tap else ''}>"
             label = f" [{step.label}]" if step.label else ""
             ins = ",".join(f"r{r}" for r in step.inputs)
             lines.append(f"  {i:3d}: {step.op}{tag}{label} ({ins}) -> r{step.output}")
-        for edge in self.residency_report():
-            tap = " per-tap int8" if edge["per_tap"] else ""
-            lines.append(
-                f"  residency: step {edge['producer']} -> {edge['consumer']} "
-                f"stays in the {edge['tile']} transform domain{tap}"
-            )
         with self._mem_lock:
             pools = [p for p in self._mem_pools.values() if p is not None]
         for pool in pools:

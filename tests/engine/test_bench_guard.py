@@ -89,52 +89,6 @@ def test_steady_state_allocations_fail_unconditionally():
     assert any("memory planner regressed" in f for f in failures)
 
 
-def _residency_entry(speedup=1.05, edges=5, ssa=0):
-    return {
-        "workload": "winograd-chain6-F4@fast",
-        "residency_edges": edges,
-        "ms_resident": 8.0,
-        "ms_roundtrip": 8.0 * speedup,
-        "speedup": speedup,
-        "steady_state_allocations": ssa,
-    }
-
-
-def test_winograd_residency_ok_passes():
-    baseline, fresh = _report(), _report()
-    baseline["winograd_residency"] = _residency_entry()
-    fresh["winograd_residency"] = _residency_entry()
-    assert guard.check(baseline, fresh, 0.25) == []
-
-
-def test_winograd_residency_speedup_must_exceed_one():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(speedup=0.98)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("strictly > 1.0x" in f for f in failures)
-
-
-def test_winograd_residency_zero_edges_is_a_compiler_regression():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(edges=0)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("zero edges" in f for f in failures)
-
-
-def test_winograd_residency_allocations_fail_unconditionally():
-    fresh = _report()
-    fresh["winograd_residency"] = _residency_entry(ssa=2)
-    failures = guard.check(_report(), fresh, 0.25)
-    assert any("zero-allocation contract" in f for f in failures)
-
-
-def test_winograd_residency_entry_disappearing_fails():
-    baseline = _report()
-    baseline["winograd_residency"] = _residency_entry()
-    failures = guard.check(baseline, _report(), 0.25)
-    assert any("winograd_residency entry disappeared" in f for f in failures)
-
-
 # ---------------------------------------------------------------------------
 # The rule table, row by row: each row passes on a healthy report and
 # fails on exactly one bad value; every skip and disappearance has a case.
@@ -162,7 +116,6 @@ def _healthy():
         },
         "memory": {"workload": "w@fast", "steady_state_allocations": 0},
         "trace_overhead": {"workload": "w@fast", "overhead_disabled_pct": 0.2},
-        "winograd_residency": _residency_entry(),
         "bit_identical_reference": True,
         "bit_identical_workers": True,
         "speedup_dynamic_over_batch1": {"1": 1.0, "16": 1.6, "64": 2.5},
@@ -196,9 +149,6 @@ FAILING = {
     "int8_native_vs_fast": ("int8_anomaly/int8_fast_ms", 25.0),
     "memory_allocations": ("memory/steady_state_allocations", 3),
     "trace_overhead": ("trace_overhead/overhead_disabled_pct", 1.5),
-    "residency_edges": ("winograd_residency/residency_edges", 0),
-    "residency_speedup": ("winograd_residency/speedup", 0.98),
-    "residency_allocations": ("winograd_residency/steady_state_allocations", 2),
     "bit_identical_reference": ("bit_identical_reference", False),
     "bit_identical_workers": ("bit_identical_workers", False),
     "dynamic_batching": ("speedup_dynamic_over_batch1", {"1": 2.0, "16": 1.4, "64": 1.3}),

@@ -13,6 +13,7 @@ from repro.engine import (
     registry,
 )
 from repro.engine.cache import model_signature
+from repro.engine.kernels import WinogradShapeError, _winograd_geometry
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
@@ -22,6 +23,7 @@ from repro.nas.winas import SearchConfig, WiNAS
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU
 from repro.nn.module import Module, Sequential
 from repro.quant.qconfig import int8
+from repro.winograd.layer import WinogradConv2d
 
 
 class TestFusion:
@@ -80,6 +82,35 @@ class TestFusion:
         reference = compile_model(model, backend="reference")
         fast = compile_model(model, backend="fast")
         assert len(fast) < len(reference)
+
+
+class TestShapeError:
+    """Degenerate Winograd geometry fails at plan-build time with the
+    typed ``WinogradShapeError`` instead of producing empty tensors."""
+
+    def test_geometry_guard_is_typed(self):
+        with pytest.raises(WinogradShapeError) as info:
+            _winograd_geometry(2, 8, m=4, r=5, pad=0)
+        assert "non-positive" in str(info.value)
+        assert issubclass(WinogradShapeError, ValueError)
+
+    def test_compile_rejects_receptive_field_underflow(self):
+        # 4x4 input through one valid conv leaves 2x2 — smaller than the
+        # next r=3 window, which used to plan th=0 (an empty register)
+        # and explode steps later.  Now the planner refuses up front.
+        rng = np.random.default_rng(0)
+        model = Sequential(
+            WinogradConv2d(3, 6, kernel_size=3, m=4, padding=0, rng=rng),
+            ReLU(),
+            WinogradConv2d(6, 6, kernel_size=3, m=4, padding=0, rng=rng),
+        )
+        model.eval()
+        with pytest.raises(WinogradShapeError):
+            compile_model(model, backend="fast").run(np.zeros((1, 3, 4, 4), np.float32))
+
+    def test_valid_geometry_untouched(self):
+        out_h, out_w, th, tw = _winograd_geometry(8, 12, m=4, r=3, pad=1)
+        assert (out_h, out_w, th, tw) == (8, 12, 2, 3)
 
 
 class TestFallback:
