@@ -73,6 +73,33 @@ def _engine_workloads(seed: int):
     }
 
 
+def _paired_threads(plan, x, threads: int, rounds: int, warmup: int) -> dict:
+    """``plan.run(x)`` at ``threads=1`` vs ``threads``, in paired rounds.
+
+    Each round times both legs back to back, alternating which goes
+    first; ``speedup`` is the median of the per-round ratios and
+    ``wins`` the rounds the threaded leg won."""
+    import time
+    from statistics import median
+
+    for _ in range(max(1, warmup)):
+        plan.run(x, threads=1)
+        plan.run(x, threads=threads)
+    ms = {1: [], threads: []}
+    for i in range(rounds):
+        for leg in ((1, threads) if i % 2 == 0 else (threads, 1)):
+            t0 = time.perf_counter()
+            plan.run(x, threads=leg)
+            ms[leg].append((time.perf_counter() - t0) * 1e3)
+    ratios = [a / b for a, b in zip(ms[1], ms[threads])]
+    return {
+        "ms_threads_1": round(median(ms[1]), 3),
+        "ms_threads_n": round(median(ms[threads]), 3),
+        "speedup": round(median(ratios), 3),
+        "wins": sum(r > 1.0 for r in ratios),
+    }
+
+
 @register_benchmark("engine", "compiled engine vs eager forward (BENCH_engine.json)")
 def run_engine_benchmark(
     out_path: Optional[str] = None,
@@ -88,10 +115,12 @@ def run_engine_benchmark(
 
     Per-workload rows are measured at ``threads=1`` (and say so), so the
     speedup columns stay comparable across hosts and PRs regardless of
-    core count.  The parallel executor is measured separately in the
+    core count.  Batch lanes are measured separately in the
     ``threaded_speedup`` entry: the ResNet ``fast`` and ``int8`` plans
     at ``threads=1`` vs ``threads=N`` (``threads`` argument /
-    ``--threads`` / ``REPRO_THREADS``, default all cores), alongside
+    ``--threads`` / ``REPRO_THREADS``, default all cores) in paired,
+    interleaved rounds, reported as the median per-round ratio at the
+    workload batch and at batches 1 and 2 (which run unsplit), alongside
     ``cpu_count`` and the memory planner's allocation stats so the
     zero-allocation contract is tracked in the same artifact.
 
@@ -153,34 +182,38 @@ def run_engine_benchmark(
     fp32_row = next(r for r in summary if r["workload"] == "resnet18-w0.25-F4")
     int8_row = next(r for r in summary if r["workload"] == "resnet18-w0.25-F4-int8")
 
-    # Parallel executor: threads=1 vs threads=N on the serving-shaped
-    # workloads the acceptance contract names.  With only one thread to
-    # measure (1-core host and no override) the "speedup" would be two
-    # identical measurements' noise, so the entry is omitted — the
-    # regression guard skips absent entries.
+    # Batch lanes: threads=1 vs threads=N on the serving-shaped workloads,
+    # timed as paired rounds (the two legs back to back, their order
+    # alternating) so host noise hits both sides of each ratio.  With
+    # only one thread to measure (1-core host and no override) the
+    # "speedup" would be two identical measurements' noise, so the entry
+    # is omitted — the regression guard skips absent entries.
     threaded = None
     if n_threads > 1:
-        threaded = {"threads": n_threads, "workloads": {}}
+        rounds = 15 if quick else 60
+        threaded = {
+            "threads": n_threads,
+            "batch": int(fp32_row["batch"]),
+            "rounds": rounds,
+            "workloads": {},
+        }
         for name, backend in (
             ("resnet18-w0.25-F4", "fast"),
             ("resnet18-w0.25-F4-int8", "int8"),
         ):
             plan, x = plans[(name, backend)]
-            ms_1 = measure_plan_ms(plan, x, repeats=repeats, warmup=warmup, threads=1)
-            ms_n = measure_plan_ms(
-                plan, x, repeats=repeats, warmup=warmup, threads=n_threads
-            )
-            threaded["workloads"][f"{name}@{backend}"] = {
-                "ms_threads_1": round(ms_1, 3),
-                "ms_threads_n": round(ms_n, 3),
-                "speedup": round(ms_1 / ms_n, 3),
+            row = _paired_threads(plan, x, n_threads, rounds, warmup)
+            row["small_batch_speedup"] = {
+                str(b): _paired_threads(plan, x[:b], n_threads, rounds, warmup)["speedup"]
+                for b in (1, 2)
             }
+            threaded["workloads"][f"{name}@{backend}"] = row
 
     fast_plan, fast_x = plans[("resnet18-w0.25-F4", "fast")]
 
     # Tracing-off overhead gate: the public ``run`` with tracing
     # disabled must stay within budget of the executor loop it
-    # dispatches to, called directly with no tracer (``_execute(x, 1, None)``).
+    # dispatches to, called directly with no tracer (``_execute(x)``).
     # The three legs are timed interleaved, min-of-N per leg: scheduler
     # interference only ever slows a leg, so interleaved minima compare
     # the same quiet-host conditions instead of whichever leg ran during
@@ -195,14 +228,14 @@ def run_engine_benchmark(
     try:
         buf = obs_trace.TraceBuffer()
         for _ in range(max(1, warmup)):
-            fast_plan._execute(fast_x, 1, None)
+            fast_plan._execute(fast_x)
             fast_plan.run(fast_x, threads=1)
             fast_plan.run(fast_x, threads=1, trace=buf)
         best = {"pristine": float("inf"), "disabled": float("inf"),
                 "enabled": float("inf")}
         for _ in range(overhead_rounds):
             t0 = _time.perf_counter()
-            fast_plan._execute(fast_x, 1, None)
+            fast_plan._execute(fast_x)
             best["pristine"] = min(best["pristine"], _time.perf_counter() - t0)
             t0 = _time.perf_counter()
             fast_plan.run(fast_x, threads=1)

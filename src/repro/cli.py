@@ -61,6 +61,19 @@ EXPERIMENTS = (
 )
 
 
+def _threads(text: str) -> int:
+    """The ``--threads`` type: a non-negative count (0 = all cores)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = all cores), got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.engine.registry import BACKENDS
 
@@ -128,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=None,
         help="engine threads per plan run (0 = all cores; default "
         "REPRO_THREADS or 1; decision table: docs/operations.md "
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=None,
         help="engine threads per dispatched batch (0 = all cores; "
         "default REPRO_THREADS or 1; docs/operations.md "
@@ -385,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=None,
         help="threaded-speedup thread count for the engine benchmark "
         "(0 = all cores; default REPRO_THREADS or all cores; "
@@ -545,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=None,
         help="engine threads (0 = all cores; default REPRO_THREADS or 1; "
         "docs/operations.md 'Threads, workers, replicas')",

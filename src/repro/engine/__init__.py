@@ -14,7 +14,7 @@ plan of NumPy inference kernels:
   inference over the register file, liveness-based arena slot reuse, and
   the per-run workspace arena behind zero-allocation steady state;
 * :mod:`repro.engine.pool` — the shared worker pool and ``REPRO_THREADS``
-  resolution behind the parallel step scheduler;
+  resolution behind the batch lanes of a split run;
 * :mod:`repro.engine.cache` — the LRU plan cache keyed by
   (architecture signature, input shape, quant config).
 

@@ -24,16 +24,12 @@ removes that:
   warm-up every request hits an existing buffer: zero steady-state
   arena allocations.
 
-Arenas are checked out per ``run`` from a small pool, so concurrent
-executions of one shared plan (the inference server does this from its
-worker pool) never touch the same buffers.
-
-Thread-safety contract of the scratch space: keys are ``(step, tag,
-lane)``.  Serial execution uses lane 0; the parallel scheduler gives
-each worker lane its own key set and processes its chunks sequentially,
-so a scratch buffer is never written by two threads at once and a chunk
-result that *views* scratch is copied into the output register before
-the lane moves on.
+Arenas are checked out per lane of a ``run`` from a small pool, so
+concurrent executions of one shared plan (lanes of one split run, or the
+inference server's worker pool) never touch the same buffers.  Scratch
+keys are ``(step, tag)``: one arena serves one lane, which runs its
+steps in order, so a scratch buffer is never written by two threads at
+once.
 """
 
 from __future__ import annotations
@@ -242,9 +238,8 @@ class Arena:
         self._scratch: Dict[tuple, np.ndarray] = {}
         self._buf_ids: set = set()
         self._regs: Dict[int, np.ndarray] = {}
-        # Counter lock only: buffers themselves are race-free by keying
-        # (scratch keys are lane-disjoint, slots are sized before lanes
-        # start), but the counters are += from concurrent lanes.
+        # Counter lock only: the buffers belong to the one lane that
+        # checked this arena out.
         self._stats_lock = threading.Lock()
         self.alloc_events = 0  # lifetime buffer allocations/growths
         self.last_run_allocs = 0
@@ -291,7 +286,7 @@ class Arena:
         return self._regs.get(reg)
 
     def scratch(self, key: tuple, shape, dtype, zero: bool = False) -> np.ndarray:
-        """A per-(step, tag, lane) workspace of at least ``shape``.
+        """A per-(step, tag) workspace of at least ``shape``.
 
         Capacity-based: the flat backing buffer only grows.  ``zero``
         zero-fills on (re)allocation only — safe for the padded-input
@@ -439,22 +434,21 @@ class ArenaPool:
 
 
 class _Scope:
-    __slots__ = ("arena", "step", "lane", "out")
+    __slots__ = ("arena", "step", "out")
 
-    def __init__(self, arena, step, lane, out):
+    def __init__(self, arena, step, out):
         self.arena = arena
         self.step = step
-        self.lane = lane
         self.out = out
 
 
 _ws = threading.local()
 
 
-def bind_step(arena: Optional[Arena], step: int, lane: int, out) -> Optional[_Scope]:
+def bind_step(arena: Optional[Arena], step: int, out) -> Optional[_Scope]:
     """Enter a step scope (returns the previous scope for restoration)."""
     prev = getattr(_ws, "scope", None)
-    _ws.scope = _Scope(arena, step, lane, out) if arena is not None else None
+    _ws.scope = _Scope(arena, step, out) if arena is not None else None
     return prev
 
 
@@ -482,4 +476,4 @@ def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.nd
     scope = getattr(_ws, "scope", None)
     if scope is None:
         return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-    return scope.arena.scratch((scope.step, tag, scope.lane), shape, dtype, zero=zero)
+    return scope.arena.scratch((scope.step, tag), shape, dtype, zero=zero)

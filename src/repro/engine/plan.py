@@ -1,4 +1,4 @@
-"""The execution plan IR and its zero-allocation parallel executor.
+"""The execution plan IR and its zero-allocation executor.
 
 A compiled plan is a flat list of :class:`Step`s over a register file:
 each step reads input registers, calls its kernel, and writes one output
@@ -12,16 +12,16 @@ Two executor-level upgrades ride on that IR (see
 * a **memory plan** — registers are assigned liveness-disjoint arena
   slots at compile time and kernels route their temporaries through a
   per-run arena, so steady-state inference allocates nothing;
-* a **step scheduler** — row-independent steps are split into batch
-  chunks (which for Winograd steps are exactly blocks of input tiles)
-  and fanned out across a shared worker pool, each lane writing its
-  chunk straight into the planned output buffer.
+* **lanes** — with ``threads > 1`` a run cuts its batch once into
+  contiguous row ranges and runs the whole step sequence on each range
+  on the shared worker pool, every lane with its own arena, joined once.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,73 +30,12 @@ from repro.engine import memplan
 from repro.engine.pool import resolve_threads, run_tasks
 from repro.obs import trace as obs_trace
 
-#: Ops that are row-independent along the batch axis (every input and the
-#: output carry the batch on axis 0), so the executor may split a step
-#: into sub-batches without changing per-sample results.
-_CHUNKABLE_OPS = frozenset(
-    {
-        "add",
-        "affine",
-        "avg_pool",
-        "concat",
-        "conv2d",
-        "flatten",
-        "global_avg_pool",
-        "linear",
-        "max_pool",
-        "relu",
-        "winograd_conv2d",
-    }
-)
-
-#: Working-set budget per step execution (~the L2 slice of one core).
-#: A step whose inputs for the whole batch exceed this is executed in
-#: batch chunks: large early-layer activations stay cache-resident while
-#: small deep-layer steps keep the full batch (their GEMMs amortise
-#: per-call overhead with batch).  Override via CompiledPlan.chunk_bytes
-#: (0 disables chunking).
-DEFAULT_CHUNK_BYTES = 1 << 19
-
-#: Steps whose whole-batch inputs are smaller than this are not worth
-#: fanning out across threads: the per-task dispatch would cost more
-#: than the kernel.  (Chunking for cache residency has its own, larger
-#: threshold above.)
-MIN_PARALLEL_BYTES = 1 << 14
-
-#: Ops whose *per-sample results cannot depend on the batch split at the
-#: bit level*: elementwise, windowed, and shape ops whose reductions stay
-#: entirely within one sample.  On the ``reference`` backend (the
-#: bit-exactness oracle) the thread scheduler may shrink chunks only for
-#: these — the big fused GEMMs (conv2d/winograd/linear) keep whatever
-#: decomposition the thread-count-independent cache policy chose, because
-#: BLAS may round a different M differently at the last ulp.  The
-#: ``fast`` backend carries a float-tolerance contract (and the ``int8``
-#: integer GEMMs are exact at any blocking), so there every chunkable op
-#: may be thread-split.
-_SPLIT_SAFE_OPS = frozenset(
-    {
-        "add",
-        "affine",
-        "avg_pool",
-        "concat",
-        "flatten",
-        "global_avg_pool",
-        "max_pool",
-        "relu",
-    }
-)
-
-#: On the ``reference`` backend the cache policy may batch-chunk only the
-#: split-safe ops above.  Every GEMM-bearing step depends on the batch
-#: extent at the bit level — ``conv2d``/``linear`` lower to one GEMM
-#: whose M dimension is ``n·oh·ow``/``n``, and the Winograd Hadamard
-#: stage contracts against a ``P = n·th·tw`` column dimension — and BLAS
-#: may round a different M/N blocking differently at the last ulp
-#: (caught by the differential fuzz corpus on random models: seeds with
-#: im2row stems and F(6, r) layers at small spatial sizes flip single
-#: ulps under splitting).  The oracle backend therefore executes GEMM
-#: steps unsplit, so "chunked ≡ serial bitwise" holds by construction,
-#: not empirically.
+#: Fewest batch rows one lane runs.  A second lane costs an arena
+#: checkout, a full pass of per-step dispatch and one join; measured as
+#: paired ratios against serial on ``resnet18-w0.25-F4`` (2-vCPU x86 host,
+#: one BLAS thread), two lanes lose at batch 2 (0.63x int8, 0.86x fp32),
+#: split at batch 4 (0.90x / 1.23x) and win from batch 6 (1.17x / 1.35x).
+MIN_LANE_ROWS = 3
 
 
 @dataclass
@@ -129,8 +68,9 @@ class CompiledPlan:
     Winograd input-tile transforms are shared across the whole batch).
 
     ``threads`` (per-call argument > this attribute > ``REPRO_THREADS``
-    > 1) controls the step scheduler; ``planning`` (default on) controls
-    the arena executor.  Both default to the exact serial semantics.
+    > 1) caps the lanes a run splits its batch into; ``planning``
+    (default on) controls the arena executor.  Both default to the exact
+    serial semantics.
     """
 
     def __init__(
@@ -150,7 +90,6 @@ class CompiledPlan:
         self.backend = backend
         self.signature = signature
         self.source = source  # class name of the compiled module
-        self.chunk_bytes = DEFAULT_CHUNK_BYTES
         self.threads: Optional[int] = None  # None -> REPRO_THREADS default
         # The reference backend is the fidelity oracle: it keeps the
         # original allocate-per-step execution (its kernels ignore the
@@ -203,99 +142,24 @@ class CompiledPlan:
     def _has_cold_observer(step: Step) -> bool:
         """True if a fake-quant stage of ``step`` has not frozen its range
         yet.  Such a stage takes its scale from the first array it sees,
-        so the step must see the *whole* batch, not a chunk — otherwise
-        the frozen scale (and every later result) would depend on
-        ``chunk_bytes``, breaking the reference backend's exactness."""
+        so the run must see the *whole* batch, not a lane's rows —
+        otherwise the frozen scale (and every later result) would depend
+        on the thread count."""
         return any(
             isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
             for v in step.attrs.values()
         )
 
-    @staticmethod
-    def _materialize(part: np.ndarray, arena) -> np.ndarray:
-        """A chunk result that must outlive its lane's scratch buffers."""
-        if arena is not None and arena.owns(part):
-            return part.copy()
-        return part
+    def _lane_count(self, n: int, threads: int) -> int:
+        """How many lanes a run of ``n`` rows splits into (1 = serial).
 
-    def _run_split(
-        self,
-        step: Step,
-        args: Tuple[np.ndarray, ...],
-        n: int,
-        chunk: int,
-        threads: int,
-        arena,
-        step_index: int,
-        out_view: Optional[np.ndarray],
-        tracer: Optional["obs_trace.TraceBuffer"],
-        parent_id: Optional[str],
-    ) -> np.ndarray:
-        """Execute one row-independent step in batch chunks of ``chunk``,
-        fanned out over up to ``threads`` worker lanes.
-
-        Every chunkable kernel computes each batch row independently
-        (GEMM rows, elementwise ops), so chunking preserves per-sample
-        results — bit-exactly for the reference kernels, and to float
-        tolerance for the fast backend's fused GEMMs (BLAS may block a
-        different M differently at the last ulp).  The same property
-        makes serving-time dynamic micro-batching — and the thread
-        scheduler riding the same split — transparent.  For Winograd
-        steps a batch chunk is exactly a block of input tiles, so the
-        lanes partition the tile GEMMs.
-        """
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        lanes = min(threads, len(bounds)) if threads > 1 else 1
-        parts: List[Optional[np.ndarray]] = [None] * len(bounds)
-        span_name = step.label or step.op
-
-        def work(lane: int) -> None:
-            for index in range(lane, len(bounds), lanes):
-                lo, hi = bounds[index]
-                sub = tuple(a[lo:hi] for a in args)
-                out = out_view[lo:hi] if out_view is not None else None
-                t0 = obs_trace.now_ns() if tracer is not None else 0
-                prev = memplan.bind_step(arena, step_index, lane, out)
-                try:
-                    part = step.fn(sub, step.attrs)
-                finally:
-                    memplan.unbind_step(prev)
-                if tracer is not None:
-                    tracer.record(
-                        f"{span_name}[{lo}:{hi}]",
-                        "kernel",
-                        t0,
-                        attrs={
-                            "step": step_index,
-                            "op": step.op,
-                            "chunk_index": index,
-                            "rows": [lo, hi],
-                        },
-                        parent_id=parent_id,
-                        lane=lane,
-                    )
-                if out is not None and part is not out:
-                    if out.shape == part.shape:
-                        out[...] = part
-                    else:  # planned shape diverged: fall back to collect
-                        parts[index] = self._materialize(part, arena)
-                elif out is None:
-                    parts[index] = self._materialize(part, arena)
-
-        run_tasks([(lambda lane=lane: work(lane)) for lane in range(lanes)], lanes)
-        if out_view is not None:
-            if all(p is None for p in parts):
-                return out_view
-            # Mixed: some chunks diverged from the planned shape (their
-            # results are in `parts`), the rest landed in out_view — the
-            # planned buffer cannot hold the true result, so assemble a
-            # fresh one from both sources.
-            merged = [
-                part if part is not None else out_view[lo:hi]
-                for (lo, hi), part in zip(bounds, parts)
-            ]
-            return np.concatenate(merged, axis=0)
-        return np.concatenate(parts, axis=0)
+        ``reference`` never splits: its GEMMs' last ulp may depend on the
+        batch extent BLAS sees, and it is the bit-exactness oracle."""
+        if threads <= 1 or n < 2 * MIN_LANE_ROWS or self.backend == "reference":
+            return 1
+        if any(self._has_cold_observer(step) for step in self.steps):
+            return 1
+        return min(threads, n // MIN_LANE_ROWS)
 
     def run(
         self,
@@ -306,121 +170,35 @@ class CompiledPlan:
         """Execute the plan on one input batch (NCHW ``np.ndarray``).
 
         ``threads`` overrides the plan/`REPRO_THREADS` default for this
-        call; 0 means "all cores".  ``trace`` records one span per step
-        into the given :class:`repro.obs.TraceBuffer` (``None`` falls
-        back to the ambient ``REPRO_TRACE`` tracer; tracing never changes
-        results — both paths execute the identical step schedule).
+        call; 0 means "all cores".  With more than one thread the batch
+        is cut once into up to ``threads`` contiguous row ranges of at
+        least :data:`MIN_LANE_ROWS` rows, each run through every step as
+        a lane on the worker pool, and the lane outputs are concatenated.
+        ``trace`` records a ``plan_run`` root and one span per step and
+        lane into the given :class:`repro.obs.TraceBuffer` (``None``
+        falls back to the ambient ``REPRO_TRACE`` tracer; tracing never
+        changes results).
         """
         tracer = trace if trace is not None else obs_trace.active_tracer()
-        return self._execute(x, threads, tracer)
-
-    def _step_chunk(
-        self, step: Step, args: Tuple[np.ndarray, ...], n: int, nthreads: int
-    ) -> int:
-        """The batch chunk one step executes in (``n`` = unsplit).
-
-        Row-independent steps whose inputs exceed ``chunk_bytes`` shrink
-        to the largest sub-batch that fits; steps worth fanning out are
-        capped at one chunk per thread.  On ``reference`` only the
-        split-safe ops may split (see ``_SPLIT_SAFE_OPS``)."""
-        if (
-            n <= 1
-            or step.op not in _CHUNKABLE_OPS
-            or any(a.shape[0] != n for a in args)
-            or self._has_cold_observer(step)
-            or (self.backend == "reference" and step.op not in _SPLIT_SAFE_OPS)
-        ):
-            return n
-        in_bytes = sum(a.nbytes for a in args)
-        chunk = n
-        if self.chunk_bytes and in_bytes > self.chunk_bytes:
-            chunk = max(1, n * self.chunk_bytes // in_bytes)
-        if nthreads > 1 and in_bytes >= MIN_PARALLEL_BYTES:
-            chunk = min(chunk, -(-n // nthreads))
-        return chunk
-
-    def _execute(
-        self,
-        x: np.ndarray,
-        threads: Optional[int],
-        tracer: Optional["obs_trace.TraceBuffer"],
-    ) -> np.ndarray:
-        """The executor loop.  With a ``tracer`` it records one ``kernel``
-        span per step, per-chunk child spans under the thread scheduler,
-        and a ``plan_run`` root span; with ``None`` the only extra work
-        per step is two ``is None`` checks (``repro bench engine`` times
-        the tracing-disabled :meth:`run` against this loop for the
-        ``trace_overhead`` gate)."""
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
         n = x.shape[0]
         nthreads = resolve_threads(self.threads if threads is None else threads)
-        pool = self._memory(x.shape[1:])
-        arena = pool.checkout() if pool is not None else None
-        root_id = step_span_id = None
+        lanes = self._lane_count(n, nthreads)
+        root_id = None
         if tracer is not None:
             root_id = obs_trace.new_span_id()
             t_run = obs_trace.now_ns()
         try:
-            if arena is not None:
-                arena.begin_run(n)
-            regs: List[Optional[np.ndarray]] = [None] * self.num_regs
-            regs[self.input_reg] = x
-            for step_index, step in enumerate(self.steps):
-                args = tuple(regs[i] for i in step.inputs)
-                chunk = self._step_chunk(step, args, n, nthreads)
-                out_view = arena.reg_view(step.output) if arena is not None else None
-                if tracer is not None:
-                    step_span_id = obs_trace.new_span_id()
-                    t_step = obs_trace.now_ns()
-                if chunk < n:
-                    regs[step.output] = self._run_split(
-                        step, args, n, chunk, nthreads, arena, step_index,
-                        out_view, tracer, step_span_id,
-                    )
-                else:
-                    prev = memplan.bind_step(arena, step_index, 0, out_view)
-                    try:
-                        regs[step.output] = step.fn(args, step.attrs)
-                    finally:
-                        memplan.unbind_step(prev)
-                if tracer is not None:
-                    n_chunks = -(-n // chunk) if chunk < n else 1
-                    wino = step.op == "winograd_conv2d"
-                    if step.domain == "int8":
-                        domain = "int8-wino" if wino else "int8"
-                    else:
-                        domain = "winograd" if wino else "fp32"
-                    tracer.record(
-                        step.label or step.op,
-                        "kernel",
-                        t_step,
-                        attrs={
-                            "step": step_index,
-                            "op": step.op,
-                            "backend": self.backend,
-                            "domain": domain,
-                            "batch": n,
-                            "chunk": chunk,
-                            "chunks": n_chunks,
-                            "lanes": min(nthreads, n_chunks) if nthreads > 1 else 1,
-                            "out_bytes": int(regs[step.output].nbytes),
-                            "slot_bytes": (
-                                int(out_view.nbytes) if out_view is not None else None
-                            ),
-                        },
-                        span_id=step_span_id,
-                        parent_id=root_id,
-                    )
-                for reg in step.frees:
-                    if reg != step.output:
-                        regs[reg] = None
-            out = regs[self.output_reg]
-            assert out is not None, "plan produced no output"
-            if arena is not None and arena.owns(out):
-                # The caller keeps the result; arena buffers go back to
-                # the pool and will be overwritten by the next run.
-                out = out.copy()
-            return out
+            if lanes == 1:
+                return self._execute(x, tracer, root_id)
+            outs: List[Optional[np.ndarray]] = [None] * lanes
+
+            def lane(i: int) -> None:
+                lo, hi = i * n // lanes, (i + 1) * n // lanes
+                outs[i] = self._execute(x[lo:hi], tracer, root_id, lane=i, lo=lo)
+
+            run_tasks([partial(lane, i) for i in range(lanes)], lanes)
+            return np.concatenate(outs, axis=0)
         finally:
             if tracer is not None:
                 tracer.record(
@@ -433,45 +211,102 @@ class CompiledPlan:
                         "batch": n,
                         "steps": len(self.steps),
                         "threads": nthreads,
+                        "lanes": lanes,
                     },
                     span_id=root_id,
                 )
+
+    def _execute(
+        self,
+        x: np.ndarray,
+        tracer: Optional["obs_trace.TraceBuffer"] = None,
+        parent_id: Optional[str] = None,
+        lane: int = 0,
+        lo: int = 0,
+    ) -> np.ndarray:
+        """The executor loop over one lane: rows ``lo:lo + len(x)`` of the
+        run's batch (a contiguous float32 array), on its own arena.
+
+        With a ``tracer`` it records one ``kernel`` span per step under
+        ``parent_id``; lanes after the first tag theirs with ``lane``,
+        ``rows`` and ``chunk_index`` so step-level consumers count each
+        step once.  With ``None`` the only extra work per step is two
+        ``is None`` checks (``repro bench engine`` times the
+        tracing-disabled :meth:`run` against this loop for the
+        ``trace_overhead`` gate)."""
+        n = x.shape[0]
+        pool = self._memory(x.shape[1:])
+        arena = pool.checkout() if pool is not None else None
+        try:
+            if arena is not None:
+                arena.begin_run(n)
+            regs: List[Optional[np.ndarray]] = [None] * self.num_regs
+            regs[self.input_reg] = x
+            for step_index, step in enumerate(self.steps):
+                args = tuple(regs[i] for i in step.inputs)
+                out_view = arena.reg_view(step.output) if arena is not None else None
+                if tracer is not None:
+                    t_step = obs_trace.now_ns()
+                prev = memplan.bind_step(arena, step_index, out_view)
+                try:
+                    regs[step.output] = step.fn(args, step.attrs)
+                finally:
+                    memplan.unbind_step(prev)
+                if tracer is not None:
+                    wino = step.op == "winograd_conv2d"
+                    if step.domain == "int8":
+                        domain = "int8-wino" if wino else "int8"
+                    else:
+                        domain = "winograd" if wino else "fp32"
+                    attrs = {
+                        "step": step_index,
+                        "op": step.op,
+                        "backend": self.backend,
+                        "domain": domain,
+                        "batch": n,
+                        "out_bytes": int(regs[step.output].nbytes),
+                        "slot_bytes": (
+                            int(out_view.nbytes) if out_view is not None else None
+                        ),
+                    }
+                    if lane:
+                        attrs.update(lane=lane, rows=[lo, lo + n], chunk_index=lane)
+                    tracer.record(
+                        step.label or step.op,
+                        "kernel",
+                        t_step,
+                        attrs=attrs,
+                        parent_id=parent_id,
+                        lane=lane,
+                    )
+                for reg in step.frees:
+                    if reg != step.output:
+                        regs[reg] = None
+            out = regs[self.output_reg]
+            assert out is not None, "plan produced no output"
+            if arena is not None and arena.owns(out):
+                # The caller keeps the result; arena buffers go back to
+                # the pool and will be overwritten by the next run.
+                out = out.copy()
+            return out
+        finally:
             if arena is not None:
                 pool.checkin(arena)
 
     def run_many(
-        self,
-        inputs: Sequence[np.ndarray],
-        threads: Optional[int] = None,
-        stack: bool = True,
+        self, inputs: Sequence[np.ndarray], threads: Optional[int] = None
     ) -> List[np.ndarray]:
-        """Run several same-shape inputs, as one fused batch or concurrently.
+        """Run several same-shape inputs as one fused batch.
 
-        ``stack=True`` (default) stacks along the batch axis and executes
-        once, so the filter transforms, plan dispatch, and tile
-        transforms are amortised over the whole group — the step
-        scheduler then fans the fused batch out across cores.
-        ``stack=False`` instead executes each input as its own ``run``
-        on the worker pool (each with its own arena checkout): the shape
-        concurrent server traffic takes.
+        The inputs are stacked along the batch axis and executed once, so
+        the filter transforms, plan dispatch, and tile transforms are
+        amortised over the whole group (and lanes split the fused batch).
         """
         if not inputs:
             return []
         arrays = [np.asarray(a, dtype=np.float32) for a in inputs]
         if any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("run_many requires equal input shapes")
-        if not stack:
-            nthreads = resolve_threads(self.threads if threads is None else threads)
-            results: List[Optional[np.ndarray]] = [None] * len(arrays)
-
-            def one(index: int) -> None:
-                results[index] = self.run(arrays[index], threads=1)
-
-            run_tasks(
-                [(lambda i=i: one(i)) for i in range(len(arrays))],
-                min(nthreads, len(arrays)),
-            )
-            return list(results)  # type: ignore[return-value]
         sizes = [a.shape[0] for a in arrays]
         out = self.run(np.concatenate(arrays, axis=0), threads=threads)
         splits = np.cumsum(sizes)[:-1]

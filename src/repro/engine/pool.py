@@ -1,4 +1,4 @@
-"""The shared worker pool behind the parallel step scheduler.
+"""The shared worker pool that runs the lanes of a split plan run.
 
 One process-wide thread pool serves every concurrent ``CompiledPlan.run``:
 the engine's kernels spend their time inside BLAS GEMMs and NumPy ufunc
@@ -12,12 +12,12 @@ Thread-count resolution, everywhere in the engine:
 * else the per-plan ``CompiledPlan.threads`` attribute;
 * else the ``REPRO_THREADS`` environment variable (``0`` or ``auto``
   mean "all cores");
-* else ``1`` — serial, the exact pre-scheduler behaviour.
+* else ``1`` — serial, one lane.
 
 ``run_tasks`` refuses to nest: a task that itself calls ``run_tasks``
-(e.g. ``run_many(..., stack=False)`` whose per-input runs would also
-like to split their steps) executes its sub-tasks inline, so the pool
-can never deadlock on its own capacity.
+(e.g. a lane whose kernel runs another plan with ``threads > 1``)
+executes its sub-tasks inline, so the pool can never deadlock on its
+own capacity.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def _run_wrapped(task: Callable[[], None]) -> None:
 
 
 def run_tasks(tasks: Sequence[Callable[[], None]], threads: int) -> None:
-    """Execute zero-arg ``tasks`` on the shared pool and wait for all.
+    """Execute zero-arg ``tasks`` and wait for all: the caller runs the
+    first itself while the shared pool runs the rest.
 
     Runs inline (serially) when there is one task, one thread, or the
     caller is itself a pool worker.  Every task is awaited even when one
@@ -138,10 +139,10 @@ def run_tasks(tasks: Sequence[Callable[[], None]], threads: int) -> None:
     # executor is shut down underneath us) only requires resubmitting the
     # tasks *not yet accepted* — tasks already queued on the old executor
     # still run there, and resubmitting them would double-execute a lane
-    # against its own scratch buffers.
+    # against its own arena.
     executor = _get_executor(threads)
     futures = []
-    index = 0
+    index = 1
     while index < len(tasks):
         try:
             futures.append(executor.submit(_run_wrapped, tasks[index]))
@@ -152,11 +153,11 @@ def run_tasks(tasks: Sequence[Callable[[], None]], threads: int) -> None:
                 break
             executor = fresh
     # Every task must have finished before this returns OR raises — the
-    # caller recycles shared state (the run's arena) right after — so
+    # caller reads what the tasks wrote right after — so
     # collect errors from the inline leg and the futures alike and only
     # re-raise once everything is drained.
     errors = []
-    for task in tasks[index:]:
+    for task in [tasks[0], *tasks[index:]]:
         try:
             task()
         except BaseException as exc:  # noqa: BLE001 — re-raised below

@@ -30,10 +30,11 @@ def profile_plan(
 ) -> Dict[str, Any]:
     """Profile one compiled plan on input ``x``.
 
-    Returns ``{"backend", "batch", "steps": [...], "step_sum_ms",
-    "plan_median_ms", "sum_vs_median_pct", "untraced_ms"}`` where each
-    step row carries ``index/name/op/domain/chunks/lanes/ms/pct/
-    out_kib/slot_kib``.  ``step_sum_ms`` is the median over runs of each
+    Returns ``{"backend", "batch", "lanes", "steps": [...],
+    "step_sum_ms", "plan_median_ms", "sum_vs_median_pct", "untraced_ms"}``
+    where each step row carries ``index/name/op/domain/ms/pct/out_kib/
+    slot_kib`` and ``lanes`` is how many lanes each run split its batch
+    into (step rows time lane 0, which runs alongside the others).  ``step_sum_ms`` is the median over runs of each
     run's step-time sum and ``plan_median_ms`` the median ``plan_run``
     total, so their delta is the dispatch overhead the step spans do not
     cover — not cross-run scheduler noise.
@@ -46,6 +47,7 @@ def profile_plan(
     per_step: Dict[int, Dict[str, Any]] = {}
     totals: List[float] = []
     run_sums: List[float] = []
+    lanes = 1
     for _ in range(max(1, repeats)):
         buf = TraceBuffer()
         plan.run(x, threads=threads, trace=buf)
@@ -53,6 +55,7 @@ def profile_plan(
         for span in buf.snapshot():
             if span.cat == "engine" and span.name == "plan_run":
                 totals.append(span.dur_ns / 1e6)
+                lanes = span.attrs.get("lanes", 1)
                 continue
             if span.cat != "kernel" or "chunk_index" in span.attrs:
                 continue
@@ -64,8 +67,6 @@ def profile_plan(
                     "name": span.name,
                     "op": span.attrs.get("op"),
                     "domain": span.attrs.get("domain"),
-                    "chunks": span.attrs.get("chunks", 1),
-                    "lanes": span.attrs.get("lanes", 1),
                     "out_kib": (span.attrs.get("out_bytes") or 0) / 1024.0,
                     "slot_kib": (
                         None
@@ -96,6 +97,7 @@ def profile_plan(
     return {
         "backend": getattr(plan, "backend", "?"),
         "batch": int(x.shape[0]),
+        "lanes": lanes,
         "steps": steps,
         "step_sum_ms": step_sum,
         "plan_median_ms": plan_median,
@@ -110,19 +112,16 @@ def format_profile_table(prof: Dict[str, Any]) -> str:
     """Fixed-width per-step table plus the sum-vs-median footer."""
     lines = []
     header = (
-        f"{'#':>3}  {'step':<38} {'domain':<8} {'chunks':>6} "
+        f"{'#':>3}  {'step':<38} {'domain':<8} "
         f"{'ms':>9} {'%':>6} {'out KiB':>9} {'slot KiB':>9}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for r in prof["steps"]:
         slot = "-" if r["slot_kib"] is None else f"{r['slot_kib']:.0f}"
-        chunks = (
-            f"{r['chunks']}x{r['lanes']}" if r["chunks"] > 1 else "1"
-        )
         lines.append(
             f"{r['index']:>3}  {r['name'][:38]:<38} {str(r['domain']):<8} "
-            f"{chunks:>6} {r['ms']:>9.3f} {r['pct']:>6.1f} "
+            f"{r['ms']:>9.3f} {r['pct']:>6.1f} "
             f"{r['out_kib']:>9.0f} {slot:>9}"
         )
     lines.append("-" * len(header))
@@ -131,7 +130,7 @@ def format_profile_table(prof: Dict[str, Any]) -> str:
         f"{prof['plan_median_ms']:.3f} ms  |  delta "
         f"{prof['sum_vs_median_pct']:+.1f}%  |  untraced "
         f"{prof['untraced_ms']:.3f} ms  (backend={prof['backend']}, "
-        f"batch={prof['batch']})"
+        f"batch={prof['batch']}, lanes={prof['lanes']})"
     )
     return "\n".join(lines)
 

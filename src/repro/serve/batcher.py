@@ -169,11 +169,11 @@ class DynamicBatcher:
         # Duck-typed plans (test stubs) may not accept run(trace=...);
         # detect once so traced batches degrade gracefully.
         self._plan_traceable = self._accepts_trace(plan)
-        #: Engine threads per coalesced batch: each dispatched batch fans
-        #: its chunkable steps out across the engine worker pool, so one
-        #: big batch exploits the cores that batch-level pipelining
-        #: (max_inflight) alone would leave idle.  ``None`` keeps the
-        #: plan/REPRO_THREADS default.
+        #: Engine threads per coalesced batch: a dispatched batch splits
+        #: into lanes on the engine worker pool, so one big batch
+        #: exploits the cores that batch-level pipelining (max_inflight)
+        #: alone would leave idle.  ``None`` keeps the plan/REPRO_THREADS
+        #: default.
         self.threads = threads
         self._executor = executor
         self._owns_executor = executor is None

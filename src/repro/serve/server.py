@@ -208,9 +208,9 @@ class InferenceServer:
         self.metrics = metrics or ServerMetrics()
         self.cache = cache if cache is not None else plan_cache
         #: Engine threads per dispatched batch (``repro serve --threads``,
-        #: default the REPRO_THREADS environment setting): batches fan
-        #: their chunkable steps out across the shared engine pool, so
-        #: cores are used even when one model carries all the traffic.
+        #: default the REPRO_THREADS environment setting): batches split
+        #: into lanes on the shared engine pool, so cores are used even
+        #: when one model carries all the traffic.
         #: With process workers this is forwarded to each worker's runs.
         self.threads = threads
         #: Threads that push batches off the event loop.  In worker mode

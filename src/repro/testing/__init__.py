@@ -1,8 +1,8 @@
 """Randomized differential-testing support.
 
 The engine now exposes a product of execution modes — ``reference`` /
-``fast`` / ``int8`` backends × thread counts × batch
-chunking × arena planning — and hand-written parity tests cannot cover
+``fast`` / ``int8`` backends × thread counts (batch lanes) × arena
+planning — and hand-written parity tests cannot cover
 that space.  This package generates *seeded random models* spanning the
 paper's search dimensions (conv algorithm F(m, r) vs im2row, widths,
 precisions, residual/concat topologies) and checks every mode against
@@ -14,7 +14,7 @@ its documented contract:
   check for quantization-grid flips;
 * :mod:`repro.testing.diffcheck` — one entry point,
   :func:`~repro.testing.diffcheck.check_model`, that runs a generated
-  model through all backend × threads × chunking combinations and
+  model through all backend × threads combinations and
   asserts each equivalence, with the seed in every failure message.
 
 Used by ``tests/engine/test_differential_fuzz.py`` (fixed 25-case

@@ -9,23 +9,25 @@ random model):
 mode                                  contract
 ====================================  =====================================
 ``reference``                         bitwise equal to the eager forward
-``reference`` chunked / threaded      bitwise equal to serial unchunked
-                                      (by construction: the oracle
-                                      backend never splits GEMM steps)
-``fast`` (+ chunked × threaded)       fp32: within 1e-3 of the output
+                                      (it never splits into lanes, so
+                                      threaded runs are serial runs)
+``fast`` (+ threaded lanes)           fp32: within 1e-3 of the output
                                       scale (Winograd reassociation);
                                       quantized: within 1e-4 of scale OR
                                       a bounded (5%-of-scale) boundary
                                       avalanche with argmax preserved
 ``int8`` (quantized models)           **bit-identical** to the int64-GEMM
-                                      oracle; threaded/chunked runs
-                                      bit-identical when the plan is
-                                      fully native (tolerance when float
+                                      oracle; threaded runs bit-identical
+                                      to serial when the plan is fully
+                                      native (tolerance when float
                                       fallback GEMM steps remain);
                                       Winograd-stem grid flips vs
                                       reference must be bin-boundary
                                       justified
 ====================================  =====================================
+
+The threaded legs run on ``2 * MIN_LANE_ROWS`` rows, the smallest batch
+that splits into two lanes, against a serial run of the same input.
 
 Every assertion message carries the seed and the generated model's
 description, so any corpus failure reproduces with
@@ -47,12 +49,9 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
 from repro.engine.artifact import load_plan, save_plan
+from repro.engine.plan import MIN_LANE_ROWS
 from repro.testing.modelgen import GeneratedModel, generate_model
 from repro.testing.oracle import int8_oracle_output, winograd_stem_flip_report
-
-#: chunk_bytes small enough to chunk essentially every step of the tiny
-#: corpus models (mirrors test_chunked_execution's "absurdly small").
-TINY_CHUNK = 1 << 10
 
 
 def _msg(gm: GeneratedModel, what: str) -> str:
@@ -122,6 +121,7 @@ def check_model(seed: int, threads: int = 2) -> dict:
     """
     gm = generate_model(seed)
     x = gm.sample_input()
+    x_split = gm.sample_input(batch=2 * MIN_LANE_ROWS)
     expected = _eager_output(gm, x)
     report = {
         "seed": seed,
@@ -137,29 +137,20 @@ def check_model(seed: int, threads: int = 2) -> dict:
     np.testing.assert_array_equal(
         reference, expected, err_msg=_msg(gm, "reference must match eager bitwise")
     )
-    ref_plan.chunk_bytes = TINY_CHUNK
-    np.testing.assert_array_equal(
-        ref_plan.run(x), reference,
-        err_msg=_msg(gm, "reference chunked run diverged (must be bitwise)"),
-    )
-    np.testing.assert_array_equal(
-        ref_plan.run(x, threads=threads), reference,
-        err_msg=_msg(gm, "reference threaded run diverged (must be bitwise)"),
-    )
     np.testing.assert_array_equal(
         _roundtrip_plan(ref_plan, x), reference,
         err_msg=_msg(gm, "artifact-loaded reference plan diverged "
                          "(save/mmap-load must be bitwise)"),
     )
 
-    # -- fast: float-tolerance contract, stable under chunk × threads --------
+    # -- fast: float-tolerance contract, stable under lanes ------------------
     fast_plan = compile_model(gm.model, backend="fast")
     fast = fast_plan.run(x)
     _assert_fast_tolerance(gm, fast, expected, "fast backend out of tolerance")
-    fast_plan.chunk_bytes = TINY_CHUNK
     _assert_fast_tolerance(
-        gm, fast_plan.run(x, threads=threads), expected,
-        "fast chunked+threaded run out of tolerance",
+        gm, fast_plan.run(x_split, threads=threads),
+        fast_plan.run(x_split, threads=1),
+        "fast threaded run out of tolerance",
     )
 
     # -- int8: exactness oracle + boundary-justified flips -------------------
@@ -173,27 +164,27 @@ def check_model(seed: int, threads: int = 2) -> dict:
                              "(float GEMM not exact — accumulator bound bug?)"),
         )
         # Integer GEMMs are exact at any blocking, so a fully native plan
-        # is bit-stable under threads and chunking; float fallback GEMM
-        # steps (e.g. an unquantized head) reintroduce last-ulp blocking
-        # sensitivity, so those plans get the fast-backend tolerance.
+        # is bit-stable under lanes; float fallback GEMM steps (e.g. an
+        # unquantized head) reintroduce last-ulp blocking sensitivity, so
+        # those plans get the fast-backend tolerance.
         float_gemms = [
             s for s in int8_plan.steps
             if s.op in ("conv2d", "winograd_conv2d", "linear")
             and s.domain != "int8"
         ]
-        int8_plan.chunk_bytes = TINY_CHUNK
-        reran = int8_plan.run(x, threads=threads)
+        serial = int8_plan.run(x_split, threads=1)
+        threaded = int8_plan.run(x_split, threads=threads)
         if not float_gemms:
             np.testing.assert_array_equal(
-                reran, native,
+                threaded, serial,
                 err_msg=_msg(gm, "fully-native int8 plan not bit-stable "
-                                 "under chunked+threaded execution"),
+                                 "under threaded lanes"),
             )
         else:
             _assert_fast_tolerance(
-                gm, reran, native,
+                gm, threaded, serial,
                 "int8 plan with float fallback steps out of tolerance "
-                "under chunked+threaded execution",
+                "under threaded lanes",
             )
         np.testing.assert_array_equal(
             _roundtrip_plan(int8_plan, x), native,

@@ -13,7 +13,7 @@ spanning the paper's search dimensions:
 
 The generator only emits modules the compile pass can lower, so every
 generated model exercises the full product of engine modes (backends ×
-threads × chunking × arena planning).  Randomized BN statistics and
+threads × arena planning).  Randomized BN statistics and
 weights come from the same seed, so a failing case is reproducible from
 its seed alone.
 """

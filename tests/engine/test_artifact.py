@@ -37,7 +37,7 @@ from repro.engine.artifact import (
     read_manifest,
     save_plan,
 )
-from repro.engine.plan import CompiledPlan, Step
+from repro.engine.plan import MIN_LANE_ROWS, CompiledPlan, Step
 from repro.engine.registry import BACKENDS
 from repro.testing.modelgen import generate_model
 
@@ -95,10 +95,12 @@ class TestRoundTrip:
         loaded = load_plan(path)
         expected = plan.run(x)
         np.testing.assert_array_equal(loaded.run(x), expected)
-        # mmap'd weight views are read-only; chunked + threaded execution
-        # must work on them without copying or mutation.
-        loaded.chunk_bytes = 1 << 10
-        np.testing.assert_array_equal(loaded.run(x, threads=2), expected)
+        # mmap'd weight views are read-only; a run split into lanes must
+        # work on them without copying or mutation.
+        x = gm.sample_input(batch=2 * MIN_LANE_ROWS)
+        np.testing.assert_array_equal(
+            loaded.run(x, threads=2), plan.run(x, threads=1)
+        )
 
     def test_shared_attr_dicts_keep_identity(self, tmp_path, int8_case):
         # The int8 backend wires integer handoffs by *sharing* dicts

@@ -1,14 +1,12 @@
-"""Cache-aware batch chunking must be invisible in the results.
+"""Splitting the batch into lanes must be invisible in the results.
 
-Every chunkable op computes batch rows independently, so executing a
-step in sub-batches (the executor does this when a step's working set
-exceeds ``chunk_bytes``) preserves per-sample results.  On the
-``reference`` backend that independence is *bit-exact* — its kernels
-apply fixed-size per-tile matmuls whose BLAS dispatch cannot depend on
-the batch — which is the backend the serving bit-identity guarantee is
-stated for.  The ``fast`` backend's large fused GEMMs are row-
-independent only up to BLAS blocking (different M can round differently
-at the last ulp), so there the contract is float tolerance.
+Every lowered op computes batch rows independently, so running the step
+sequence on row ranges (``plan.run(x, threads=N)`` does this on batches
+of at least ``2 * MIN_LANE_ROWS`` rows) preserves per-sample results.
+The ``fast`` backend's large fused GEMMs are row-independent only up to
+BLAS blocking (a different M can round differently at the last ulp), so
+there the contract is float tolerance.  The ``reference`` backend, the
+bit-exactness oracle, never splits.
 """
 
 import numpy as np
@@ -17,21 +15,15 @@ from repro.engine import compile_model
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
+from repro.obs.trace import TraceBuffer
 from repro.quant.qconfig import fp32, int8
 
 
-def test_chunked_equals_unchunked_reference_bitwise(rng):
-    model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-    model.eval()
-    plan = compile_model(model, backend="reference")
-    x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-    plan.run(x[:1])  # freeze any cold activation observers first
-
-    plan.chunk_bytes = 0  # chunking off
-    unchunked = plan.run(x)
-    plan.chunk_bytes = 1 << 12  # absurdly small: chunk almost every step
-    chunked = plan.run(x)
-    np.testing.assert_array_equal(chunked, unchunked)
+def _lanes(plan, x, threads):
+    buf = TraceBuffer()
+    out = plan.run(x, threads=threads, trace=buf)
+    (root,) = [s for s in buf.snapshot() if s.name == "plan_run"]
+    return out, root.attrs["lanes"]
 
 
 def test_chunked_equals_unchunked_fast_float(rng):
@@ -41,31 +33,33 @@ def test_chunked_equals_unchunked_fast_float(rng):
     x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
     plan.run(x[:1])
 
-    plan.chunk_bytes = 0
-    unchunked = plan.run(x)
-    plan.chunk_bytes = 1 << 12
-    chunked = plan.run(x)
+    unchunked = plan.run(x, threads=1)
+    chunked, lanes = _lanes(plan, x, threads=2)
+    assert lanes == 2
     np.testing.assert_allclose(chunked, unchunked, rtol=1e-4, atol=1e-4)
 
 
 def test_cold_observer_step_is_never_chunked(rng):
     """A fake-quant stage that has not frozen its range takes it from the
-    first array it sees — chunking that step would freeze a sub-batch's
-    range and make results (and the reference backend's exactness vs
-    eager) depend on chunk_bytes.  The first large-batch run of an
-    uncalibrated plan must therefore match the unchunked execution."""
+    first array it sees — splitting that run would freeze one lane's
+    range and make results depend on the thread count.  The first
+    threaded run of an uncalibrated plan must therefore run whole and
+    match the serial execution."""
     from repro.nn import init
 
     x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
     outs = []
-    for chunk_bytes in (0, 1 << 12):
+    for threads in (1, 2):
         init.set_default_rng(0)  # identical weights for both plans
         model = resnet18(width_multiplier=0.25, spec=ConvSpec("F4", int8()))
         model.eval()
-        plan = compile_model(model, backend="reference")
-        plan.chunk_bytes = chunk_bytes
-        outs.append(plan.run(x))  # first run: observers are still cold
+        plan = compile_model(model, backend="fast")
+        out, lanes = _lanes(plan, x, threads)  # first run: observers are cold
+        assert lanes == 1
+        outs.append(out)
     np.testing.assert_array_equal(outs[0], outs[1])
+    # Once the observers froze, the same plan splits.
+    assert _lanes(plan, x, 2)[1] == 2
 
 
 def test_batch_composition_is_invisible_reference(rng):

@@ -374,15 +374,15 @@ class TestIntegration:
         assert registry.get("winograd_conv2d", "int8").__name__ == "winograd_int8"
 
     def test_chunked_execution_invariance(self, rng):
-        """int8 steps are batch-row independent: chunked execution must
-        reproduce the unchunked result exactly."""
+        """int8 steps are batch-row independent: a run split into two
+        3-row lanes must reproduce the serial result exactly."""
         model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
         x = rng.standard_normal((6, 3, 32, 32)).astype(np.float32)
         calibrated(model, x)
         plan = compile_model(model, backend="int8")
-        full = plan.run(x)
-        plan.chunk_bytes = 1 << 14  # force aggressive chunking
-        np.testing.assert_array_equal(plan.run(x), full)
+        full = plan.run(x, threads=1)
+        assert plan._lane_count(len(x), 2) == 2
+        np.testing.assert_array_equal(plan.run(x, threads=2), full)
 
     def test_served_variant_compiles_native(self):
         from repro.serve.registry import ModelRegistry, ModelSpec

@@ -1,21 +1,19 @@
-"""The parallel step scheduler (ISSUE 4).
+"""Batch lanes: ``plan.run(x, threads=N)`` cuts the batch once into row
+ranges and runs every step on each range as a lane.
 
 Contract:
 
-* **Reference bit-identity** — on the ``reference`` backend, threaded
-  execution is bit-identical to serial on every parity model (fp32 and
-  int8): the scheduler only thread-splits ops whose per-sample results
-  cannot depend on the batch split, and cache-driven chunk decisions are
-  thread-count independent, so the decomposition (and hence every BLAS
-  call) matches the serial run.
+* **Reference bit-identity** — the ``reference`` backend never splits,
+  so threaded execution is the serial run on every parity model.
 * **Integer exactness** — native ``int8`` steps are exact at any GEMM
-  blocking, so threaded int8 execution is bit-identical to serial too.
-* **Chunked × threaded invariance** — shrinking ``chunk_bytes`` and
-  raising ``threads`` compose without changing reference results.
+  blocking, so split int8 execution is bit-identical to serial too.
+* **Small batches stay whole** — fewer than ``2 * MIN_LANE_ROWS`` rows
+  run as one lane.
 * **Concurrency safety** — many threads hammering one shared plan (each
-  run checking an arena out of the pool) all get the right answer.
+  lane checking an arena out of the pool) all get the right answer.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -23,7 +21,9 @@ import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
+from repro.engine.plan import MIN_LANE_ROWS
 from repro.engine.pool import configure_threads, default_threads, resolve_threads
+from repro.obs.trace import TraceBuffer
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
@@ -70,28 +70,11 @@ class TestReferenceBitIdentity:
                     threaded, serial, err_msg=f"{name}: threads={threads}"
                 )
 
-    def test_chunked_and_threaded_compose_bitwise(self, rng):
-        model = _calibrated(
-            resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8())),
-            rng.standard_normal((8, 3, 32, 32)).astype(np.float32),
-        )
-        plan = compile_model(model, backend="reference")
-        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-        plan.chunk_bytes = 0
-        baseline = plan.run(x, threads=1)
-        plan.chunk_bytes = 1 << 12  # chunk almost every step...
-        for threads in (1, 4):  # ...and fan the chunks out
-            np.testing.assert_array_equal(
-                plan.run(x, threads=threads),
-                baseline,
-                err_msg=f"chunked threads={threads}",
-            )
-
 
 class TestInt8Exactness:
     def test_threaded_int8_bit_identical(self, rng):
-        """Integer GEMMs are exact at any blocking, so thread-splitting
-        native int8 steps cannot move a single bit."""
+        """Integer GEMMs are exact at any blocking, so splitting the
+        batch into lanes cannot move a single bit of native int8 steps."""
         x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
         model = _calibrated(
             resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8())), x
@@ -103,8 +86,8 @@ class TestInt8Exactness:
 
 class TestFastTolerance:
     def test_threaded_fast_within_float_tolerance(self, rng):
-        """fast-backend GEMMs may round differently per chunk shape; the
-        contract there is the same float tolerance chunking already has."""
+        """fast-backend GEMMs may round differently for a lane's row
+        count; the contract there is float tolerance."""
         x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
         model = _calibrated(resnet18(width_multiplier=0.125, spec=ConvSpec("F4")), x)
         plan = compile_model(model, backend="fast")
@@ -142,21 +125,58 @@ class TestConcurrency:
         assert report["arenas_built"] >= 1
         assert report["shape_misses"] == 0
 
-    def test_run_many_parallel_matches_per_input_runs(self, rng):
-        """stack=False executes each input as its own run on the worker
-        pool — per-input results must equal serial per-input runs bit
-        for bit (the stacked fusion is a *different* GEMM shape, so it
-        is only float-close, as run_many has always documented)."""
-        x = rng.standard_normal((6, 1, 28, 28)).astype(np.float32)
-        model = _calibrated(lenet(spec=ConvSpec("F2")), x)
-        plan = compile_model(model, backend="reference")
-        inputs = [x[i : i + 2] for i in range(0, 6, 2)]
-        concurrent = plan.run_many(inputs, threads=4, stack=False)
-        for xi, out in zip(inputs, concurrent):
-            np.testing.assert_array_equal(out, plan.run(xi))
-        stacked = plan.run_many(inputs)
-        for a, b in zip(stacked, concurrent):
-            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+    def test_thread_hammer_split_runs_int8(self, rng):
+        """The ``repro serve --threads 2`` shape: several dispatch threads
+        each running split batches of one shared int8 plan.  Every lane
+        checks its own arena out, so each result is serial's bits, and
+        once warm no run allocates or misses a planned shape."""
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        model = _calibrated(
+            resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8())), x
+        )
+        plan = compile_model(model, backend="int8")
+        expected = plan.run(x, threads=1)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(10):
+                    np.testing.assert_array_equal(plan.run(x, threads=2), expected)
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=hammer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the lanes as often as possible
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors, errors
+        # Every pooled arena has now served a lane at this shape.
+        np.testing.assert_array_equal(plan.run(x, threads=2), expected)
+        report = plan.memory_report()
+        assert report["steady_state_allocations"] == 0
+        assert report["shape_misses"] == 0
+
+    def test_small_batch_runs_unsplit(self, rng):
+        x = rng.standard_normal((2 * MIN_LANE_ROWS - 1, 1, 28, 28)).astype(np.float32)
+        model = _calibrated(lenet(spec=ConvSpec("F2", int8())), x)
+        plan = compile_model(model, backend="int8")
+        buf = TraceBuffer()
+        plan.run(x, threads=2, trace=buf)
+        spans = buf.snapshot()
+        (root,) = [s for s in spans if s.name == "plan_run"]
+        assert root.attrs["lanes"] == 1
+        assert not [s for s in spans if "chunk_index" in s.attrs]
+        buf.clear()
+        plan.run(np.concatenate([x, x[:1]]), threads=2, trace=buf)
+        (root,) = [s for s in buf.snapshot() if s.name == "plan_run"]
+        assert root.attrs["lanes"] == 2
 
     def test_worker_error_propagates(self, rng):
         x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
@@ -198,12 +218,13 @@ class TestThreadResolution:
 
     def test_plan_attribute_is_the_default(self, rng, monkeypatch):
         """plan.threads feeds run() when no per-call override is given —
-        observable through the scheduler taking the threaded path."""
-        from repro.engine import plan as plan_mod
-
+        observable through the run splitting into lanes."""
         x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
         model = _calibrated(lenet(spec=ConvSpec("F2")), x)
         plan = compile_model(model, backend="fast")
-        serial = plan.run(x)
+        serial = plan.run(x, threads=1)
         plan.threads = 4
-        np.testing.assert_allclose(plan.run(x), serial, rtol=1e-4, atol=1e-4)
+        buf = TraceBuffer()
+        np.testing.assert_allclose(plan.run(x, trace=buf), serial, rtol=1e-4, atol=1e-4)
+        (root,) = [s for s in buf.snapshot() if s.name == "plan_run"]
+        assert root.attrs["lanes"] == 2

@@ -24,6 +24,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table1", "--scale", "huge"])
 
+    def test_negative_threads_rejected(self, capsys):
+        for argv in (["infer"], ["serve"], ["profile", "lenet-F2-fp32"],
+                     ["bench", "engine"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--threads", "-3"])
+            assert "must be >= 0" in capsys.readouterr().err
+            assert build_parser().parse_args(argv + ["--threads", "0"]).threads == 0
+
     def test_every_experiment_module_importable(self):
         import importlib
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
-from repro.engine import compile_model, memplan
+from repro.engine import compile_model
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.obs.export import (
@@ -46,14 +46,9 @@ def _plan_and_input(backend="fast", batch=4, seed=0, qconfig=None):
 
 
 def _untraced_schedule(plan, x, threads, monkeypatch):
-    """``{step: (chunk, chunks, lanes)}`` of one untraced run, observed
-    from the kernel calls and lane bindings themselves (no spans)."""
-    lanes, rows = defaultdict(list), defaultdict(list)
-    bind = memplan.bind_step
-
-    def bind_step(arena, index, lane, out):
-        lanes[index].append(lane)
-        return bind(arena, index, lane, out)
+    """``{step: sorted rows per kernel call}`` of one untraced run,
+    observed from the kernel calls themselves (no spans)."""
+    rows = defaultdict(list)
 
     def counted(index, fn):
         def kernel(args, attrs):
@@ -61,15 +56,11 @@ def _untraced_schedule(plan, x, threads, monkeypatch):
             return fn(args, attrs)
         return kernel
 
-    monkeypatch.setattr(memplan, "bind_step", bind_step)
     for index, step in enumerate(plan.steps):
         monkeypatch.setattr(step, "fn", counted(index, step.fn))
     out = plan.run(x, threads=threads)
     monkeypatch.undo()
-    return out, {
-        i: (max(rows[i]) if len(seen) > 1 else len(x), len(seen), len(set(seen)))
-        for i, seen in lanes.items()
-    }
+    return out, {i: sorted(seen) for i, seen in rows.items()}
 
 
 class TestTraceBuffer:
@@ -142,17 +133,25 @@ class TestEngineSpans:
         problems = validate_span_tree(buf.snapshot())
         assert problems == []
 
-    def test_threaded_chunked_run_has_chunk_spans_under_steps(self):
+    def test_split_run_records_lane_spans(self):
         plan, x = _plan_and_input(batch=8)
         buf = TraceBuffer()
         plan.run(x, threads=2, trace=buf)
         spans = buf.snapshot()
-        chunks = [s for s in spans if "chunk_index" in s.attrs]
-        assert chunks, "threads=2 on batch=8 must chunk at least one step"
-        steps_by_id = {s.span_id: s for s in spans
-                       if s.cat == "kernel" and "chunk_index" not in s.attrs}
-        for c in chunks:
-            assert c.parent_id in steps_by_id
+        (root,) = [s for s in spans if s.name == "plan_run"]
+        assert root.attrs["lanes"] == 2
+        # Lane 0's spans stand for the steps; lane 1 tags its own.
+        steps = [s for s in spans if s.cat == "kernel"
+                 and "chunk_index" not in s.attrs]
+        others = [s for s in spans if "chunk_index" in s.attrs]
+        assert sorted(s.attrs["step"] for s in steps) == list(range(len(plan)))
+        assert sorted(s.attrs["step"] for s in others) == list(range(len(plan)))
+        for s in steps:
+            assert (s.parent_id, s.lane, s.attrs["batch"]) == (root.span_id, 0, 4)
+        for s in others:
+            assert s.parent_id == root.span_id
+            assert (s.lane, s.attrs["lane"], s.attrs["chunk_index"]) == (1, 1, 1)
+            assert s.attrs["rows"] == [4, 8]
         assert validate_span_tree(spans) == []
 
     def test_untraced_run_emits_nothing_and_accepts_trace_none(self):
@@ -167,13 +166,11 @@ class TestEngineSpans:
         buf = TraceBuffer()
         traced = plan.run(x, trace=buf)
         np.testing.assert_array_equal(traced, untraced)
-        # One span per step plus the plan_run root; REPRO_THREADS may add
-        # chunk spans under thread-split steps, so count steps apart.
+        # reference never splits: one span per step plus the plan_run root.
         spans = buf.snapshot()
-        chunks = [s for s in spans if "chunk_index" in s.attrs]
-        steps = [s for s in spans if s.cat == "kernel" and s not in chunks]
+        steps = [s for s in spans if s.cat == "kernel"]
         assert len(steps) == len(plan)
-        assert [s.name for s in spans if s not in steps + chunks] == ["plan_run"]
+        assert [s.name for s in spans if s not in steps] == ["plan_run"]
         # reference runs with planning=False: no arena, slot_bytes None
         assert all(
             s.attrs.get("slot_bytes") is None
@@ -187,34 +184,27 @@ class TestEngineSpans:
         )
 
     @pytest.mark.parametrize("backend", ["fast", "int8"])
-    @pytest.mark.parametrize("threads,chunk_bytes", [(1, None), (2, 1 << 12)])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_traced_vs_untraced_same_bits_and_schedule(
-        self, backend, threads, chunk_bytes, monkeypatch
+        self, backend, threads, monkeypatch
     ):
         # One executor loop serves both paths: the traced run must give
-        # the same bits and report the schedule the untraced run took.
+        # the same bits and report the lanes the untraced run took.
         plan, x = _plan_and_input(backend=backend, batch=8, qconfig=int8())
         if backend == "int8":
             assert plan.int8_report()["native_int8_steps"] > 0
-        if chunk_bytes is not None:
-            plan.chunk_bytes = chunk_bytes
         untraced, schedule = _untraced_schedule(plan, x, threads, monkeypatch)
         buf = TraceBuffer()
         traced = plan.run(x, threads=threads, trace=buf)
         np.testing.assert_array_equal(traced, untraced)
-        spans = {
-            s.attrs["step"]: s for s in buf.snapshot()
-            if s.cat == "kernel" and "chunk_index" not in s.attrs
-        }
-        assert sorted(spans) == sorted(schedule) == list(range(len(plan)))
-        for index, (chunk, chunks, lanes) in schedule.items():
-            attrs = spans[index].attrs
-            assert (attrs["chunk"], attrs["chunks"], attrs["lanes"]) == (
-                chunk, chunks, lanes,
-            ), f"step {index} ({attrs['op']})"
-        if chunk_bytes is not None:
-            assert any(chunks > 1 for _, chunks, _ in schedule.values())
-            assert any(lanes == threads for _, _, lanes in schedule.values())
+        spans = defaultdict(list)
+        for s in buf.snapshot():
+            if s.cat == "kernel":
+                spans[s.attrs["step"]].append(s.attrs["batch"])
+        assert {i: sorted(b) for i, b in spans.items()} == schedule
+        assert sorted(schedule) == list(range(len(plan)))
+        lanes = [8] if threads == 1 else [4, 4]
+        assert all(rows == lanes for rows in schedule.values())
 
 
 class TestSpanUtilities:
@@ -303,3 +293,4 @@ class TestProfile:
         assert abs(prof["sum_vs_median_pct"]) < 25.0
         table = format_profile_table(prof)
         assert "steps sum" in table and "whole-plan median" in table
+        assert prof["lanes"] == 1 and "lanes=1)" in table
