@@ -697,38 +697,19 @@ def run_compile(args) -> int:
     """
     import json
 
-    from repro.engine.artifact import ArtifactError, read_manifest
+    from repro.engine.artifact import ArtifactError, load_plan, read_manifest
 
     if args.inspect:
         try:
             manifest = read_manifest(args.inspect, verify=True)
+            per_tap_steps = load_plan(
+                args.inspect, verify=True, prepare=False
+            ).int8_report()["per_tap_steps"]
         except (OSError, ArtifactError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         plan_info = manifest["plan"]
         tensors = manifest["tensors"]
-        # Per-tap steps straight off the encoded step docs.  An ``i8``
-        # block may be encoded as a __ref__ to a dict first met elsewhere
-        # in the manifest, so index every __obj__ before reading.
-        objects = {}
-
-        def index(doc):
-            if isinstance(doc, dict):
-                if "__obj__" in doc:
-                    objects[doc["__obj__"]] = doc["v"]
-                for item in doc.values():
-                    index(item)
-            elif isinstance(doc, list):
-                for item in doc:
-                    index(item)
-
-        index(manifest["steps"])
-        per_tap = []
-        for i, step_doc in enumerate(manifest["steps"]):
-            i8 = ((step_doc.get("attrs") or {}).get("v") or {}).get("i8") or {}
-            i8 = objects.get(i8.get("__ref__"), i8.get("v") or {})
-            if i8.get("per_tap"):
-                per_tap.append(i)
         summary = {
             "path": args.inspect,
             "format_version": manifest["format"]["version"],
@@ -741,7 +722,7 @@ def run_compile(args) -> int:
             "input_shape": plan_info["input_shape"],
             "tensors": len(tensors),
             "tensor_bytes": sum(t["nbytes"] for t in tensors),
-            "per_tap_steps": per_tap,
+            "per_tap_steps": per_tap_steps,
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

@@ -10,6 +10,8 @@ The serving stack, bottom to top:
   queue backpressure;
 * :mod:`repro.serve.metrics` — throughput, latency percentiles and
   batch-size histograms behind ``/metrics``;
+* :mod:`repro.serve.http` — the HTTP/1.1 wire format: request framing,
+  typed framing errors and the one response writer;
 * :mod:`repro.serve.server` — the asyncio HTTP frontend (``/predict``,
   ``/models``, ``/healthz``, ``/metrics``), stdlib only;
 * :mod:`repro.serve.workers` / :mod:`repro.serve.router` — multi-process

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 #: Priority class name -> level.  Lower level = more important = shed last.
@@ -90,11 +90,7 @@ class AdmissionPolicy:
                 raise ValueError(f"watermark for unknown priority {name!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "tenant_rate": self.tenant_rate,
-            "tenant_burst": self.tenant_burst,
-            "shed_watermarks": dict(self.shed_watermarks),
-        }
+        return asdict(self)
 
 
 class TokenBucket:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 
@@ -78,18 +78,7 @@ class AutoscalePolicy:
             raise ValueError("down_stable_ticks must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "up_queue_fill": self.up_queue_fill,
-            "down_queue_fill": self.down_queue_fill,
-            "up_cooldown_s": self.up_cooldown_s,
-            "down_cooldown_s": self.down_cooldown_s,
-            "down_stable_ticks": self.down_stable_ticks,
-            "flap_window": self.flap_window,
-            "flap_reversals": self.flap_reversals,
-            "flap_freeze_s": self.flap_freeze_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

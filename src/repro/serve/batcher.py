@@ -45,7 +45,7 @@ import inspect
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -95,12 +95,7 @@ class BatchPolicy:
             raise ValueError("max_queue must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "max_queue": self.max_queue,
-            "default_deadline_ms": self.default_deadline_ms,
-        }
+        return asdict(self)
 
 
 @dataclass

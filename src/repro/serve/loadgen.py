@@ -54,6 +54,38 @@ def _model_metrics(client: ServeClient, model: str) -> dict:
     return client.metrics()["models"].get(model, {})
 
 
+def _wire_payloads(samples, encoding: str) -> Tuple[list, dict]:
+    """Every sample pre-encoded for the wire, plus the body's encoding
+    field (absent for JSON)."""
+    samples = np.asarray(samples, dtype=np.float32)
+    payloads = [ServeClient.encode_sample(x, encoding) for x in samples]
+    return payloads, ({} if encoding == "json" else {"encoding": encoding})
+
+
+def _save_artifact(spec: ModelSpec, plan, path: str) -> None:
+    from repro.engine.artifact import save_plan
+
+    save_plan(
+        plan, path, input_shape=(1,) + spec.sample_shape,
+        extra={"model": spec.name, "seed": spec.seed},
+    )
+
+
+def _send_predict(client: ServeClient, payload: dict, request_id: str):
+    """POST one ``/predict``; the outcome is 200, the typed HTTP status,
+    or ``"transport"`` (timeout / reset / refused — the client reconnects
+    on its next request, so a load run accounts for every request)."""
+    try:
+        client.request(
+            "POST", "/predict", payload, headers={"X-Request-Id": request_id}
+        )
+        return 200
+    except ServeError as exc:
+        return exc.status
+    except Exception:  # noqa: BLE001 — any transport failure is counted
+        return "transport"
+
+
 def _best_of_trials(
     base_url: str, model: str, samples, concurrency: int,
     total_requests: int, trials: int,
@@ -110,12 +142,7 @@ def run_load(
     """
     if concurrency < 1 or total_requests < 1:
         raise ValueError("concurrency and total_requests must be >= 1")
-    samples = np.asarray(samples, dtype=np.float32)
-    payloads = [
-        ServeClient.encode_sample(samples[i], encoding)
-        for i in range(samples.shape[0])
-    ]
-    extra = {} if encoding == "json" else {"encoding": encoding}
+    payloads, extra = _wire_payloads(samples, encoding)
 
     with ServeClient(base_url, timeout=timeout) as probe:
         for i in range(warmup_requests):
@@ -154,23 +181,10 @@ def run_load(
                     payload["deadline_ms"] = deadline_ms
                 rid = f"lg-{uuid.uuid4().hex[:12]}"
                 start = time.perf_counter()
-                try:
-                    client.request(
-                        "POST", "/predict", payload,
-                        headers={"X-Request-Id": rid},
-                    )
-                except ServeError as exc:
+                status = _send_predict(client, payload, rid)
+                if status != 200:
                     with counts_lock:
-                        status_counts[exc.status] = status_counts.get(exc.status, 0) + 1
-                    continue
-                except Exception:  # noqa: BLE001 — timeout / reset / refused:
-                    # count it and keep the worker alive (the client
-                    # reconnects on the next request) so the run's stats
-                    # cover every request instead of silently truncating.
-                    with counts_lock:
-                        status_counts["transport"] = (
-                            status_counts.get("transport", 0) + 1
-                        )
+                        status_counts[status] = status_counts.get(status, 0) + 1
                     continue
                 latency_ms = (time.perf_counter() - start) * 1e3
                 latencies[index].append(latency_ms)
@@ -299,12 +313,7 @@ def run_open_loop(
         k=len(arrivals),
     )
 
-    samples = np.asarray(samples, dtype=np.float32)
-    payloads = [
-        ServeClient.encode_sample(samples[i], encoding)
-        for i in range(samples.shape[0])
-    ]
-    extra = {} if encoding == "json" else {"encoding": encoding}
+    payloads, extra = _wire_payloads(samples, encoding)
 
     jobs: "queue.Queue" = queue.Queue()
     records: List[Tuple[int, object, float, str]] = []  # (class, status, ms, rid)
@@ -334,16 +343,7 @@ def run_open_loop(
                     payload["tenant"] = cls["tenant"]
                 rid = f"ol-{index:06d}-{uuid.uuid4().hex[:8]}"
                 t0 = time.perf_counter()
-                try:
-                    client.request(
-                        "POST", "/predict", payload,
-                        headers={"X-Request-Id": rid},
-                    )
-                    status: object = 200
-                except ServeError as exc:
-                    status = exc.status
-                except Exception:  # noqa: BLE001 — reset / timeout / refused
-                    status = "transport"
+                status = _send_predict(client, payload, rid)
                 latency_ms = (time.perf_counter() - t0) * 1e3
                 with records_lock:
                     records.append((cls_index, status, latency_ms, rid))
@@ -430,6 +430,30 @@ def _executed_request_ids(base_url: str, timeout: float = 30.0) -> set:
     return executed
 
 
+def _overload_classes(tight_deadline_ms: float) -> List[dict]:
+    """The overload drills' traffic mix: 25 % ``interactive`` on a tight
+    deadline, 75 % ``batch`` on the server default deadline."""
+    return [
+        {"name": "tight", "priority": "interactive",
+         "deadline_ms": tight_deadline_ms, "weight": 0.25},
+        {"name": "loose", "priority": "batch", "weight": 0.75},
+    ]
+
+
+def _open_loop_leg(base_url: str, model: str, samples: np.ndarray, **kwargs) -> dict:
+    """:func:`run_open_loop` plus the overload honesty join: the run's
+    stats with ``request_ids`` replaced by ``expired_executed``, the
+    number of 504'd request ids that still appear in an executed batch
+    span (must be 0).  The server must trace at rate 1.0."""
+    stats = run_open_loop(
+        base_url, model, samples, collect_request_ids=True, **kwargs
+    )
+    executed = _executed_request_ids(base_url)
+    expired = set(stats.pop("request_ids").get("504", []))
+    stats["expired_executed"] = len(expired & executed)
+    return stats
+
+
 def measure_overload_goodput(
     model_name: str,
     workers: int = 0,
@@ -478,25 +502,13 @@ def measure_overload_goodput(
         capacity_rps = capacity["throughput_rps"]
         tight_deadline_ms = max(30.0, 5.0 * capacity.get("p50_ms", 6.0))
         offered_rps = 2.0 * capacity_rps
-        classes = [
-            {
-                "name": "tight",
-                "priority": "interactive",
-                "deadline_ms": tight_deadline_ms,
-                "weight": 0.25,
-            },
-            {"name": "loose", "priority": "batch", "weight": 0.75},
-        ]
-        open_stats = run_open_loop(
+        classes = _overload_classes(tight_deadline_ms)
+        open_stats = _open_loop_leg(
             handle.base_url, served.name, samples,
             rate_rps=offered_rps, duration_s=duration_s,
-            classes=classes, seed=seed, collect_request_ids=True,
-            client_threads=48,
+            classes=classes, seed=seed, client_threads=48,
         )
-        executed = _executed_request_ids(handle.base_url)
 
-    rids = open_stats.pop("request_ids")
-    expired_rids = set(rids.get("504", []))
     tight = open_stats["classes"]["tight"]
     entry = {
         "model": served.name,
@@ -511,7 +523,7 @@ def measure_overload_goodput(
         "goodput_ratio": open_stats["goodput_ratio"],
         "sheds_429": open_stats["by_status"].get("429", 0),
         "expired_504": open_stats["by_status"].get("504", 0),
-        "expired_executed": len(expired_rids & executed),
+        "expired_executed": open_stats["expired_executed"],
         "unaccounted": open_stats["unaccounted"],
         "tight": {
             "deadline_ms": tight_deadline_ms,
@@ -635,9 +647,8 @@ def measure_artifact_cold_start(
     import os
     import shutil
     import tempfile
-    import urllib.request
 
-    from repro.engine.artifact import load_plan, save_plan
+    from repro.engine.artifact import load_plan
     from repro.engine.cache import PlanCache
     from repro.serve.registry import compile_served
 
@@ -654,10 +665,7 @@ def measure_artifact_cold_start(
             t0 = time.perf_counter()
             served = compile_served(spec, cache=PlanCache())
             compile_ms = min(compile_ms, (time.perf_counter() - t0) * 1e3)
-        save_plan(
-            served.plan, path, input_shape=(1,) + spec.sample_shape,
-            extra={"model": spec.name, "seed": spec.seed},
-        )
+        _save_artifact(spec, served.plan, path)
         load_ms = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
@@ -702,13 +710,10 @@ def measure_artifact_cold_start(
             for thread in hammers:
                 thread.start()
             time.sleep(0.4)
-            body = json.dumps({"artifact": path2, "watch_s": 0.3}).encode()
-            request = urllib.request.Request(
-                handle.base_url + "/models", data=body, method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request) as resp:
-                deploy = json.loads(resp.read())
+            with ServeClient(handle.base_url, timeout=120.0) as client:
+                deploy = client.request(
+                    "POST", "/models", {"artifact": path2, "watch_s": 0.3}
+                )
             time.sleep(0.6)  # traffic through the watch window
         finally:
             stop.set()
@@ -827,7 +832,6 @@ def _crash_recovery_drill(
     server's predictions are bit-identical to the pre-kill ones.
     """
     import signal
-    import urllib.request
 
     flags = [
         "--model", artifact_v1,
@@ -840,14 +844,10 @@ def _crash_recovery_drill(
     ]
     proc, url = _spawn_serve_cli(flags)
     try:
-        body = json.dumps({"artifact": artifact_v2, "watch_s": 0.2}).encode()
-        request = urllib.request.Request(
-            url + "/models", data=body, method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request) as resp:
-            deploy = json.loads(resp.read())
-        with ServeClient(url) as client:
+        with ServeClient(url, timeout=120.0) as client:
+            deploy = client.request(
+                "POST", "/models", {"artifact": artifact_v2, "watch_s": 0.2}
+            )
             before = {
                 info["name"]: info["version"]
                 for info in client.models()["models"]
@@ -931,7 +931,6 @@ def measure_selfheal_goodput(
     import shutil
     import tempfile
 
-    from repro.engine.artifact import save_plan
     from repro.engine.cache import PlanCache
     from repro.serve.autoscale import AutoscalePolicy
     from repro.serve.registry import compile_served
@@ -953,17 +952,11 @@ def measure_selfheal_goodput(
         # a distinct content hash the journal must bring back exactly.
         served = compile_served(spec, cache=PlanCache())
         artifact_v1 = os.path.join(tmpdir, spec.name + ".rpln")
-        save_plan(
-            served.plan, artifact_v1, input_shape=(1,) + spec.sample_shape,
-            extra={"model": spec.name, "seed": spec.seed},
-        )
+        _save_artifact(spec, served.plan, artifact_v1)
         respec = dataclasses.replace(spec, seed=spec.seed + 1)
         served2 = compile_served(respec, cache=PlanCache())
         artifact_v2 = os.path.join(tmpdir, spec.name + ".v2.rpln")
-        save_plan(
-            served2.plan, artifact_v2, input_shape=(1,) + spec.sample_shape,
-            extra={"model": spec.name, "seed": respec.seed},
-        )
+        _save_artifact(respec, served2.plan, artifact_v2)
 
         # -- step 1: static-topology capacity, no chaos -------------------
         registry = ModelRegistry(lazy=True)
@@ -994,15 +987,7 @@ def measure_selfheal_goodput(
             default_deadline_ms=1500,
         )
         tight_deadline_ms = max(50.0, 5.0 * capacity.get("p50_ms", 6.0))
-        classes = [
-            {
-                "name": "tight",
-                "priority": "interactive",
-                "deadline_ms": tight_deadline_ms,
-                "weight": 0.25,
-            },
-            {"name": "loose", "priority": "batch", "weight": 0.75},
-        ]
+        classes = _overload_classes(tight_deadline_ms)
 
         def run_leg(selfheal=None, state_dir=None) -> Tuple[dict, Optional[dict]]:
             reg = ModelRegistry(lazy=True)
@@ -1016,26 +1001,22 @@ def measure_selfheal_goodput(
                 worker_replicas=1, trace_rate=1.0, chaos=chaos_spec,
                 selfheal=selfheal, state_dir=state_dir,
             ) as handle:
-                stats = run_open_loop(
+                stats = _open_loop_leg(
                     handle.base_url, spec.name, samples,
                     rate_rps=offered_rps, duration_s=duration_s,
-                    classes=classes, seed=seed, collect_request_ids=True,
-                    client_threads=160,
+                    classes=classes, seed=seed, client_threads=160,
                 )
-                executed = _executed_request_ids(handle.base_url)
                 heal_info = None
                 if selfheal is not None:
                     with ServeClient(handle.base_url) as client:
                         heal_info = client.metrics().get("selfheal")
-            rids = stats.pop("request_ids")
-            expired_rids = set(rids.get("504", []))
             leg = {
                 "sent": stats["sent"],
                 "goodput_rps": stats["goodput_rps"],
                 "goodput_ratio": stats["goodput_ratio"],
                 "by_status": stats["by_status"],
                 "unaccounted": stats["unaccounted"],
-                "expired_executed": len(expired_rids & executed),
+                "expired_executed": stats["expired_executed"],
             }
             return leg, heal_info
 

@@ -28,6 +28,13 @@ STEP_BUCKETS_MS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
 #: to a dropped series, not an unbounded /metrics page).
 MAX_STEP_SERIES = 512
 
+#: ``ModelMetrics`` lifetime counters, in JSON and exposition order.
+COUNTERS = (
+    "requests_total", "responses_total", "rejected_total", "shed_total",
+    "deadline_exceeded_total", "errors_total", "batches_total",
+    "batched_samples_total",
+)
+
 
 class LatencyWindow:
     """Ring buffer of the last ``capacity`` latency observations (ms)."""
@@ -182,18 +189,9 @@ class ModelMetrics:
 
     def snapshot(self) -> dict:
         with self._lock:
-            counters = {
-                "requests_total": self.requests_total,
-                "responses_total": self.responses_total,
-                "rejected_total": self.rejected_total,
-                "shed_total": self.shed_total,
-                "deadline_exceeded_total": self.deadline_exceeded_total,
-                "errors_total": self.errors_total,
-                "batches_total": self.batches_total,
-                "batched_samples_total": self.batched_samples_total,
-                "batch_size_hist": {
-                    str(k): v for k, v in sorted(self.batch_size_hist.items())
-                },
+            counters = {name: getattr(self, name) for name in COUNTERS}
+            counters["batch_size_hist"] = {
+                str(k): v for k, v in sorted(self.batch_size_hist.items())
             }
         counters["mean_batch_size"] = (
             counters["batched_samples_total"] / counters["batches_total"]
@@ -219,16 +217,7 @@ class ModelMetrics:
         of the JSON snapshot, which stays window-based summaries."""
         with self._lock:
             return {
-                "counters": {
-                    "requests_total": self.requests_total,
-                    "responses_total": self.responses_total,
-                    "rejected_total": self.rejected_total,
-                    "shed_total": self.shed_total,
-                    "deadline_exceeded_total": self.deadline_exceeded_total,
-                    "errors_total": self.errors_total,
-                    "batches_total": self.batches_total,
-                    "batched_samples_total": self.batched_samples_total,
-                },
+                "counters": {name: getattr(self, name) for name in COUNTERS},
                 "latency_buckets": list(self.latency_bucket_counts),
                 "latency_sum_ms": self.latency_sum_ms,
                 "latency_count": self.latency_count,

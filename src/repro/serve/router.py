@@ -44,7 +44,7 @@ import multiprocessing
 import threading
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,22 +241,23 @@ class _WorkerHandle:
             self._slot_cv.notify()
 
     # -- requests -----------------------------------------------------------
-    def _post(self, message: tuple, waiter: _Waiter, req_id: int) -> None:
+    def _post(self, kind: str, *args) -> Tuple[int, _Waiter]:
+        """Send ``(kind, req_id, *args)`` under a fresh request id and
+        register the waiter its reply will wake."""
+        waiter = _Waiter()
         with self._state_lock:
             if self._dead:
                 raise WorkerDied(f"worker {self.worker_id} is down")
+            self._req_counter += 1
+            req_id = self._req_counter
             self._pending[req_id] = waiter
         try:
             with self._send_lock:
-                self.conn.send(message)
+                self.conn.send((kind, req_id, *args))
         except (BrokenPipeError, OSError):
             self._mark_dead()
             raise WorkerDied(f"worker {self.worker_id} pipe closed") from None
-
-    def _next_req_id(self) -> int:
-        with self._state_lock:
-            self._req_counter += 1
-            return self._req_counter
+        return req_id, waiter
 
     def run(
         self,
@@ -295,12 +296,8 @@ class _WorkerHandle:
                            "inline": inline is not None},
                     parent_id=rt_id, proc="frontend",
                 )
-            req_id = self._next_req_id()
-            waiter = _Waiter()
-            self._post(
-                ("run", req_id, model, slot, x.shape, threads, inline,
-                 traced),
-                waiter, req_id,
+            req_id, waiter = self._post(
+                "run", model, slot, x.shape, threads, inline, traced
             )
             if not waiter.event.wait(self.reply_timeout):
                 # The worker accepted the batch and went silent — hung
@@ -330,11 +327,9 @@ class _WorkerHandle:
                     f"{self.reply_timeout:g}s, presumed wedged (killed)"
                 )
             if waiter.kind == "ok":
-                payload = waiter.payload
-                # Pre-checksum workers (old artifact mid-upgrade) send a
-                # 5-tuple; treat the missing crc as "don't verify".
-                crc = payload[5] if len(payload) > 5 else None
-                out_slot, out_shape, run_ms, out_inline, spans = payload[:5]
+                out_slot, out_shape, run_ms, out_inline, spans, crc = (
+                    waiter.payload
+                )
                 t_read = now_ns() if traced else 0
                 if out_inline is not None:
                     out = np.frombuffer(
@@ -345,7 +340,7 @@ class _WorkerHandle:
                     out = slot_view(
                         self.shm, out_slot, self.slot_bytes, out_shape
                     ).copy()
-                if crc is not None and zlib.crc32(out.tobytes()) != crc:
+                if zlib.crc32(out.tobytes()) != crc:
                     raise TransportCorrupt(
                         f"worker {self.worker_id}: response checksum "
                         f"mismatch for {model!r} batch {tuple(out_shape)}"
@@ -394,9 +389,7 @@ class _WorkerHandle:
         :class:`WorkerError` when the worker rejected the artifact and
         :class:`WorkerDied` on a lost worker.
         """
-        req_id = self._next_req_id()
-        waiter = _Waiter()
-        self._post(("load", req_id, key, artifact), waiter, req_id)
+        req_id, waiter = self._post("load", key, artifact)
         if not waiter.event.wait(timeout):
             with self._state_lock:
                 self._pending.pop(req_id, None)
@@ -416,10 +409,7 @@ class _WorkerHandle:
 
     def unload_model(self, key: str, timeout: float = 10.0) -> None:
         """Drop a drained plan key on this worker (best effort)."""
-        req_id = self._next_req_id()
-        waiter = _Waiter()
-        self._post(("unload", req_id, key), waiter, req_id)
-        waiter.event.wait(timeout)
+        self._post("unload", key)[1].event.wait(timeout)
         if key in self.spec_names:
             self.spec_names.remove(key)
 
@@ -442,9 +432,7 @@ class _WorkerHandle:
             if waiter.kind == "pong":
                 (self.last_stats,) = waiter.payload
             self._hang_probe = None
-        req_id = self._next_req_id()
-        waiter = _Waiter()
-        self._post(("ping", req_id), waiter, req_id)
+        waiter = self._post("ping")[1]
         self._hang_probe = (waiter, time.monotonic())
         return 0.0
 
@@ -452,9 +440,7 @@ class _WorkerHandle:
         """Round-trip a stats snapshot (None on timeout)."""
         if not self.alive():
             raise WorkerDied(f"worker {self.worker_id} is down")
-        req_id = self._next_req_id()
-        waiter = _Waiter()
-        self._post(("ping", req_id), waiter, req_id)
+        req_id, waiter = self._post("ping")
         if not waiter.event.wait(timeout):
             with self._state_lock:
                 self._pending.pop(req_id, None)

@@ -298,6 +298,26 @@ JOURNAL_NAME = "journal.log"
 _JOURNAL_HEADER = "REPRO-JOURNAL v1"
 
 
+def _encode_record(record: dict) -> str:
+    payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x} {payload}\n"
+
+
+def _decode_record(line: bytes) -> Optional[dict]:
+    """One journal line → its record; ``None`` when the framing, the CRC
+    or the JSON object is bad."""
+    crc, sep, payload = line.partition(b" ")
+    if not sep or len(crc) != 8:
+        return None
+    try:
+        if int(crc, 16) != zlib.crc32(payload) & 0xFFFFFFFF:
+            return None
+        record = json.loads(payload.decode("utf-8"))
+    except ValueError:  # bad hex, UTF-8 or JSON
+        return None
+    return record if isinstance(record, dict) else None
+
+
 class StateJournal:
     """Append-only, checksummed, fsync'd control-plane journal.
 
@@ -346,10 +366,7 @@ class StateJournal:
             os.fsync(self._fh.fileno())
 
     def append(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        fh = self._ensure_open()
-        fh.write(f"{crc:08x} {payload}\n")
+        self._ensure_open().write(_encode_record(record))
         self._flush()
         self.appends_total += 1
 
@@ -374,34 +391,16 @@ class StateJournal:
         with open(self.path, "rb") as fh:
             raw = fh.read()
         lines = raw.split(b"\n")
+        if lines[0].decode("utf-8", "replace").strip() != _JOURNAL_HEADER:
+            self.torn_records += 1
+            return []
         # A file not ending in \n has a torn final line; split() leaves
         # it as the last element (complete files leave b"" there).
-        for index, line in enumerate(lines):
-            if index == 0:
-                if line.decode("utf-8", "replace").strip() != _JOURNAL_HEADER:
-                    self.torn_records += 1
-                    return []
-                continue
+        for line in lines[1:]:
             if line == b"":
                 continue
-            parts = line.split(b" ", 1)
-            if len(parts) != 2 or len(parts[0]) != 8:
-                self.torn_records += 1
-                break
-            try:
-                expected = int(parts[0], 16)
-            except ValueError:
-                self.torn_records += 1
-                break
-            if zlib.crc32(parts[1]) & 0xFFFFFFFF != expected:
-                self.torn_records += 1
-                break
-            try:
-                record = json.loads(parts[1].decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self.torn_records += 1
-                break
-            if not isinstance(record, dict):
+            record = _decode_record(line)
+            if record is None:
                 self.torn_records += 1
                 break
             records.append(record)
@@ -413,12 +412,7 @@ class StateJournal:
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(_JOURNAL_HEADER + "\n")
-            for record in records:
-                payload = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                )
-                crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-                fh.write(f"{crc:08x} {payload}\n")
+            fh.writelines(_encode_record(record) for record in records)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)

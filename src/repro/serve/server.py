@@ -1,9 +1,10 @@
 """Asyncio HTTP/1.1 inference server over compiled Winograd plans.
 
-Stdlib only (``asyncio`` + ``json``): a hand-rolled HTTP/1.1 handler with
-keep-alive, four routes, one :class:`~repro.serve.batcher.DynamicBatcher`
-per served model, and one shared worker :class:`ThreadPoolExecutor` that
-runs plan execution off the event loop.
+Stdlib only (``asyncio`` + ``json``): keep-alive connections framed by
+:mod:`repro.serve.http`, the routes below, one
+:class:`~repro.serve.batcher.DynamicBatcher` per served model, and one
+shared worker :class:`ThreadPoolExecutor` that runs plan execution off
+the event loop.
 
 Routes::
 
@@ -26,6 +27,9 @@ into end-to-end traces at ``trace_rate``.
 Failure mapping: bad request → 400, unknown model/route → 404, queue
 saturated → 429 (with ``Retry-After``), non-finite output on the JSON
 encoding → 422, kernel failure → 500, deadline expired in queue → 504.
+Framing faults close the connection: body over 32 MiB → 413, request
+line over 64 KiB → 414, header block over 64 KiB → 431,
+``Transfer-Encoding`` → 501 (see :mod:`repro.serve.http`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import json
 import os
 import threading
 import urllib.parse
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
@@ -60,6 +63,14 @@ from repro.serve.batcher import (
     ExecutionFailed,
     QueueSaturated,
 )
+from repro.serve.http import (
+    HttpError,
+    RawResponse,
+    Request,
+    linger,
+    read_request,
+    write_response,
+)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.prom import PROM_CONTENT_TYPE, render_prometheus, wants_prometheus
 from repro.serve.autoscale import ModelSignals
@@ -73,54 +84,32 @@ from repro.serve.selfheal import (
     validate_topology,
 )
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-#: Upper bound on accepted request bodies (a 3×32×32 sample serialises to
-#: ~100 kB of JSON; 32 MiB leaves room for large multi-sample requests).
-MAX_BODY_BYTES = 32 * 1024 * 1024
-
-
-class _HttpError(Exception):
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        retry_after: Optional[float] = None,
-        reason: Optional[str] = None,
-    ):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.retry_after = retry_after
-        #: Machine-readable refusal class (e.g. ``"circuit_open"``,
-        #: ``"draining"``) — clients branch on this, not on prose.
-        self.reason = reason
-
-
-class _RawResponse:
-    """A non-JSON route result (e.g. the Prometheus exposition)."""
-
-    __slots__ = ("body", "content_type")
-
-    def __init__(self, body: bytes, content_type: str):
-        self.body = body
-        self.content_type = content_type
-
-
 def default_executor_threads() -> int:
     return max(2, min(8, os.cpu_count() or 2))
+
+
+#: Batcher failure → (status, Retry-After) of the client's refusal.
+_BATCH_REFUSALS = {
+    QueueSaturated: (429, 0.05),
+    DeadlineExceeded: (504, None),
+    ExecutionFailed: (500, None),
+}
+
+
+def _result_meta(result) -> dict:
+    return {"batch_size": result.batch_size, "queue_ms": result.queue_ms,
+            "run_ms": result.run_ms}
+
+
+def _parse_json_object(body: bytes) -> dict:
+    """A request body as a JSON object (an empty body reads as ``{}``)."""
+    try:
+        doc = json.loads(body.decode() or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HttpError(400, f"invalid JSON body: {exc}")
+    if not isinstance(doc, dict):
+        raise HttpError(400, "body must be a JSON object")
+    return doc
 
 
 class InferenceServer:
@@ -354,14 +343,11 @@ class InferenceServer:
         self._draining = True
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            outstanding = sum(
-                b.outstanding() for b in self._batchers.values()
-            )
-            if outstanding == 0:
-                return True
+        while sum(b.outstanding() for b in self._batchers.values()):
+            if loop.time() >= deadline:
+                return False
             await asyncio.sleep(0.02)
-        return sum(b.outstanding() for b in self._batchers.values()) == 0
+        return True
 
     @property
     def draining(self) -> bool:
@@ -373,38 +359,43 @@ class InferenceServer:
         async with self._server:
             await self._server.serve_forever()
 
+    def _plan_for(
+        self, name: str, served: ServedModel, route_key: Optional[str] = None
+    ):
+        """What executes ``served``: in process, its compiled plan; in
+        worker mode, a proxy routed on the deployment's ``worker_key``
+        (``name#version`` for blue/green deploys, so two versions run
+        side by side while the old one drains).  ``route_key`` overrides
+        the routing target — the brownout ladder serves ``name``'s
+        traffic through a fallback variant's plans while keeping the
+        model's own metrics stream."""
+        if self._router is not None:
+            from repro.serve.router import WorkerPlanProxy
+
+            key = route_key or served.worker_key or name
+            return WorkerPlanProxy(self._router, key)
+        if served.plan is None:
+            raise HttpError(
+                500,
+                f"model {name!r} was loaded lazily but the server "
+                "runs in-process (workers=0)",
+            )
+        return served.plan
+
     async def _new_batcher(
         self,
         name: str,
         served: ServedModel,
         route_key: Optional[str] = None,
     ) -> DynamicBatcher:
-        """Build + start a batcher for one deployment of ``name``.
-
-        In worker mode the batcher's plan proxy routes on the served
-        deployment's ``worker_key`` (``name#version`` for blue/green
-        deploys), so two versions of the same model can execute side by
-        side while the old one drains.  ``route_key`` overrides the
-        routing target entirely — the brownout ladder serves ``name``'s
-        traffic through a fallback variant's plans while keeping the
-        model's own metrics stream.
-        """
+        """Build + start a batcher for one deployment of ``name``
+        (``route_key`` as in :meth:`_plan_for`)."""
+        plan = self._plan_for(name, served, route_key)
         if self._router is not None:
-            from repro.serve.router import WorkerPlanProxy
-
-            key = route_key or served.worker_key or name
-            plan = WorkerPlanProxy(self._router, key)
             # Process workers execute truly in parallel (no GIL), so
             # keep one batch in flight per replica plus one coalescing.
-            max_inflight = self._router.replicas_for(key) + 1
+            max_inflight = self._router.replicas_for(plan.model) + 1
         else:
-            plan = served.plan
-            if plan is None:
-                raise _HttpError(
-                    500,
-                    f"model {name!r} was loaded lazily but the server "
-                    "runs in-process (workers=0)",
-                )
             # Concurrent batches only pay off with real parallelism:
             # on a single-core host one full batch beats two
             # interleaved half-batches (cache + fixed costs) — and
@@ -438,6 +429,23 @@ class InferenceServer:
             self._batchers[name] = batcher
         return batcher
 
+    async def _cut_over(
+        self,
+        name: str,
+        served: ServedModel,
+        route_key: Optional[str] = None,
+        drain_timeout: float = 60.0,
+    ) -> bool:
+        """The one zero-drop swap behind deploys, rollbacks and brownout
+        steps: swap the batcher pointer first (new requests go to
+        ``served``), then drain the old batcher (it answers everything it
+        already accepted).  Returns whether the drain reached zero."""
+        old_batcher = self._batchers.get(name)
+        self._batchers[name] = await self._new_batcher(name, served, route_key)
+        if old_batcher is None:
+            return True
+        return await old_batcher.drain_and_stop(timeout=drain_timeout)
+
     # -- self-healing control plane -----------------------------------------
     def _journal_append(self, record: dict) -> None:
         if self._journal is None:
@@ -453,11 +461,9 @@ class InferenceServer:
         """The worker-pool key currently serving ``name``'s traffic: its
         active ladder variant's deployment, or its own."""
         target = self._active_variant.get(name, name)
-        try:
-            served = self.registry.get(target)
-        except KeyError:
+        if target not in self.registry:
             return target
-        return served.worker_key or target
+        return self.registry.get(target).worker_key or target
 
     def _apply_journal_preboot(self) -> JournalState:
         """Replay the journal before the worker pool forks.
@@ -479,23 +485,16 @@ class InferenceServer:
         for model, deploy in sorted(state.deploys.items()):
             artifact = deploy.get("artifact")
             version = deploy.get("version")
-            try:
-                active = self.registry.get(model)
-            except KeyError:
-                active = None
+            active = self.registry.get(model) if model in self.registry else None
             if active is not None and active.version == version:
                 # The boot flags already loaded this exact deployment;
                 # re-installing would re-version it (install() refuses
                 # version collisions) and break content-hash recovery.
                 restored.append(model)
                 continue
-            if not artifact or not os.path.exists(artifact):
-                skipped.append(model)
-                state.deploys.pop(model, None)
-                continue
             try:
                 served = load_artifact_served(artifact, lazy=self.workers > 0)
-            except Exception:
+            except Exception:  # vanished, unreadable or unnamed artifact
                 skipped.append(model)
                 state.deploys.pop(model, None)
                 continue
@@ -534,7 +533,7 @@ class InferenceServer:
                 await self._activate_variant(
                     model, position, reason="journal replay", journal=False
                 )
-            except (KeyError, _HttpError):
+            except (KeyError, HttpError):
                 continue
             applied.ladders[model] = {
                 "position": ladder.position,
@@ -546,7 +545,7 @@ class InferenceServer:
                     await self.set_model_replicas(
                         model, count, reason="journal replay", journal=False
                     )
-                except (KeyError, _HttpError):
+                except (KeyError, HttpError):
                     continue
                 applied.replicas[model] = self._router.replicas_for(
                     self._route_key_for(model)
@@ -570,14 +569,13 @@ class InferenceServer:
         already dispatched to a retired replica still complete.
         """
         if self._router is None:
-            raise _HttpError(
+            raise HttpError(
                 409, "replica scaling requires worker mode (--workers N)"
             )
         route_key = self._route_key_for(name)
         before = self._router.replicas_for(route_key)
-        assigned = await asyncio.get_running_loop().run_in_executor(
-            self._executor,
-            lambda: self._router.set_replicas(route_key, count),
+        assigned = await self._off_loop(
+            self._router.set_replicas, route_key, count
         )
         after = self._router.replicas_for(route_key)
         batcher = self._batchers.get(name)
@@ -612,21 +610,17 @@ class InferenceServer:
         same atomic batcher swap as a blue/green cutover, so no accepted
         request is dropped while quality steps down (or back up)."""
         if self._selfheal is None:
-            raise _HttpError(409, "no self-heal policy configured")
+            raise HttpError(409, "no self-heal policy configured")
         ladder = self._selfheal.ladder(name)
         if ladder is None:
-            raise _HttpError(409, f"model {name!r} has no brownout ladder")
+            raise HttpError(409, f"model {name!r} has no brownout ladder")
         ladder.set_position(position)
         variant = ladder.variant
         vserved = self.registry.get(variant)  # presence validated at boot
         prev_variant = self._active_variant.get(name, name)
-        old_batcher = self._batchers.get(name)
-        self._batchers[name] = await self._new_batcher(
+        drained = await self._cut_over(
             name, vserved, route_key=vserved.worker_key or variant
         )
-        drained = True
-        if old_batcher is not None:
-            drained = await old_batcher.drain_and_stop()
         if variant == name:
             self._active_variant.pop(name, None)
         else:
@@ -698,7 +692,7 @@ class InferenceServer:
                             action.model, action.value, reason=action.reason
                         )
                     )
-            except _HttpError:
+            except HttpError:
                 continue
         return applied
 
@@ -713,9 +707,7 @@ class InferenceServer:
                 continue
             try:
                 await self._selfheal_tick()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
+            except Exception:  # CancelledError is not an Exception
                 continue
 
     async def _probe_circuit(self, name: str) -> None:
@@ -728,20 +720,21 @@ class InferenceServer:
         breaker.begin_probe()
         target = self._active_variant.get(name, name)
         try:
-            served = self.registry.get(target)
-            await self._probe_served(target, served)
+            await self._probe_served(target, self.registry.get(target))
+            ok = True
         except Exception:
-            breaker.probe_result(False)
-            self._record_event(
-                {"action": "circuit_probe", "model": name, "ok": False}
-            )
-            return
-        breaker.probe_result(True)
-        self._record_event(
-            {"action": "circuit_probe", "model": name, "ok": True}
-        )
+            ok = False
+        breaker.probe_result(ok)
+        self._record_event({"action": "circuit_probe", "model": name, "ok": ok})
 
     # -- blue/green deploys -------------------------------------------------
+    async def _off_loop(self, fn, *args):
+        """Run a blocking call (a worker round trip, a plan run) on the
+        dispatch pool instead of the event loop."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
+
     def _record_event(self, event: dict) -> None:
         self.deploy_events.append(event)
         del self.deploy_events[:-20]  # keep the last 20
@@ -751,17 +744,10 @@ class InferenceServer:
         any traffic reaches it (dead-on-arrival artifacts fail here, not
         on client requests).  Returns the probe latency in ms."""
         x = np.zeros((1,) + tuple(served.sample_shape), dtype=np.float32)
+        plan = self._plan_for(name, served)
         loop = asyncio.get_running_loop()
         t0 = loop.time()
-        if self._router is not None:
-            key = served.worker_key or name
-            await loop.run_in_executor(
-                self._executor, lambda: self._router.submit(key, x)
-            )
-        else:
-            await loop.run_in_executor(
-                self._executor, lambda: served.plan.run(x)
-            )
+        await self._off_loop(plan.run, x)
         return (loop.time() - t0) * 1e3
 
     async def deploy_served(
@@ -790,22 +776,19 @@ class InferenceServer:
         try:
             if self._router is not None:
                 if not served.artifact:
-                    raise _HttpError(
+                    raise HttpError(
                         400,
                         "worker-mode deploys need a plan artifact "
                         "(repro compile; docs/operations.md "
                         "'Compile-then-deploy')",
                     )
                 served.worker_key = f"{name}#{served.version}"
-                load_times = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    lambda: self._router.load_model(
-                        served.worker_key, served.artifact
-                    ),
+                load_times = await self._off_loop(
+                    self._router.load_model, served.worker_key, served.artifact
                 )
                 load_ms = max(load_times.values()) if load_times else 0.0
             elif served.plan is None:
-                raise _HttpError(
+                raise HttpError(
                     400, f"model {name!r}: in-process deploys need a plan"
                 )
             probe_ms = await self._probe_served(name, served) if probe else None
@@ -815,20 +798,13 @@ class InferenceServer:
                 self.registry.rollback(name)
             else:
                 self.registry.remove(name)
-            if isinstance(exc, _HttpError):
+            if isinstance(exc, HttpError):
                 raise
-            raise _HttpError(
+            raise HttpError(
                 500, f"model {name!r}: deploy rejected at probe: {exc}"
             ) from exc
 
-        # Cutover: swap the batcher pointer first (new requests go to the
-        # new version), then drain the old one (it answers everything it
-        # already accepted) — zero dropped requests by construction.
-        old_batcher = self._batchers.get(name)
-        self._batchers[name] = await self._new_batcher(name, served)
-        drained = True
-        if old_batcher is not None:
-            drained = await old_batcher.drain_and_stop(timeout=drain_timeout)
+        drained = await self._cut_over(name, served, drain_timeout=drain_timeout)
         if (
             self._router is not None
             and evicted is not None
@@ -838,19 +814,15 @@ class InferenceServer:
             # The deployment that just fell out of the one-deep rollback
             # history has no path back into service — retire its worker
             # plans.
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                lambda: self._router.unload_model(evicted.worker_key),
-            )
-        watching = False
-        if watch_s and watch_s > 0 and old is not None:
+            await self._off_loop(self._router.unload_model, evicted.worker_key)
+        watching = bool(watch_s and watch_s > 0 and old is not None)
+        if watching:
             prior = self._watch_tasks.pop(name, None)
             if prior is not None:
                 prior.cancel()
             self._watch_tasks[name] = asyncio.get_running_loop().create_task(
                 self._health_watch(name, served.version, watch_s)
             )
-            watching = True
         event = {
             "action": "deploy",
             "model": name,
@@ -863,28 +835,15 @@ class InferenceServer:
             "watch_s": watch_s if watching else None,
         }
         self._record_event(event)
-        if served.artifact:
-            # Journal only artifact-backed deploys: they are the ones a
-            # restarted process can re-install from disk.
-            self._journal_append(
-                {
-                    "event": "deploy",
-                    "model": name,
-                    "artifact": served.artifact,
-                    "version": served.version,
-                }
-            )
+        self._journal_deployment(served)
         return event
 
     async def rollback_model(self, name: str, reason: str = "requested") -> dict:
         """Swap ``name`` back to its previous deployment (same zero-drop
         cutover as a deploy, in reverse)."""
-        try:
-            previous = self.registry.previous(name)
-        except KeyError:
-            previous = None
+        previous = self.registry.previous(name)
         if previous is None:
-            raise _HttpError(
+            raise HttpError(
                 409, f"model {name!r} has no previous version to roll back to"
             )
         watch = self._watch_tasks.pop(name, None)
@@ -895,11 +854,7 @@ class InferenceServer:
             watch.cancel()
         regressed = self.registry.get(name)
         self.registry.rollback(name)
-        old_batcher = self._batchers.get(name)
-        self._batchers[name] = await self._new_batcher(name, previous)
-        drained = True
-        if old_batcher is not None:
-            drained = await old_batcher.drain_and_stop()
+        drained = await self._cut_over(name, previous)
         event = {
             "action": "rollback",
             "model": name,
@@ -909,20 +864,26 @@ class InferenceServer:
             "drained": drained,
         }
         self._record_event(event)
-        if previous.artifact:
+        self._journal_deployment(previous)
+        return event
+
+    def _journal_deployment(self, served: ServedModel) -> None:
+        """Journal the deployment now serving ``served.name``.  Only
+        artifact-backed deployments are journaled — a restarted process
+        can re-install those from disk; an in-process one (a rollback
+        onto the boot deployment) clears the entry, since the boot
+        flags alone reproduce it."""
+        if served.artifact:
             self._journal_append(
                 {
                     "event": "deploy",
-                    "model": name,
-                    "artifact": previous.artifact,
-                    "version": previous.version,
+                    "model": served.name,
+                    "artifact": served.artifact,
+                    "version": served.version,
                 }
             )
         else:
-            # Rolled back to an in-process (non-artifact) deployment:
-            # boot flags alone reproduce it, so clear the journal entry.
-            self._journal_append({"event": "remove", "model": name})
-        return event
+            self._journal_append({"event": "remove", "model": served.name})
 
     async def _health_watch(
         self, name: str, version: str, watch_s: float
@@ -950,90 +911,48 @@ class InferenceServer:
                         ),
                     )
                     return
-        except asyncio.CancelledError:
-            raise
         finally:
             task = self._watch_tasks.get(name)
             if task is asyncio.current_task():
                 self._watch_tasks.pop(name, None)
 
-    # -- HTTP plumbing ------------------------------------------------------
+    # -- connections ------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        """Keep-alive loop: read → :meth:`_route` → write, one reply path
+        for routes and framing faults alike (``repro.serve.http``)."""
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
+                request = None
+                status, retry_after = 200, None
                 try:
-                    method, target, _version = request_line.decode("latin1").split()
-                except ValueError:
-                    await self._write_json(
-                        writer, 400, {"error": "malformed request line"}, close=True
-                    )
-                    break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
+                    request = await read_request(reader)
+                    if request is None:
                         break
-                    key, _, value = line.decode("latin1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                # Every request gets an id at ingress: the client's
-                # X-Request-Id is respected, otherwise one is minted; it
-                # is echoed on the response and keys trace spans and
-                # latency-bucket exemplars.
-                request_id = headers.get("x-request-id") or f"r-{uuid.uuid4().hex[:16]}"
-                raw_length = headers.get("content-length") or "0"
-                valid = raw_length.isascii() and raw_length.isdigit()
-                if not valid or int(raw_length) > MAX_BODY_BYTES:
-                    # The body's extent is unknown or refused, so the
-                    # stream cannot be resynchronised: reply and close.
-                    status, error = (
-                        (413, f"body exceeds {MAX_BODY_BYTES} bytes") if valid
-                        else (400, f"invalid Content-Length {raw_length!r}")
-                    )
-                    await self._write_json(
-                        writer, status, {"error": error, "status": status},
-                        close=True, extra_headers=[f"X-Request-Id: {request_id}"],
-                    )
-                    break
-                length = int(raw_length)
-                body = await reader.readexactly(length) if length else b""
-                close = headers.get("connection", "").lower() == "close"
-                path, _, query = target.partition("?")
-                try:
-                    status, retry_after = 200, None
-                    payload = await self._route(
-                        method, path, body, headers=headers,
-                        request_id=request_id, query=query,
-                    )
-                except _HttpError as exc:
-                    status, payload, retry_after = (
-                        exc.status,
-                        {"error": exc.message, "status": exc.status},
-                        exc.retry_after,
-                    )
-                    if exc.reason is not None:
-                        payload["reason"] = exc.reason
-                # A draining server closes every connection after its
+                    request_id = request.request_id
+                    payload = await self._route(request)
+                except HttpError as exc:
+                    status, retry_after = exc.status, exc.retry_after
+                    payload = exc.payload()
+                    if request is None:  # framing fault
+                        request_id = exc.request_id
+                # A framing fault leaves the stream unsynchronised, and a
+                # draining server closes every connection after its
                 # in-flight response: clients reconnect, see the refusal,
                 # and back off to another replica.
-                close = close or self._draining
+                close = (
+                    request is None or not request.keep_alive or self._draining
+                )
                 extra = [f"X-Request-Id: {request_id}"]
                 if isinstance(payload, dict) and "served_variant" in payload:
                     extra.append(
                         f"X-Served-Variant: {payload['served_variant']}"
                     )
-                if isinstance(payload, _RawResponse):
-                    await self._write_response(
-                        writer, status, payload.body, payload.content_type,
-                        close=close, retry_after=retry_after, extra_headers=extra,
-                    )
-                else:
-                    await self._write_json(
-                        writer, status, payload, close=close,
-                        retry_after=retry_after, extra_headers=extra,
-                    )
+                await write_response(
+                    writer, status, payload, close=close,
+                    retry_after=retry_after, extra_headers=extra,
+                )
+                if request is None:
+                    await linger(reader, writer)
                 if close:
                     break
         except (
@@ -1057,69 +976,17 @@ class InferenceServer:
             ):
                 pass
 
-    @staticmethod
-    async def _write_response(
-        writer,
-        status: int,
-        body: bytes,
-        content_type: str,
-        close: bool = False,
-        retry_after: Optional[float] = None,
-        extra_headers: Optional[List[str]] = None,
-    ) -> None:
-        headers = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'close' if close else 'keep-alive'}",
-        ]
-        if extra_headers:
-            headers.extend(extra_headers)
-        if retry_after is not None:
-            headers.append(f"Retry-After: {retry_after:g}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode() + body)
-        await writer.drain()
-
-    @classmethod
-    async def _write_json(
-        cls,
-        writer,
-        status: int,
-        payload: dict,
-        close: bool = False,
-        retry_after: Optional[float] = None,
-        extra_headers: Optional[List[str]] = None,
-    ) -> None:
-        await cls._write_response(
-            writer,
-            status,
-            json.dumps(payload).encode(),
-            "application/json",
-            close=close,
-            retry_after=retry_after,
-            extra_headers=extra_headers,
-        )
-
     # -- routing ------------------------------------------------------------
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-        request_id: Optional[str] = None,
-        query: str = "",
-    ):
-        headers = headers or {}
+    async def _route(self, request: Request):
+        method, path = request.method, request.path
         if path == "/predict":
             if method != "POST":
-                raise _HttpError(405, "/predict requires POST")
-            return await self._predict(body, request_id=request_id,
-                                       headers=headers)
+                raise HttpError(405, "/predict requires POST")
+            return await self._predict(request)
         if path == "/models" and method == "POST":
-            return await self._models_post(body)
+            return await self._models_post(request.body)
         if method not in ("GET", "HEAD"):
-            raise _HttpError(405, f"{path} requires GET")
+            raise HttpError(405, f"{path} requires GET")
         if path == "/healthz":
             # Three-state health: "ok", "degraded" (+ machine-readable
             # reasons — still serving, but an operator should look), and
@@ -1162,9 +1029,9 @@ class InferenceServer:
                 "journal_replay": self.journal_replay,
             }
         if path == "/trace":
-            return self._trace_endpoint(query)
+            return self._trace_endpoint(request.query)
         if path == "/metrics":
-            if wants_prometheus(headers.get("accept")):
+            if wants_prometheus(request.headers.get("accept")):
                 worker_info = None
                 if self._router is not None:
                     worker_info = {
@@ -1179,7 +1046,7 @@ class InferenceServer:
                     worker_info=worker_info,
                     selfheal_info=self._selfheal_info(),
                 )
-                return _RawResponse(text.encode("utf-8"), PROM_CONTENT_TYPE)
+                return RawResponse(text.encode("utf-8"), PROM_CONTENT_TYPE)
             snap = self.metrics.snapshot(plan_cache_stats=self.cache.stats())
             snap["policy"] = self.policy.to_dict()
             snap["workers"] = self.workers
@@ -1201,12 +1068,9 @@ class InferenceServer:
                 # owns its cache — the front-end one above stays cold in
                 # worker mode).  The stats ping blocks on worker round
                 # trips, so it runs off the event loop.
-                snap["worker_pool"] = await asyncio.get_running_loop(
-                ).run_in_executor(
-                    self._executor, lambda: self._router.stats(refresh=True)
-                )
+                snap["worker_pool"] = await self._off_loop(self._router.stats)
             return snap
-        raise _HttpError(404, f"no route {path!r}")
+        raise HttpError(404, f"no route {path!r}")
 
     def _selfheal_info(self) -> Optional[dict]:
         """The controller snapshot plus live replica counts and the
@@ -1251,7 +1115,7 @@ class InferenceServer:
                 "trace_rate": self.trace_rate,
             }
         if fmt != "chrome":
-            raise _HttpError(400, f"unknown format {fmt!r} (chrome or spans)")
+            raise HttpError(400, f"unknown format {fmt!r} (chrome or spans)")
         return to_chrome_trace(spans, default_proc="frontend")
 
     def _sample_trace(self) -> bool:
@@ -1274,30 +1138,25 @@ class InferenceServer:
 
         See docs/operations.md 'Blue/green deploys and rollback'.
         """
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}")
-        if not isinstance(request, dict):
-            raise _HttpError(400, "body must be a JSON object")
+        request = _parse_json_object(body)
         action = request.get("action", "deploy")
         if action == "rollback":
             name = request.get("model")
             if not name:
-                raise _HttpError(400, "rollback requires 'model'")
+                raise HttpError(400, "rollback requires 'model'")
             if name not in self.registry:
-                raise _HttpError(404, f"unknown model {name!r}")
+                raise HttpError(404, f"unknown model {name!r}")
             return await self.rollback_model(name)
         if action != "deploy":
-            raise _HttpError(
+            raise HttpError(
                 400, f"unknown action {action!r} (deploy or rollback)"
             )
         artifact = request.get("artifact")
         if not artifact or not isinstance(artifact, str):
-            raise _HttpError(400, "deploy requires an 'artifact' path")
+            raise HttpError(400, "deploy requires an 'artifact' path")
         watch_s = request.get("watch_s", 0.0)
         if not isinstance(watch_s, (int, float)) or watch_s < 0:
-            raise _HttpError(400, "'watch_s' must be a non-negative number")
+            raise HttpError(400, "'watch_s' must be a non-negative number")
         probe = request.get("probe", True)
         from repro.engine.artifact import ArtifactError
         from repro.serve.registry import load_artifact_served
@@ -1307,23 +1166,12 @@ class InferenceServer:
                 artifact, lazy=self._router is not None
             )
         except FileNotFoundError:
-            raise _HttpError(404, f"no artifact at {artifact!r}")
+            raise HttpError(404, f"no artifact at {artifact!r}")
         except ArtifactError as exc:
-            raise _HttpError(400, f"bad artifact {artifact!r}: {exc}")
+            raise HttpError(400, f"bad artifact {artifact!r}: {exc}")
         return await self.deploy_served(
             served, watch_s=float(watch_s), probe=bool(probe)
         )
-
-    @staticmethod
-    def _cancel_all(tasks) -> None:
-        """Cancel a failed multi-sample request's sibling submissions.
-
-        A cancelled future is skipped at batch dispatch, so accepted
-        siblings neither burn engine time nor inflate the response
-        metrics after the client has already received the error."""
-        for task in tasks:
-            if not task.done():
-                task.cancel()
 
     @staticmethod
     def _decode_b64(sample, served) -> np.ndarray:
@@ -1337,14 +1185,14 @@ class InferenceServer:
         register is the unavoidable base64 decode itself.
         """
         if not isinstance(sample, str):
-            raise _HttpError(400, "b64 encoding expects base64 strings")
+            raise HttpError(400, "b64 encoding expects base64 strings")
         try:
             raw = base64.b64decode(sample, validate=True)
         except (binascii.Error, ValueError) as exc:
-            raise _HttpError(400, f"invalid base64 sample: {exc}")
+            raise HttpError(400, f"invalid base64 sample: {exc}")
         expected = int(np.prod(served.sample_shape)) * 4
         if len(raw) != expected:
-            raise _HttpError(
+            raise HttpError(
                 400,
                 f"b64 sample has {len(raw)} bytes; model {served.name!r} "
                 f"expects {expected} (float32 {served.sample_shape})",
@@ -1366,29 +1214,21 @@ class InferenceServer:
             ).decode("ascii")
         return output.tolist()
 
-    async def _predict(
-        self,
-        body: bytes,
-        request_id: Optional[str] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> dict:
+    async def _predict(self, request: Request) -> dict:
         """Sampling wrapper: when this request is traced, wrap the whole
         handler in a root ``request`` span every downstream span (queue
         wait, batch, shm transport, worker kernel steps) hangs off."""
-        sampled = self._sample_trace()
-        if not sampled:
-            return await self._predict_inner(body, request_id, None, headers)
+        if not self._sample_trace():
+            return await self._predict_inner(request, None)
         root_id = obs_trace.new_span_id()
         t0 = obs_trace.now_ns()
         status = 200
         model = None
         try:
-            response = await self._predict_inner(
-                body, request_id, root_id, headers
-            )
+            response = await self._predict_inner(request, root_id)
             model = response.get("model")
             return response
-        except _HttpError as exc:
+        except HttpError as exc:
             status = exc.status
             raise
         finally:
@@ -1398,50 +1238,41 @@ class InferenceServer:
                 t0,
                 attrs={"path": "/predict", "status": status, "model": model},
                 span_id=root_id,
-                request_id=request_id,
+                request_id=request.request_id,
                 proc="frontend",
             )
 
     async def _predict_inner(
-        self,
-        body: bytes,
-        request_id: Optional[str],
-        trace_parent: Optional[str],
-        headers: Optional[Dict[str, str]] = None,
+        self, http_request: Request, trace_parent: Optional[str]
     ) -> dict:
-        headers = headers or {}
+        headers, request_id = http_request.headers, http_request.request_id
         if self._draining:
             # Typed drain refusal: nothing new is accepted, clients are
             # told to come back elsewhere (or later).
-            raise _HttpError(
+            raise HttpError(
                 503, "server draining: not accepting new requests",
                 retry_after=1.0,
             )
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}")
-        if not isinstance(request, dict):
-            raise _HttpError(400, "body must be a JSON object")
+        request = _parse_json_object(http_request.body)
         names = self.registry.names()
         name = request.get("model")
         if name is None:
             if len(names) != 1:
-                raise _HttpError(
+                raise HttpError(
                     400, f"'model' is required when {len(names)} models are loaded"
                 )
             name = names[0]
         try:
             served = self.registry.get(name)
         except KeyError as exc:
-            raise _HttpError(404, str(exc))
+            raise HttpError(404, str(exc))
         if self._selfheal is not None:
             # Circuit gate: an open (or half-open) circuit fails fast
             # before any decode/queue work — clients see a typed 503
             # with Retry-After and never pile onto a broken model.
             allowed, retry_after = self._selfheal.allow(name)
             if not allowed:
-                raise _HttpError(
+                raise HttpError(
                     503,
                     f"model {name!r}: circuit open, failing fast "
                     "(docs/operations.md 'Self-healing & autoscaling "
@@ -1451,10 +1282,10 @@ class InferenceServer:
                 )
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
-            raise _HttpError(400, "'deadline_ms' must be a number")
+            raise HttpError(400, "'deadline_ms' must be a number")
         encoding = request.get("encoding", "json")
         if encoding not in ("json", "b64"):
-            raise _HttpError(400, f"unknown encoding {encoding!r} (json or b64)")
+            raise HttpError(400, f"unknown encoding {encoding!r} (json or b64)")
         # Admission control (ISSUE 8): priority class from the body or
         # the X-Priority header, tenant likewise; the gate runs before
         # any decode work so a shed request costs nearly nothing.
@@ -1463,10 +1294,10 @@ class InferenceServer:
                 request.get("priority") or headers.get("x-priority")
             )
         except ValueError as exc:
-            raise _HttpError(400, str(exc))
+            raise HttpError(400, str(exc))
         tenant = request.get("tenant") or headers.get("x-tenant") or None
         if tenant is not None and not isinstance(tenant, str):
-            raise _HttpError(400, "'tenant' must be a string")
+            raise HttpError(400, "'tenant' must be a string")
         gate = self._batchers.get(name)
         try:
             level = self.admission.admit(
@@ -1476,7 +1307,7 @@ class InferenceServer:
             )
         except RequestShed as exc:
             self.metrics.for_model(name).on_shed()
-            raise _HttpError(
+            raise HttpError(
                 429, f"request shed: {exc.reason}",
                 retry_after=exc.retry_after,
             )
@@ -1484,20 +1315,20 @@ class InferenceServer:
         if "inputs" in request:
             raw_samples = request["inputs"]
             if not isinstance(raw_samples, list) or not raw_samples:
-                raise _HttpError(400, "'inputs' must be a non-empty list of samples")
+                raise HttpError(400, "'inputs' must be a non-empty list of samples")
             single = False
         elif "input" in request:
             raw_samples = [request["input"]]
             single = True
         else:
-            raise _HttpError(400, "missing 'input' (one sample) or 'inputs' (list)")
+            raise HttpError(400, "missing 'input' (one sample) or 'inputs' (list)")
 
         try:
             if encoding == "b64":
                 raw_samples = [self._decode_b64(s, served) for s in raw_samples]
             samples = [served.validate_input(s) for s in raw_samples]
         except (ValueError, TypeError) as exc:
-            raise _HttpError(400, str(exc))
+            raise HttpError(400, str(exc))
 
         # Blue/green cutover can race this handler: it may look up the old
         # batcher right before the deploy swaps the pointer and drains it.
@@ -1505,55 +1336,44 @@ class InferenceServer:
         # fails with BatcherStopped — refresh the lookup and retry against
         # the freshly installed batcher, so clients never observe the
         # swap (docs/operations.md 'Blue/green deploys and rollback').
+        submit_kwargs = dict(
+            deadline_ms=deadline_ms, request_id=request_id,
+            trace_parent=trace_parent, priority=level,
+        )
         for attempt in range(5):
             batcher = await self._ensure_batcher(name)
             tasks = []
             try:
                 if len(samples) == 1:  # hot path: no gather/task machinery
-                    results = [
-                        await batcher.submit(
-                            samples[0],
-                            deadline_ms=deadline_ms,
-                            request_id=request_id,
-                            trace_parent=trace_parent,
-                            priority=level,
-                        )
-                    ]
+                    results = [await batcher.submit(samples[0], **submit_kwargs)]
                 else:
                     tasks = [
-                        asyncio.ensure_future(
-                            batcher.submit(
-                                s,
-                                deadline_ms=deadline_ms,
-                                request_id=request_id,
-                                trace_parent=trace_parent,
-                                priority=level,
-                            )
-                        )
+                        asyncio.ensure_future(batcher.submit(s, **submit_kwargs))
                         for s in samples
                     ]
                     results = await asyncio.gather(*tasks)
                 break
-            except BatcherStopped:
-                self._cancel_all(tasks)
-                await asyncio.sleep(0.01)
-                continue
-            except QueueSaturated as exc:
-                self._cancel_all(tasks)
-                raise _HttpError(429, str(exc), retry_after=0.05)
-            except DeadlineExceeded as exc:
-                self._cancel_all(tasks)
-                raise _HttpError(504, str(exc))
-            except ExecutionFailed as exc:
-                self._cancel_all(tasks)
-                if self._selfheal is not None:
+            except (
+                BatcherStopped, QueueSaturated, DeadlineExceeded, ExecutionFailed
+            ) as exc:
+                # Cancel a failed multi-sample request's siblings: a
+                # cancelled future is skipped at batch dispatch, so they
+                # neither burn engine time nor inflate the metrics after
+                # the client has already received the error.
+                for task in tasks:
+                    task.cancel()
+                if isinstance(exc, BatcherStopped):
+                    await asyncio.sleep(0.01)
+                    continue
+                if isinstance(exc, ExecutionFailed) and self._selfheal is not None:
                     # Deterministic model failure — the only signal that
                     # trips the circuit (sheds/deadlines are load, not
                     # health).
                     self._selfheal.record_error(name)
-                raise _HttpError(500, str(exc))
+                status, retry_after = _BATCH_REFUSALS[type(exc)]
+                raise HttpError(status, str(exc), retry_after=retry_after)
         else:
-            raise _HttpError(
+            raise HttpError(
                 503,
                 f"model {name!r}: deployment cutover in progress",
                 retry_after=0.1,
@@ -1567,7 +1387,7 @@ class InferenceServer:
             # saw a success above); the input drove it out of range, so
             # refuse with a typed error rather than send an invalid body.
             # b64 replies carry the raw float32 bits and are unaffected.
-            raise _HttpError(
+            raise HttpError(
                 422,
                 f"model {name!r} produced non-finite outputs, which JSON "
                 "cannot encode; request encoding 'b64' for raw float32",
@@ -1575,13 +1395,10 @@ class InferenceServer:
             )
 
         if single:
-            result = results[0]
             response = {
                 "model": name,
-                "output": self._encode_output(result.output[0], encoding),
-                "batch_size": result.batch_size,
-                "queue_ms": result.queue_ms,
-                "run_ms": result.run_ms,
+                "output": self._encode_output(results[0].output[0], encoding),
+                **_result_meta(results[0]),
             }
         else:
             response = {
@@ -1589,14 +1406,7 @@ class InferenceServer:
                 "outputs": [
                     self._encode_output(r.output[0], encoding) for r in results
                 ],
-                "meta": [
-                    {
-                        "batch_size": r.batch_size,
-                        "queue_ms": r.queue_ms,
-                        "run_ms": r.run_ms,
-                    }
-                    for r in results
-                ],
+                "meta": [_result_meta(r) for r in results],
             }
         if encoding == "b64":
             response["encoding"] = "b64"
@@ -1605,8 +1415,7 @@ class InferenceServer:
             # Brownout transparency: laddered models always say which
             # rung answered (lifted into the X-Served-Variant header).
             response["served_variant"] = self._active_variant.get(name, name)
-        if request_id is not None:
-            response["request_id"] = request_id
+        response["request_id"] = request_id
         return response
 
 
@@ -1679,38 +1488,11 @@ class ServerHandle:
 
 
 def start_in_background(
-    registry: ModelRegistry,
-    policy: Optional[BatchPolicy] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: int = 0,
-    threads: Optional[int] = None,
-    executor_threads: Optional[int] = None,
-    worker_replicas: Optional[int] = None,
-    worker_health_interval: Optional[float] = 2.0,
-    trace_rate: Optional[float] = None,
-    admission: Optional[AdmissionPolicy] = None,
-    chaos: Optional[str] = None,
-    worker_reply_timeout: float = 120.0,
-    selfheal: Optional[SelfHealPolicy] = None,
-    state_dir: Optional[str] = None,
+    registry: ModelRegistry, port: int = 0, **server_kwargs
 ) -> ServerHandle:
     """Start an :class:`InferenceServer` on a daemon thread (ephemeral port
-    by default) and block until it accepts connections.
-
-    ``workers=0`` serves in-process (the default); ``workers=N`` forks
-    ``N`` sharded worker processes (see :class:`InferenceServer`).
-    ``selfheal`` enables the self-healing control plane and ``state_dir``
-    its crash-consistent journal (docs/operations.md 'Self-healing &
-    autoscaling runbook').
-    """
-    server = InferenceServer(
-        registry, policy=policy, host=host, port=port, workers=workers,
-        threads=threads, executor_threads=executor_threads,
-        worker_replicas=worker_replicas,
-        worker_health_interval=worker_health_interval,
-        trace_rate=trace_rate, admission=admission, chaos=chaos,
-        worker_reply_timeout=worker_reply_timeout,
-        selfheal=selfheal, state_dir=state_dir,
-    )
+    by default) and block until it accepts connections.  Every keyword
+    is forwarded to :class:`InferenceServer` (``workers``, ``selfheal``,
+    ``state_dir``, ...)."""
+    server = InferenceServer(registry, port=port, **server_kwargs)
     return ServerHandle(server).start(timeout=300.0)

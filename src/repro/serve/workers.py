@@ -363,6 +363,7 @@ def worker_main(
                     # timeout converts this into WorkerDied + retry.
                     continue
             corrupt = injector is not None and injector.roll("corrupt_response")
+            inline = None
             if out.nbytes <= slot_bytes:
                 # The input has been fully consumed: reuse the slot for
                 # the response (zero-copy back to the front-end).
@@ -371,16 +372,15 @@ def worker_main(
                 if corrupt and out.nbytes:
                     flat = view.reshape(-1).view(np.uint8)
                     flat[injector.pick_index(flat.size)] ^= 0xFF
-                conn.send(("ok", req_id, slot, out.shape, run_ms, None,
-                           spans_payload, crc))
             else:
                 stats["inline_responses"] += 1
-                if corrupt and out_bytes:
-                    damaged = bytearray(out_bytes)
+                inline = out_bytes
+                if corrupt and inline:
+                    damaged = bytearray(inline)
                     damaged[injector.pick_index(len(damaged))] ^= 0xFF
-                    out_bytes = bytes(damaged)
-                conn.send(("ok", req_id, slot, out.shape, run_ms,
-                           out_bytes, spans_payload, crc))
+                    inline = bytes(damaged)
+            conn.send(("ok", req_id, slot, out.shape, run_ms, inline,
+                       spans_payload, crc))
         except BaseException as exc:  # noqa: BLE001 — batch fails, worker lives
             stats["errors_total"] += 1
             try:

@@ -10,6 +10,7 @@ deadline.
 
 import base64
 import json
+import logging
 import socket
 import threading
 import time
@@ -145,6 +146,54 @@ class TestEndpoints:
         assert doc["status"] == 400 and "Content-Length" in doc["error"]
         with ServeClient(handle.base_url) as client:  # still serving
             assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"POST /predict HTTP/1.1\r\nX-Request-Id: framing\r\n"
+             b"Content-Length: 1e3\r\n\r\n", 400),
+            (b"POST /predict HTTP/1.1\r\nX-Request-Id: framing\r\n"
+             b"Content-Length: 33554433\r\n\r\n", 413),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /" + b"a" * 300_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /healthz HTTP/1.1\r\nX-Request-Id: framing\r\nX-Big: "
+             + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\nX-Request-Id: framing\r\n"
+             + b"".join(b"X-H%04d: %s\r\n" % (i, b"v" * 32) for i in range(2000))
+             + b"\r\n", 431),
+            (b"POST /predict HTTP/1.1\r\nX-Request-Id: framing\r\n"
+             b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 501),
+        ],
+        ids=["request-line", "content-length", "body-size", "line-size",
+             "line-size-unread", "header-line", "header-block", "chunked"],
+    )
+    def test_framing_fault_is_typed_and_closes(self, server, caplog, raw, status):
+        """Every framing fault gets exactly one typed reply that echoes
+        (or mints) the request id and closes; the server keeps serving
+        and asyncio logs no unhandled exception."""
+        handle, _ = server
+        host, port = urllib.parse.urlsplit(handle.base_url).netloc.split(":")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(raw)
+                raw_reply = b"".join(iter(lambda: sock.recv(65536), b""))
+            with ServeClient(handle.base_url) as client:  # still serving
+                assert client.healthz()["status"] == "ok"
+        assert raw_reply.count(b"HTTP/1.1 ") == 1  # one reply, then close
+        head, _, body = raw_reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        request_id = next(
+            line.split(": ", 1)[1] for line in lines
+            if line.startswith("X-Request-Id: ")
+        )
+        if b"X-Request-Id: framing" in raw[:200]:
+            assert request_id == "framing"
+        doc = json.loads(body)
+        assert doc["status"] == status and doc["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_model_optional_when_ambiguous_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
