@@ -100,6 +100,101 @@ def _paired_threads(plan, x, threads: int, rounds: int, warmup: int) -> dict:
     }
 
 
+#: Phases of ``winograd_int8`` in kernel order, and the module-level
+#: helper of ``repro.engine.kernels`` each one is timed through.  The
+#: three ``_int8_matmul`` calls of one Winograd step are, in order, the
+#: forward, Hadamard and inverse GEMMs.
+INT8_PHASES = (
+    ("quantize/pad", "_load_codes"),
+    ("tile gather", "_gather_tiles"),
+    ("forward GEMM", "_int8_matmul"),
+    ("requant", "_requant_codes"),
+    ("Hadamard GEMM", "_int8_matmul"),
+    ("inverse GEMM", "_int8_matmul"),
+    ("epilogue", "_int8_epilogue"),
+    ("scatter", "_scatter_tiles"),
+)
+
+
+def _int8_phases(plan, x, rounds: int) -> dict:
+    """Per-run ms of each :data:`INT8_PHASES` phase of ``plan``'s native
+    Winograd steps, over ``rounds`` runs of ``plan.run(x, threads=1)``.
+
+    A separate pass: the helpers and the Winograd step functions are
+    wrapped with timers and restored afterwards, so timed rows elsewhere
+    run unwrapped.  Helper calls outside a Winograd step (im2row steps
+    share them) are not counted.  ``share`` is a phase's fraction of
+    ``winograd_ms``, the time inside the Winograd steps, and
+    ``unattributed_ms`` the rest of it (scratch lookups, casts,
+    dispatch).
+    """
+    import time
+
+    from repro.engine import kernels
+
+    phases = [phase for phase, _ in INT8_PHASES]
+    gemms = [phase for phase, helper in INT8_PHASES if helper == "_int8_matmul"]
+    ms = dict.fromkeys(phases + ["winograd"], 0.0)
+    running = [None]  # the running Winograd step's GEMM phases, or None
+
+    def timed(fn, phase):
+        def wrapper(*args, **kwargs):
+            if running[0] is None:
+                return fn(*args, **kwargs)
+            name = phase or next(running[0])
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ms[name] += time.perf_counter() - t0
+
+        return wrapper
+
+    def timed_step(fn):
+        def step_fn(inputs, attrs):
+            running[0] = iter(gemms)
+            t0 = time.perf_counter()
+            try:
+                return fn(inputs, attrs)
+            finally:
+                ms["winograd"] += time.perf_counter() - t0
+                running[0] = None
+
+        return step_fn
+
+    helpers = {h: (None if h == "_int8_matmul" else p) for p, h in INT8_PHASES}
+    saved = {helper: getattr(kernels, helper) for helper in helpers}
+    steps = [s for s in plan.steps if s.op == "winograd_conv2d" and s.domain == "int8"]
+    step_fns = [s.fn for s in steps]
+    try:
+        for helper, phase in helpers.items():
+            setattr(kernels, helper, timed(saved[helper], phase))
+        for step in steps:
+            step.fn = timed_step(step.fn)
+        plan.run(x, threads=1)  # warm-up
+        ms.update(dict.fromkeys(ms, 0.0))
+        for _ in range(rounds):
+            plan.run(x, threads=1)
+    finally:
+        for helper, fn in saved.items():
+            setattr(kernels, helper, fn)
+        for step, fn in zip(steps, step_fns):
+            step.fn = fn
+    wino = ms.pop("winograd")
+    return {
+        "batch": int(x.shape[0]),
+        "threads": 1,
+        "rounds": rounds,
+        "winograd_steps": len(steps),
+        "winograd_ms": round(1e3 * wino / rounds, 3),
+        "unattributed_ms": round(1e3 * (wino - sum(ms.values())) / rounds, 3),
+        "phases": {
+            name: {"ms": round(1e3 * t / rounds, 3), "share": round(t / wino, 4)}
+            for name, t in ms.items()
+        },
+    }
+
+
 @register_benchmark("engine", "compiled engine vs eager forward (BENCH_engine.json)")
 def run_engine_benchmark(
     out_path: Optional[str] = None,
@@ -111,7 +206,9 @@ def run_engine_benchmark(
 
     Quantized workloads get a native ``int8`` backend column next to
     ``fast``; the report records whether the int8 anomaly is
-    inverted (int8 on its native backend beating fp32 on ``fast``).
+    inverted (int8 on its native backend beating fp32 on ``fast``), and
+    the ``int8_phases`` entry splits the native Winograd steps of that
+    workload into the phases of :data:`INT8_PHASES`.
 
     Per-workload rows are measured at ``threads=1`` (and say so), so the
     speedup columns stay comparable across hosts and PRs regardless of
@@ -209,6 +306,10 @@ def run_engine_benchmark(
             }
             threaded["workloads"][f"{name}@{backend}"] = row
 
+    int8_plan, int8_x = plans[("resnet18-w0.25-F4-int8", "int8")]
+    int8_phases = {"workload": "resnet18-w0.25-F4-int8@int8"}
+    int8_phases.update(_int8_phases(int8_plan, int8_x, 10 if quick else 40))
+
     fast_plan, fast_x = plans[("resnet18-w0.25-F4", "fast")]
 
     # Tracing-off overhead gate: the public ``run`` with tracing
@@ -273,6 +374,7 @@ def run_engine_benchmark(
             "int8_native_ms": int8_row["engine_int8_ms"],
             "inverted": int8_row["engine_int8_ms"] < fp32_row["engine_fast_ms"],
         },
+        "int8_phases": int8_phases,
         "threaded_speedup": threaded,
         "trace_overhead": trace_overhead,
         "memory": {

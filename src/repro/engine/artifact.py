@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.int8 import I8_KEYS, assign_layouts
 from repro.engine.plan import CompiledPlan, Step
 from repro.engine.registry import BACKENDS, registry
 
@@ -71,11 +72,14 @@ MAGIC = b"REPROPLN"
 #: Current artifact format version.  The loader rejects any other value
 #: (forward *and* backward: a version bump means the layout changed) —
 #: see the compatibility policy in ``docs/artifact-format.md``.
-#: Version 2: an ``i8`` block may carry per-tap scale grids
-#: (``tap_fv``/``tap_fh``/``qmax_v``/``qmax_h``).  Version-2 files from
-#: engines that still had the transform-domain residency pass also carry
-#: its producer/consumer edge attributes; no kernel reads them, so those
-#: files load and run bit-identically on their per-tap grids.
+#: Version 2 files written before channels-last ``int8`` plans carry no
+#: ``transpose`` steps; loading runs the layout pass, which adds them, so
+#: those files run bit-identically.  A file whose ``i8`` block carries
+#: keys outside :data:`repro.engine.int8.I8_KEYS` (the tap-wise
+#: transform-domain grids of earlier engines) is refused with
+#: :class:`ArtifactFormatError`: this build cannot reproduce its bits.
+#: Files from engines with the transform-domain residency pass also
+#: carry its edge attributes; no kernel reads them.
 FORMAT_VERSION = 2
 
 #: Fixed header: magic, format version, header size, total file size,
@@ -513,8 +517,8 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
 
     Failure modes (all :class:`ArtifactError` subclasses; rejection
     policy in ``docs/artifact-format.md`` § Compatibility): wrong magic
-    → :class:`ArtifactFormatError`; other format version →
-    :class:`ArtifactVersionError`; short file →
+    or an ``i8`` block with unknown keys → :class:`ArtifactFormatError`;
+    other format version → :class:`ArtifactVersionError`; short file →
     :class:`ArtifactTruncatedError`; hash mismatch →
     :class:`ArtifactCorruptError`.
     """
@@ -550,6 +554,17 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
         raise ArtifactFormatError(
             f"{path}: malformed step program ({type(exc).__name__}: {exc})"
         ) from exc
+    for i, step in enumerate(steps):
+        i8 = step.attrs.get("i8") if isinstance(step.attrs, dict) else None
+        unknown = sorted(set(i8) - I8_KEYS) if isinstance(i8, dict) else []
+        if unknown:
+            raise ArtifactFormatError(
+                f"{path}: step {i} ({step.op}) carries i8 attributes {unknown} "
+                "that this build cannot run bit-identically; recompile the plan"
+            )
+    num_regs, output_reg = meta["num_regs"], meta["output_reg"]
+    if backend == "int8":
+        steps, output_reg, num_regs = assign_layouts(steps, output_reg, num_regs)
     for step in steps:
         try:
             step.fn = registry.get(step.op, backend)
@@ -557,9 +572,9 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
             raise ArtifactFormatError(f"{path}: {exc}") from exc
     plan = CompiledPlan(
         steps=steps,
-        num_regs=meta["num_regs"],
+        num_regs=num_regs,
         input_reg=meta["input_reg"],
-        output_reg=meta["output_reg"],
+        output_reg=output_reg,
         backend=backend,
         signature=meta.get("signature", ""),
         source=meta.get("source", ""),

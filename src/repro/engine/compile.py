@@ -17,8 +17,9 @@ producer steps, so a ``Conv→BN→ReLU`` chain executes as one kernel.
 Quantized convolutions keep BN as a separate (ReLU-fused) affine step:
 folding would change the values entering the frozen quantization grid.
 (The ``int8`` backend instead absorbs that affine into the layer's
-integer-domain epilogue — after the frozen grids — and wires integer
-handoffs between quantized layers; see :mod:`repro.engine.int8`.)
+integer-domain epilogue — after the frozen grids — wires integer
+handoffs between quantized layers and runs its native steps
+channels-last; see :mod:`repro.engine.int8`.)
 """
 
 from __future__ import annotations
@@ -563,6 +564,7 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     if not lowerer.steps:
         raise CompileError(f"{type(model).__name__} lowered to an empty plan")
     steps = lowerer.steps
+    num_regs = lowerer.next_reg
     if backend != "reference":
         steps = _fuse(steps, output_reg)
         # The int8 backend keeps the fast layouts too: they serve float
@@ -571,14 +573,15 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
         # grid order) form there, so lazily-frozen ranges match eager.
         _finalize_fast(steps)
         if backend == "int8":
-            from repro.engine.int8 import finalize_int8
+            from repro.engine.int8 import assign_layouts, finalize_int8
 
             steps = finalize_int8(steps, output_reg)
+            steps, output_reg, num_regs = assign_layouts(steps, output_reg, num_regs)
     for step in steps:
         step.fn = registry.get(step.op, backend)
     return CompiledPlan(
         steps=steps,
-        num_regs=lowerer.next_reg,
+        num_regs=num_regs,
         input_reg=0,
         output_reg=output_reg,
         backend=backend,

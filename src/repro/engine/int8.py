@@ -43,10 +43,22 @@ native currency between quantized layers:
   integer codes *directly on the consumer's input grid* and the consumer
   skips its quantization prologue entirely.  ``max_pool`` commutes with
   the (monotone) dequantize, so pooling codes selects the same elements
-  as pooling values;
-* a Winograd pair joined by a direct handoff moves to per-tap
-  transform-domain grids (:func:`enable_per_tap`, selected by
-  :func:`_select_per_tap`).
+  as pooling values.
+
+Every transform-domain stage requantizes on the one scalar grid the
+model was trained with (the grid eager and ``reference`` use), so
+``int8`` departs from them only where a value sits on a bin boundary.
+
+Activation layout
+-----------------
+Last, :func:`assign_layouts` gives every register a layout.  Native
+``conv2d`` / ``winograd_conv2d`` steps read and write channels-last
+(NHWC) activations: the tile gather, the im2row rows and the output
+scatter then copy runs of ``C`` contiguous values instead of rows of a
+few tiles.  The layout-neutral ops in :data:`FOLLOW_OPS` run in the
+layout their input arrives in, every other step stays NCHW, and one
+``transpose`` step sits wherever a consumer's layout differs from its
+producer's (the plan input and output stay NCHW).
 
 Handoffs are only wired when every quantization range involved is frozen
 at compile time (a calibrated model); a plan compiled from a cold model
@@ -64,18 +76,31 @@ import numpy as np
 #: Largest magnitude whose integers are all exactly representable.
 _DTYPE_BOUNDS = ((np.float32, 2.0**24), (np.float64, 2.0**53))
 
-#: Deepest dyadic refinement a per-tap scale grid may apply (2^-8): past
-#: this the analytic tap bounds are far below the observer's resolution
-#: and further refinement only sharpens clipping.
-_PER_TAP_MAX_SHIFT = 8
-
 #: Ops with a native int8 kernel.
 INT8_OPS = ("conv2d", "winograd_conv2d", "linear")
 
 #: Ops that forward integer codes unchanged (grid-preserving): max is
 #: monotone under the positive dequant scale, flatten/record_hw are
-#: shape/metadata only.
-PASSTHROUGH_OPS = frozenset({"max_pool", "flatten", "record_hw"})
+#: shape/metadata only, transpose moves values verbatim.
+PASSTHROUGH_OPS = frozenset({"max_pool", "flatten", "record_hw", "transpose"})
+
+#: Every key an ``i8`` block may carry.  An artifact whose ``i8`` block
+#: holds any other key was written by an engine with different integer
+#: semantics and cannot run bit-identically here.
+I8_KEYS = frozenset({
+    "ok", "ready", "dt", "bound", "s_w", "wq_1x1", "wq_mat", "wq_t",
+    "eb", "ea", "btk", "atk", "u2q", "dts", "bounds", "s_wt",
+    "post", "emit_q", "input_prequantized", "rq_out", "epi", "d_v", "d_h",
+})
+
+#: ``attrs["layout"]`` of a step whose activations are channels-last.
+NHWC = "nhwc"
+NCHW = "nchw"
+
+#: Ops that run in the layout of their (first) input.
+FOLLOW_OPS = frozenset(
+    {"relu", "add", "affine", "concat", "max_pool", "global_avg_pool", "record_hw"}
+)
 
 #: Activation-side quantization stages per op (weight stages are frozen
 #: at compile time and handled statically).
@@ -165,29 +190,17 @@ def _static_conv2d(attrs: Dict) -> Optional[Dict]:
     dtype = _pick_dtype(bound)
     if dtype is None:
         return None
-    wq = _codes(w, q_w, dtype)
-    i8 = {
+    wq = _codes(w, q_w, dtype).reshape(g, k // g, reduction)
+    return {
         "ok": True,
         "ready": False,
         "dt": dtype,
         "bound": bound,
         "s_w": float(q_w["scale"]),
+        # (g, C/g·kh·kw, K/g) GEMM rows in (C, kh, kw) order; the layout
+        # pass reorders them to channels-last patch order.
+        "wq_mat": np.ascontiguousarray(np.transpose(wq, (0, 2, 1))),
     }
-    if (
-        kh == 1
-        and kw == 1
-        and g == 1
-        and attrs["stride"] == (1, 1)
-        and attrs["padding"] == (0, 0)
-    ):
-        i8["wq_1x1"] = np.ascontiguousarray(wq.reshape(k, cg))
-    elif g == 1:
-        i8["wq_mat"] = np.ascontiguousarray(wq.reshape(k, reduction).transpose())
-    else:
-        i8["wq_mat"] = np.ascontiguousarray(
-            np.transpose(wq.reshape(g, k // g, reduction), (0, 2, 1))
-        )
-    return i8
 
 
 def _static_linear(attrs: Dict) -> Optional[Dict]:
@@ -294,6 +307,11 @@ def _epilogue_constants(attrs: Dict, i8: Dict, s_eff: float, bias_pending) -> No
     if beta is not None:
         b64 += beta.astype(np.float64)
     has_b = bool(np.any(b64))
+    # Repeat the K per-channel constants R times (R a power of two with
+    # R·K near 512): a channels-last epilogue then broadcasts them over
+    # rows of R·K values instead of running inner loops of only K.
+    reps = 1 << max(0, (512 // k).bit_length() - 1)
+    a64, b64 = np.tile(a64, reps), np.tile(b64, reps)
     emit_q = i8.get("emit_q")
     if emit_q is not None:
         s_next = float(emit_q["scale"])
@@ -339,28 +357,9 @@ def _runtime_winograd(attrs: Dict) -> None:
     s_x = float(attrs["q_input"]["scale"])
     s_v = float(attrs["q_input_t"]["scale"])
     s_h = float(attrs["q_hadamard"]["scale"])
-    if i8.get("per_tap"):
-        # Per-tap transform-domain grids (see enable_per_tap): v codes of
-        # tap (i, j) live on the dyadically finer ``s_v · 2^fv[i,j]``
-        # grid, Hadamard codes on ``s_h · 2^fh[i,j]``.  The requant
-        # multipliers carry both grids, stored in the accumulator dtypes
-        # so the elementwise requant keeps the accumulators' own ufunc
-        # loops (a float64 multiplier array would silently drag every
-        # float32 requant through float64 loops); the folded atk (columns
-        # scaled by 2^(fh - min fh)) leaves the output-transform
-        # accumulator on the uniform ``2^min(fh)`` grid.
-        t = attrs["t"]
-        dt_v, dt_h = i8["dts"][0], i8["dts"][1]
-        fv, fh = i8["tap_fv"], i8["tap_fh"]
-        i8["d_v"] = np.ldexp(s_x / 4.0 ** i8["eb"], -fv).reshape(-1, 1).astype(dt_v)
-        i8["d_h"] = (
-            np.ldexp(s_v * i8["s_wt"], fv - fh).reshape(t, t, 1, 1, 1).astype(dt_h)
-        )
-        d_z = float(np.ldexp(s_h, int(fh.min()))) / 4.0 ** i8["ea"]
-    else:
-        i8["d_v"] = s_x / 4.0 ** i8["eb"]
-        i8["d_h"] = s_v * i8["s_wt"]
-        d_z = s_h / 4.0 ** i8["ea"]
+    i8["d_v"] = s_x / 4.0 ** i8["eb"]
+    i8["d_h"] = s_v * i8["s_wt"]
+    d_z = s_h / 4.0 ** i8["ea"]
     q_out = attrs.get("q_output")
     if q_out is not None:
         i8["rq_out"] = {"d": d_z, "bias": None, "q": q_out}
@@ -378,101 +377,6 @@ def prepare_runtime(op: str, attrs: Dict) -> None:
         _runtime_winograd(attrs)
     else:
         _runtime_conv_linear(attrs)
-
-
-def enable_per_tap(step) -> bool:
-    """Switch a frozen Winograd step to per-tap transform-domain scales.
-
-    Tap-wise transform-domain quantization ("Going Further With Winograd
-    Convolutions"): the taps of ``BᵀdB`` have very different dynamic
-    ranges — tap ``(i, j)``'s accumulator is bounded by the L1 norm of
-    row ``i·t+j`` of the integer Kronecker matrix — so a single scalar
-    scale wastes code-range resolution on the narrow taps.  This gives
-    each tap a *dyadically* finer grid ``scale · 2^f`` (``f ≤ 0``) for
-    the ``q_input_t`` and ``q_hadamard`` stages, paired with a widened
-    per-tap clip ceiling ``qmax · 2^-f`` so every tap keeps the stage's
-    full calibrated range ``scale · qmax``: narrow taps gain fractional
-    bits, and no value a uniform grid could represent ever clips — the
-    refinement can only reduce rounding error, never introduce new
-    saturation.
-
-    * the per-tap factors ride the existing requant multipliers
-      (``d_v``/``d_h`` and the clip ceilings become tap-shaped arrays
-      broadcasting over the same layouts), but those broadcast passes
-      are not free: on ``resnet18-w0.25-F4-int8@int8`` per-tap grids
-      cost 8–10% at p10 against uniform grids (2-vCPU x86 host, one
-      BLAS thread, batch 1 and 8);
-    * exactness against the int64 oracle is preserved by construction:
-      powers of two are exact in float, and the accumulators the wider
-      codes *do* grow — the Hadamard contraction and the output
-      transform, whose columns absorb ``2^(fh - min fh)`` — are
-      re-proven by :func:`_pick_dtype` before anything is committed.
-
-    Returns ``True`` when per-tap grids were enabled (or already were).
-    Returns ``False`` — leaving the step on uniform scales — when the
-    step is ineligible, every tap already spans the full range, or a
-    grown accumulator cannot be bounded in an exact float dtype.
-    """
-    attrs = step.attrs
-    i8 = attrs.get("i8")
-    if not (i8 and i8.get("ok") and "btk" in i8):
-        return False
-    if i8.get("per_tap"):
-        return True
-    if not _all_frozen(step):
-        return False
-    t = attrs["t"]
-    tt = t * t
-    qv, qh = _qmax(attrs["q_input_t"]), _qmax(attrs["q_hadamard"])
-    # Refinement budget per tap: how far its worst-case accumulator sits
-    # below the widest tap's (btk row L1 for the input transform; weight-
-    # code L1 over the contraction axis, worst case across groups and
-    # out-channels, for the Hadamard stage).
-    l1_v = np.abs(i8["btk"].astype(np.float64)).sum(axis=1)
-    fv = np.ceil(np.log2(l1_v / l1_v.max())).astype(np.int64)
-    np.clip(fv, -_PER_TAP_MAX_SHIFT, 0, out=fv)
-    w1 = (
-        np.abs(i8["u2q"].astype(np.float64)).sum(axis=4).max(axis=(2, 3)).reshape(tt)
-    )
-    w1 = np.maximum(w1, 1.0)
-    fh = np.ceil(np.log2(w1 / w1.max())).astype(np.int64)
-    np.clip(fh, -_PER_TAP_MAX_SHIFT, 0, out=fh)
-    if not (np.any(fv) or np.any(fh)):
-        return False  # uniform tap ranges: nothing to refine
-    # Re-prove the grown accumulators.  v codes now reach qv·2^-fv, so
-    # the Hadamard bound is the worst per-tap (weight L1) × (v ceiling)
-    # product; h codes reach qh·2^-fh, and folding 2^(fh - min fh) into
-    # the output-transform columns leaves its accumulator on the uniform
-    # 2^min(fh) grid with bound |atk|·2^-min(fh) · qh.
-    qmax_v = np.ldexp(float(qv), -fv)
-    qmax_h = np.ldexp(float(qh), -fh)
-    bound_h = float(np.max(w1 * qmax_v))
-    dt_h = _pick_dtype(bound_h)
-    if dt_h is None:
-        return False
-    atk64 = i8["atk"].astype(np.float64)
-    atk = atk64 * np.exp2(fh - fh.min())[None, :]
-    bound_z = float(np.abs(atk64).sum(axis=1).max()) * float(
-        np.ldexp(float(qh), -int(fh.min()))
-    )
-    dt_z = _pick_dtype(bound_z)
-    if dt_z is None:
-        return False  # folded accumulator unprovable: keep uniform scales
-    dt_v = i8["dts"][0]
-    i8["atk"] = atk.astype(dt_z)
-    i8["u2q"] = np.ascontiguousarray(i8["u2q"].astype(dt_h))
-    i8["dts"] = (dt_v, dt_h, dt_z)
-    i8["bounds"] = (i8["bounds"][0], bound_h, bound_z)
-    i8["tap_fv"] = fv
-    i8["tap_fh"] = fh
-    # Clip ceilings in the accumulator dtypes (exact: qmax · 2^-f stays
-    # within the float32 integer range for f ≥ -_PER_TAP_MAX_SHIFT), for
-    # the same ufunc-loop reason as the multipliers in _runtime_winograd.
-    i8["qmax_v"] = qmax_v.reshape(-1, 1).astype(dt_v)
-    i8["qmax_h"] = qmax_h.reshape(t, t, 1, 1, 1).astype(dt_h)
-    i8["per_tap"] = True
-    _runtime_winograd(attrs)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -561,45 +465,6 @@ def _wire_handoffs(steps: List, output_reg: int) -> None:
         consumer.label = ("int→ " + consumer.label).strip()
 
 
-def _select_per_tap(steps: List) -> None:
-    """Switch directly handed-off Winograd pairs to per-tap grids.
-
-    The rule: a ``winograd_conv2d`` consumer whose only input is the
-    output of a ``winograd_conv2d`` producer, both dense (groups=1) and
-    native with the integer Kronecker transforms, where the producer
-    emits codes straight onto the consumer's input grid (``emit_q`` *is*
-    the consumer's ``q_input``, and the consumer skips its prologue).
-    Such a handoff is only wired for a single-use, fully frozen pair (see
-    :func:`_wire_handoffs`).  The consumer is refined first and the
-    producer only if the consumer took the grids; a pair where the
-    consumer declines stays uniform on both sides.
-
-    Other eligible steps keep uniform grids: on them per-tap grids would
-    change the outputs of most quantized plans and hide their Winograd
-    stems from the bin-boundary audit
-    (:func:`repro.testing.oracle.winograd_stem_flip_report`).
-    """
-
-    def native_dense(step) -> bool:
-        i8 = step.attrs.get("i8")
-        return bool(i8 and i8.get("ok") and "btk" in i8) and step.attrs["groups"] == 1
-
-    producer_of = {step.output: step for step in steps}
-    for consumer in steps:
-        if consumer.op != "winograd_conv2d" or len(consumer.inputs) != 1:
-            continue
-        producer = producer_of.get(consumer.inputs[0])
-        if producer is None or producer.op != "winograd_conv2d":
-            continue
-        if not (native_dense(producer) and native_dense(consumer)):
-            continue
-        q_in = consumer.attrs.get("q_input")
-        direct = q_in is not None and producer.attrs["i8"].get("emit_q") is q_in
-        if direct and consumer.attrs["i8"].get("input_prequantized"):
-            if enable_per_tap(consumer):
-                enable_per_tap(producer)
-
-
 def finalize_int8(steps: List, output_reg: int) -> List:
     """Prepare every eligible step for native integer execution.
 
@@ -623,5 +488,100 @@ def finalize_int8(steps: List, output_reg: int) -> List:
         i8 = step.attrs.get("i8")
         if i8 and i8.get("ok") and _all_frozen(step):
             prepare_runtime(step.op, step.attrs)
-    _select_per_tap(steps)
     return steps
+
+
+# ---------------------------------------------------------------------------
+# The layout pass: channels-last registers around native steps
+# ---------------------------------------------------------------------------
+
+
+def _native_conv(step) -> bool:
+    return step.domain == "int8" and step.op in ("conv2d", "winograd_conv2d")
+
+
+def _to_channels_last(step) -> None:
+    """Mark ``step`` channels-last, once, and give a native step the
+    channels-last weight layouts its GEMMs read contiguously: Winograd
+    ``u2q`` becomes ``(t, t, g, C/g, K/g)``, and im2row weights become
+    one ``wq_mat`` of ``(kh·kw·C/g, K/g)`` rows in ``(kh, kw, C)`` patch
+    order (the ``wq_1x1`` of older artifacts is folded in).  New arrays
+    throughout: loaded artifacts map their weights read-only."""
+    attrs = step.attrs
+    attrs["layout"] = NHWC
+    if not _native_conv(step):
+        return
+    i8 = attrs["i8"]
+    if step.op == "winograd_conv2d":
+        i8["u2q"] = np.ascontiguousarray(np.swapaxes(i8["u2q"], 3, 4))
+    elif "wq_1x1" in i8:
+        i8["wq_mat"] = np.ascontiguousarray(i8.pop("wq_1x1").transpose())
+    else:
+        k, cg, kh, kw = attrs["weight"].shape
+        g = attrs["groups"]
+        wq = i8["wq_mat"].reshape(g, cg, kh, kw, k // g)
+        i8["wq_mat"] = np.ascontiguousarray(
+            np.transpose(wq, (0, 2, 3, 1, 4)).reshape(i8["wq_mat"].shape)
+        )
+
+
+def assign_layouts(steps: List, output_reg: int, num_regs: int):
+    """Give every register a layout; returns ``(steps, output_reg, num_regs)``.
+
+    Native ``conv2d`` / ``winograd_conv2d`` steps are channels-last,
+    :data:`FOLLOW_OPS` take their first input's layout, and every other
+    step (float fallbacks, ``linear``, ``flatten``, ``avg_pool``) is
+    NCHW, as are the plan input and output.  A ``transpose`` step is
+    inserted before the first consumer that needs a register in the
+    other layout and shared by later ones.  Channels-last steps carry
+    ``attrs["layout"] == "nhwc"``; the batch stays on axis 0, so lanes
+    and batching are untouched.
+
+    Idempotent: existing ``transpose`` steps are kept and steps already
+    marked channels-last are not converted again, so a loaded plan —
+    including one saved before this pass existed — goes through the
+    same function.
+    """
+    from repro.engine.plan import Step
+
+    nhwc: set = set()
+    converted: Dict[tuple, int] = {}
+    out: List = []
+
+    def convert(reg: int, to_nhwc: bool) -> int:
+        nonlocal num_regs
+        key = (reg, to_nhwc)
+        if key not in converted:
+            layout = NHWC if to_nhwc else NCHW
+            out.append(Step("transpose", (reg,), num_regs, {"layout": layout},
+                            label=f"→{layout}"))
+            converted[key] = num_regs
+            if to_nhwc:
+                nhwc.add(num_regs)
+            num_regs += 1
+        return converted[key]
+
+    for step in steps:
+        if step.op == "transpose":
+            if step.attrs["layout"] == NHWC:
+                nhwc.add(step.output)
+            out.append(step)
+            continue
+        if _native_conv(step):
+            want = True
+        elif step.op in FOLLOW_OPS and step.inputs:
+            want = step.inputs[0] in nhwc
+        else:
+            want = False
+        step.inputs = tuple(
+            reg if (reg in nhwc) == want else convert(reg, want) for reg in step.inputs
+        )
+        if want:
+            if step.attrs.get("layout") != NHWC:
+                _to_channels_last(step)
+            if step.op != "global_avg_pool":  # (N, C) out: no layout left
+                nhwc.add(step.output)
+        out.append(step)
+    if output_reg in nhwc:
+        output_reg = convert(output_reg, False)
+    return out, output_reg, num_regs

@@ -18,6 +18,12 @@ the step's frozen attribute dict; quantization stages appear as
 observer) or ``{"dynamic_bits": b}`` (uncalibrated observer: range taken
 from the batch, mirroring the eager fallback), or ``None`` when disabled.
 
+Activation layout: every tensor is NCHW except in ``int8`` plans, whose
+native convolutions run channels-last (NHWC) and whose layout-neutral
+ops (``relu``, ``add``, ``affine``, ``concat``, ``max_pool``,
+``global_avg_pool``, ``record_hw``) follow their input; such steps carry
+``attrs["layout"] == "nhwc"`` (see :func:`repro.engine.int8.assign_layouts`).
+
 Memory discipline (``fast``/``int8`` only — the ``reference``
 kernels keep their original allocation pattern as the fidelity oracle):
 every hot kernel asks the executor's per-run arena for its buffers —
@@ -32,11 +38,12 @@ obtained this way (or fresh GEMM outputs) — never an input register.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.int8 import prepare_runtime, stages_cold
+from repro.engine.int8 import NHWC, prepare_runtime, stages_cold
 from repro.engine.memplan import take_out, take_scratch
 from repro.engine.registry import register_kernel
 from repro.quant.quantizer import quantization_scale
@@ -105,6 +112,10 @@ def _fq_scratch(x: np.ndarray, q: Optional[Dict], tag: str) -> np.ndarray:
     if q is None:
         return x
     return fake_quant(x, q, out=take_scratch(tag, x.shape, x.dtype))
+
+
+def _nhwc(attrs: Dict) -> bool:
+    return attrs.get("layout") == NHWC
 
 
 def _strided_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -200,6 +211,8 @@ def concat_kernel(inputs, attrs):
 @register_kernel("concat", "fast")
 def concat_fast(inputs, attrs):
     axis = attrs.get("axis", 1)
+    if _nhwc(attrs) and axis == 1:
+        axis = 3
     shape = list(inputs[0].shape)
     shape[axis] = sum(a.shape[axis] for a in inputs)
     out = take_out(tuple(shape), inputs[0].dtype)
@@ -225,9 +238,24 @@ def record_hw_kernel(inputs, attrs):
     layers do.
     """
     (x,) = inputs
+    hw = (x.shape[1], x.shape[2]) if _nhwc(attrs) else (x.shape[2], x.shape[3])
     for module in attrs["modules"]:
-        module.last_input_hw = (x.shape[2], x.shape[3])
+        module.last_input_hw = hw
     return x
+
+
+@register_kernel("transpose")
+def transpose_kernel(inputs, attrs):
+    """Move a 4-D activation between NCHW and channels-last (``attrs
+    ["layout"]`` names the target).  Values are copied verbatim, so the
+    op is grid-preserving: integer codes pass through it."""
+    (x,) = inputs
+    view = x.transpose((0, 2, 3, 1) if _nhwc(attrs) else (0, 3, 1, 2))
+    out = take_out(view.shape, x.dtype)
+    if out is None:
+        return np.ascontiguousarray(view)
+    np.copyto(out, view)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +286,24 @@ def max_pool_fast(inputs, attrs):
     (x,) = inputs
     kh, kw = attrs["kernel"]
     sh, sw = attrs["stride"]
+    nhwc = _nhwc(attrs)
+    if nhwc:  # pool NCHW-shaped views of channels-last memory
+        x = x.transpose(0, 3, 1, 2)
     n, c, h, w = x.shape
     nh = (h - kh) // sh + 1
     nw = (w - kw) // sw + 1
-    out = take_out((n, c, nh, nw), x.dtype)
-    first = True
+    shape = (n, nh, nw, c) if nhwc else (n, c, nh, nw)
+    out = take_out(shape, x.dtype)
+    if out is None:
+        out = np.empty(shape, x.dtype)
+    view = out.transpose(0, 3, 1, 2) if nhwc else out
     for i in range(kh):
         for j in range(kw):
             window = x[:, :, i : i + sh * nh : sh, j : j + sw * nw : sw]
-            if first:
-                if out is None:
-                    out = np.ascontiguousarray(window)
-                else:
-                    np.copyto(out, window)
-                first = False
+            if i == j == 0:
+                np.copyto(view, window)
             else:
-                np.maximum(out, window, out=out)
+                np.maximum(view, window, out=view)
     return out
 
 
@@ -314,6 +344,12 @@ def global_avg_pool_kernel(inputs, attrs):
 @register_kernel("global_avg_pool", "fast")
 def global_avg_pool_fast(inputs, attrs):
     (x,) = inputs
+    if _nhwc(attrs):
+        # Gather NCHW first: the sum must run over each channel's
+        # contiguous h·w, whose pairwise order fixes the result bits.
+        nchw = x.transpose(0, 3, 1, 2)
+        x = take_scratch("nchw", nchw.shape, x.dtype)
+        np.copyto(x, nchw)
     count = x.shape[2] * x.shape[3]
     out = np.sum(x, axis=(2, 3), out=take_out((x.shape[0], x.shape[1]), x.dtype))
     out *= np.float32(1.0 / count)
@@ -343,9 +379,9 @@ def affine_kernel(inputs, attrs):
 @register_kernel("affine", "fast")
 def affine_fast(inputs, attrs):
     (x,) = inputs
-    c = x.shape[1]
-    y = np.multiply(x, attrs["scale"].reshape(1, c, 1, 1), out=take_out(x.shape, x.dtype))
-    y += attrs["shift"].reshape(1, c, 1, 1)
+    bshape = (1, 1, 1, -1) if _nhwc(attrs) else (1, x.shape[1], 1, 1)
+    y = np.multiply(x, attrs["scale"].reshape(bshape), out=take_out(x.shape, x.dtype))
+    y += attrs["shift"].reshape(bshape)
     if attrs.get("fuse_relu"):
         np.maximum(y, 0.0, out=y)
     return y
@@ -706,11 +742,11 @@ def _quantize_codes(x, q, out=None):
     scale, qmax = _stage_scale(q), q["qmax"]
     r = np.divide(x, scale, out=out)
     np.rint(r, out=r)
-    np.clip(r, -qmax, qmax, out=r)
+    r.clip(-qmax, qmax, out=r)  # the method skips np.clip's wrapper layers
     return r
 
 
-def _requant_codes(acc, d, q, bias=None, qmax=None):
+def _requant_codes(acc, d, q, bias=None):
     """Integer accumulator → codes on stage ``q``'s grid, in place.
 
     Composes exactly like ``fake_quant(dequant(acc) [+ bias])``: multiply
@@ -718,14 +754,6 @@ def _requant_codes(acc, d, q, bias=None, qmax=None):
     if the stage sits after one, divide by the stage scale, ``rint``,
     ``clip`` — the same elementwise grid operations, fused onto the
     accumulator with no allocation.
-
-    ``qmax`` overrides the stage's scalar clip ceiling — per-tap grids
-    (see :func:`repro.engine.int8.enable_per_tap`) refine tap ``(i,j)``'s
-    scale to ``scale·2^f`` while widening its ceiling to ``qmax·2^-f``,
-    so the override is a broadcastable array of per-tap ceilings.  That
-    case clips as two in-place passes, ``minimum`` then ``maximum``: the
-    same bits as ``np.clip`` (NaN included) without its slow broadcast
-    loop.
     """
     acc *= d
     if bias is not None:
@@ -733,11 +761,7 @@ def _requant_codes(acc, d, q, bias=None, qmax=None):
     scale = _stage_scale(q)
     acc /= scale
     np.rint(acc, out=acc)
-    if qmax is None:
-        np.clip(acc, -q["qmax"], q["qmax"], out=acc)
-    else:
-        np.minimum(acc, qmax, out=acc)
-        np.maximum(acc, -qmax, out=acc)
+    acc.clip(-q["qmax"], q["qmax"], out=acc)
     return acc
 
 
@@ -755,25 +779,68 @@ def _requant_out(out, rq, bias_shape=None):
     return _cast_scratch(out, np.float32, "rq_f32")
 
 
-def _int8_epilogue(codes, i8, bshape):
-    """Fused step epilogue on output codes (in place).
+def _int8_epilogue(codes, i8, groups=1):
+    """Fused step epilogue on contiguous channels-last output codes (in
+    place); with ``groups > 1`` their layout is ``(..., g, P, K/g)``.
 
     ``float`` mode: dequant scale, bias and any absorbed BatchNorm are
     one per-channel affine ``codes·A + B`` (then ReLU).  ``int`` mode
     (integer handoff): the same affine lands directly on the consumer's
     input grid and is rounded/clipped there — a fused ReLU becomes the
     ``lo = 0`` clip bound, since ``rint``/``clip`` are monotone.
+    ``A``/``B`` hold the K channel constants repeated R times; a dense
+    step applies them to rows of ``r·K`` codes, ``r`` the largest power
+    of two up to R dividing the row count.
     """
     epi = i8["epi"]
-    codes *= epi["A"].reshape(bshape)
+    k = codes.shape[-1] * groups
+    if groups == 1:
+        width = k * math.gcd(epi["A"].size // k, codes.size // k)
+        rows, shape = codes.reshape(-1, width), (width,)  # views: contiguous
+    else:
+        width, rows, shape = k, codes, (groups, 1, k // groups)
+    rows *= epi["A"][:width].reshape(shape)
     if epi["B"] is not None:
-        codes += epi["B"].reshape(bshape)
+        rows += epi["B"][:width].reshape(shape)
     if epi["mode"] == "int":
         np.rint(codes, out=codes)
-        np.clip(codes, epi["lo"], epi["hi"], out=codes)
+        codes.clip(epi["lo"], epi["hi"], out=codes)
     elif epi["relu"]:
         np.maximum(codes, 0.0, out=codes)
     return _cast_scratch(codes, np.float32, "epi_f32")
+
+
+def _load_codes(x, attrs, out):
+    """Quantize/pad phase: write the step's input codes into ``out``, the
+    interior of a zero-padded buffer (zero padding is its own code).  An
+    input handed off as codes on this step's grid is copied verbatim."""
+    if attrs["i8"].get("input_prequantized"):
+        out[...] = x
+    else:
+        _quantize_codes(x, attrs["q_input"], out=out)
+
+
+def _gather_tiles(xp, t, m, dtype):
+    """Tile gather: the ``(t, t, N, th, tw, C)`` tiles of the padded
+    channels-last codes ``xp``, so each tap's tiles form one ``(P, C)``
+    matrix and every copy run is ``C`` contiguous values."""
+    patches = _strided_patches(xp.transpose(0, 3, 1, 2), t, t, m, m)
+    tiles = np.transpose(patches, (4, 5, 0, 2, 3, 1))
+    tmat = take_scratch("tmat", tiles.shape, dtype)
+    np.copyto(tmat, tiles)
+    return tmat
+
+
+def _scatter_tiles(z, m, y):
+    """Output scatter: ``(m, m, g, N, th, tw, K/g)`` output tiles ``z``
+    into the channels-last ``(N, th·m, tw·m, K)`` buffer ``y``."""
+    n, hm, wm, _ = y.shape
+    th, tw = hm // m, wm // m
+    g, kg = z.shape[1], z.shape[-1]
+    y.reshape(n, th, m, tw, m, g, kg)[...] = np.transpose(
+        z.reshape(m, m, g, n, th, tw, kg), (3, 4, 0, 5, 1, 2, 6)
+    )
+    return y
 
 
 def _cold_fallback(fast_fn, inputs, attrs):
@@ -781,7 +848,11 @@ def _cold_fallback(fast_fn, inputs, attrs):
     kernel — freezing the dynamic ranges exactly like eager's
     eval-before-observation path — and apply any absorbed BatchNorm in
     float.  Once every stage is frozen the kernel switches to the
-    integer path for good."""
+    integer path for good.  A channels-last step converts its input to
+    NCHW for the float kernel and its result back."""
+    nhwc = _nhwc(attrs)
+    if nhwc:
+        inputs = (np.ascontiguousarray(inputs[0].transpose(0, 3, 1, 2)),)
     y = fast_fn(inputs, attrs)
     post = attrs["i8"].get("post")
     if post is not None:
@@ -789,7 +860,7 @@ def _cold_fallback(fast_fn, inputs, attrs):
         y = y * post["scale"].reshape(bshape) + post["shift"].reshape(bshape)
         if post["relu"]:
             np.maximum(y, 0.0, out=y)
-    return y
+    return np.ascontiguousarray(y.transpose(0, 2, 3, 1)) if nhwc else y
 
 
 def _int8_gate(op, fast_fn, inputs, attrs):
@@ -807,12 +878,15 @@ def _int8_gate(op, fast_fn, inputs, attrs):
 
 @register_kernel("winograd_conv2d", "int8")
 def winograd_int8(inputs, attrs):
-    """Winograd on integer codes: quantize once into the padded buffer,
-    one integer Kronecker GEMM producing the Hadamard layout directly,
-    integer Hadamard contraction, transpose-free integer output
-    transform, fused requant between every stage.  Every buffer —
-    padded codes, tile matrix, transform domains, NCHW assembly — comes
-    from step scratch."""
+    """Winograd on channels-last integer codes.
+
+    Quantize once into the padded buffer, gather tiles as ``(t, t, N,
+    th, tw, C)``, one integer Kronecker GEMM for the input transform,
+    the Hadamard stage as one ``(P, C) @ (C, K)`` GEMM per tap (and
+    group) against the channels-last ``u2q``, one Kronecker GEMM for
+    the output transform, fused requant between every stage, and an
+    NHWC output scatter.  Every buffer comes from step scratch or the planned
+    output register."""
     i8 = _int8_gate("winograd_conv2d", winograd_fast, inputs, attrs)
     if i8 is None:
         return winograd_fast(inputs, attrs)
@@ -823,68 +897,58 @@ def winograd_int8(inputs, attrs):
     k, pad = attrs["out_channels"], attrs["pad"]
     dt_v, dt_h, dt_z = i8["dts"]
 
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
-    tt, p = t * t, n * th * tw
+    tt, p, cg, kg = t * t, n * th * tw, c // g, k // g
     need_h, need_w = th * m + r - 1, tw * m + r - 1
     aligned = pad == 0 and need_h == h and need_w == w
 
-    # Quantize straight into the zero-padded buffer: one pass, and the
-    # zero padding is its own quantization (code(0) = 0).  When the
-    # tiles already cover the input exactly, prequantized codes are
-    # tiled straight off the producer's register with no copy at all.
+    # When the tiles already cover the input exactly, prequantized codes
+    # are tiled straight off the producer's register with no copy at all.
     if aligned and i8.get("input_prequantized"):
         xp = x
     else:
-        xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=not aligned)
-        interior = xp if aligned else xp[:, :, pad : pad + h, pad : pad + w]
-        if i8.get("input_prequantized"):
-            interior[...] = x  # producer already emitted codes on our grid
-        else:
-            _quantize_codes(x, attrs["q_input"], out=interior)
+        xp = take_scratch("xp", (n, need_h, need_w, c), np.float32, zero=not aligned)
+        _load_codes(x, attrs, xp if aligned else xp[:, pad : pad + h, pad : pad + w])
 
-    # Tile copy directly into (t², C·P) — the Kronecker GEMM then emits
-    # the Hadamard-ready layout, killing the float path's big transpose.
-    tiles = _strided_patches(xp, t, t, m, m)  # (n, c, th, tw, t, t) view
-    tmat = take_scratch("tmat", (tt, c * p), dt_v)
-    tmat.reshape(t, t, c, n, th, tw)[...] = np.transpose(tiles, (4, 5, 1, 0, 2, 3))
+    tmat = _gather_tiles(xp, t, m, dt_v)
     v = _int8_matmul(
-        i8["btk"], tmat, out=take_scratch("v", (tt, c * p), dt_v)
-    )  # (t², C·P), exact integers
+        i8["btk"], tmat.reshape(tt, p * c), out=take_scratch("v", (tt, p * c), dt_v)
+    )  # (t², P·C), exact integers
     if INT8_STRICT:
         assert float(np.abs(v).max(initial=0.0)) <= i8["bounds"][0]
-    _requant_codes(v, i8["d_v"], attrs["q_input_t"], qmax=i8.get("qmax_v"))
+    _requant_codes(v, i8["d_v"], attrs["q_input_t"])
     v = _cast_scratch(v, dt_h, "v_h")
     had = _int8_matmul(
-        i8["u2q"],
-        v.reshape(t, t, g, c // g, p),
-        out=take_scratch("had", (t, t, g, k // g, p), dt_h),
-    )  # (t, t, g, K/g, P)
+        v.reshape(tt, p, g, cg).transpose(0, 2, 1, 3),
+        i8["u2q"].reshape(tt, g, cg, kg),
+        out=take_scratch("had", (tt, g, p, kg), dt_h),
+    )  # (t², g, P, K/g)
     if INT8_STRICT:
         assert float(np.abs(had).max(initial=0.0)) <= i8["bounds"][1]
-    _requant_codes(had, i8["d_h"], attrs["q_hadamard"], qmax=i8.get("qmax_h"))
+    _requant_codes(had, i8["d_h"], attrs["q_hadamard"])
     had = _cast_scratch(had, dt_z, "had_z")
     z = _int8_matmul(
         i8["atk"],
-        had.reshape(tt, k * p),
-        out=take_scratch("z", (m * m, k * p), dt_z),
-    )  # (m², K·P)
+        had.reshape(tt, g * p * kg),
+        out=take_scratch("z", (m * m, g * p * kg), dt_z),
+    )  # (m², g·P·K/g)
     if INT8_STRICT:
         assert float(np.abs(z).max(initial=0.0)) <= i8["bounds"][2]
     z = _requant_out(z, i8["rq_out"])
-    out = _int8_epilogue(z.reshape(m * m, k, p), i8, (1, k, 1))
-    y = take_scratch("y", (n, k, th * m, tw * m), np.float32)
-    y.reshape(n, k, th, m, tw, m)[...] = np.transpose(
-        out.reshape(m, m, k, n, th, tw), (3, 2, 4, 0, 5, 1)
-    )
-    if th * m != out_h or tw * m != out_w:
-        y = y[:, :, :out_h, :out_w]
-    return y
+    z = _int8_epilogue(z.reshape(m * m, g, p, kg), i8, g)
+    cropped = th * m != out_h or tw * m != out_w
+    y = None if cropped else take_out((n, out_h, out_w, k))
+    if y is None:
+        y = take_scratch("y", (n, th * m, tw * m, k), np.float32)
+    return _scatter_tiles(z, m, y)[:, :out_h, :out_w]
 
 
 @register_kernel("conv2d", "int8")
 def conv2d_int8(inputs, attrs):
-    """im2row GEMM on integer codes with fused requant epilogue."""
+    """im2row GEMM on channels-last integer codes with fused requant
+    epilogue: patch rows in ``(kh, kw, C)`` order, so the GEMM's output
+    rows are already NHWC."""
     i8 = _int8_gate("conv2d", conv2d_fast, inputs, attrs)
     if i8 is None:
         return conv2d_fast(inputs, attrs)
@@ -895,62 +959,46 @@ def conv2d_int8(inputs, attrs):
     ph, pw = attrs["padding"]
     g = attrs["groups"]
     k, cg, kh, kw = attrs["weight"].shape
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     dt = i8["dt"]
     rq = i8["rq_out"]
 
-    if "wq_1x1" in i8:
+    kg = k // g
+    if kh == kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and g == 1:
+        # 1×1: the channels-last activation already is the row matrix.
         if i8.get("input_prequantized"):
-            qx = np.ascontiguousarray(x).reshape(n, c, h * w)
+            rows = np.ascontiguousarray(x)
         else:
-            qx = _quantize_codes(
+            rows = _quantize_codes(
                 x, attrs["q_input"], out=take_scratch("qx", x.shape, np.float32)
-            ).reshape(n, c, h * w)
-        qx = _cast_scratch(qx, dt, "qx_dt")
-        out = _int8_matmul(
-            i8["wq_1x1"][None], qx, out=take_scratch("gemm", (n, k, h * w), dt)
-        )  # (n, K, H·W)
-        if INT8_STRICT:
-            assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-        out = _requant_out(out, rq, bias_shape=(1, k, 1))
-        out = _int8_epilogue(out, i8, (1, k, 1))
-        return out.reshape(n, k, h, w)
-
-    xp = take_scratch("xp", (n, c, h + 2 * ph, w + 2 * pw), np.float32, zero=True)
-    interior = xp[:, :, ph : ph + h, pw : pw + w]
-    if i8.get("input_prequantized"):
-        interior[...] = x
+            )
+        rows = _cast_scratch(rows.reshape(1, n * h * w, c), dt, "qx_dt")
+        oh, ow = h, w
     else:
-        _quantize_codes(x, attrs["q_input"], out=interior)
-    patches = _strided_patches(xp, kh, kw, sh, sw)
-    oh, ow = patches.shape[2], patches.shape[3]
-    if g == 1:
-        rows = take_scratch("rows", (n * oh * ow, c * kh * kw), dt)
-        rows.reshape(n, oh, ow, c, kh, kw)[...] = np.transpose(
-            patches, (0, 2, 3, 1, 4, 5)
+        xp = take_scratch("xp", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
+        _load_codes(x, attrs, xp[:, ph : ph + h, pw : pw + w])
+        patches = _strided_patches(xp.transpose(0, 3, 1, 2), kh, kw, sh, sw)
+        oh, ow = patches.shape[2], patches.shape[3]
+        rows = take_scratch("rows", (g, n * oh * ow, kh * kw * cg), dt)
+        rows.reshape(g, n, oh, ow, kh, kw, cg)[...] = np.transpose(
+            patches.reshape(n, g, cg, oh, ow, kh, kw), (1, 0, 3, 4, 5, 6, 2)
         )
-        out = _int8_matmul(
-            rows, i8["wq_mat"], out=take_scratch("gemm", (n * oh * ow, k), dt)
-        )  # (n·oh·ow, K)
-        if INT8_STRICT:
-            assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-        out = _requant_out(out, rq)
-        out = _int8_epilogue(out, i8, (k,))
-        return np.transpose(out.reshape(n, oh, ow, k), (0, 3, 1, 2))
-    rows = take_scratch("rows", (g, n * oh * ow, (c // g) * kh * kw), dt)
-    rows.reshape(g, n, oh, ow, c // g, kh, kw)[...] = np.transpose(
-        patches.reshape(n, g, c // g, oh, ow, kh, kw), (1, 0, 3, 4, 2, 5, 6)
-    )
     out = _int8_matmul(
-        rows, i8["wq_mat"], out=take_scratch("gemm", (g, n * oh * ow, k // g), dt)
+        rows, i8["wq_mat"], out=take_scratch("gemm", (g, n * oh * ow, kg), dt)
     )  # (g, n·oh·ow, K/g)
     if INT8_STRICT:
         assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-    out = _requant_out(out, rq, bias_shape=(g, 1, k // g))
-    out = _int8_epilogue(out, i8, (g, 1, k // g))
-    return np.transpose(
-        out.reshape(g, n, oh, ow, k // g), (1, 0, 4, 2, 3)
-    ).reshape(n, k, oh, ow)
+    out = _requant_out(out, rq, bias_shape=(g, 1, kg))
+    out = _int8_epilogue(out, i8, g)
+    if g == 1:
+        return out.reshape(n, oh, ow, k)
+    y = take_out((n, oh, ow, k))
+    if y is None:
+        y = take_scratch("y", (n, oh, ow, k), np.float32)
+    y.reshape(n, oh, ow, g, kg)[...] = np.transpose(
+        out.reshape(g, n, oh, ow, kg), (1, 2, 3, 0, 4)
+    )
+    return y
 
 
 @register_kernel("linear", "int8")
@@ -976,4 +1024,4 @@ def linear_int8(inputs, attrs):
     if INT8_STRICT:
         assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
     out = _requant_out(out, i8["rq_out"])
-    return _int8_epilogue(out, i8, (k,))
+    return _int8_epilogue(out, i8)

@@ -7,6 +7,9 @@ removes that:
 * **Shape/dtype inference** derives every register's shape (batch axis
   symbolic — all lowered ops carry the batch on axis 0, so per-sample
   shapes are enough) from the step attributes alone, with no data.
+  Shapes are logical NCHW; the register views of channels-last steps
+  (``attrs["layout"] == "nhwc"``, see :mod:`repro.engine.int8`) are
+  permuted to ``(n, h, w, c)``.
   Plans containing an op with no shape rule (a hand-built or
   custom-registered op) keep the legacy allocate-per-step executor.
 * **Liveness → slot assignment** extends the executor's existing
@@ -42,6 +45,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.int8 import NHWC
+
 #: Ops whose kernel may return its input array (or a view of it): the
 #: output register aliases the input register's memory, so they must
 #: share a slot lifetime.
@@ -70,13 +75,17 @@ def _pool_hw(h: int, w: int, kernel, stride) -> Tuple[int, int]:
 
 def infer_step_shape(step, in_shapes: List[Optional[tuple]]) -> Optional[tuple]:
     """Output shape of one step given its input shapes (batch=1), or
-    ``None`` when the op has no rule (or an input is unknown)."""
+    ``None`` when the op has no rule (or an input is unknown).
+
+    Shapes are logical NCHW whatever the step's layout; the arena
+    permutes the views of channels-last registers (see
+    :func:`plan_layout`)."""
     if any(s is None for s in in_shapes):
         return None
     a = step.attrs
     op = step.op
     s0 = in_shapes[0] if in_shapes else None
-    if op in ("relu", "affine", "record_hw", "add"):
+    if op in ("relu", "affine", "record_hw", "add", "transpose"):
         return s0
     if op == "flatten":
         return (s0[0], _prod(s0[1:]))
@@ -128,7 +137,8 @@ class MemoryLayout:
     slot_elems: List[int]
     #: register -> slot index (only registers with inferred shapes)
     reg_slot: Dict[int, int]
-    #: register -> per-sample tail shape (shape without the batch axis)
+    #: register -> per-sample tail shape of its arena view (shape without
+    #: the batch axis; ``(h, w, c)`` for a channels-last register)
     reg_tail: Dict[int, tuple]
     planned_registers: int = 0
     buffers_reused: int = 0
@@ -214,7 +224,10 @@ def plan_layout(steps, input_reg: int, output_reg: int, sample_shape) -> Optiona
         root = find(reg)
         if root in record:
             reg_slot[reg] = record[root]
-            reg_tail[reg] = tuple(shapes[reg][1:])
+            tail = tuple(shapes[reg][1:])
+            if step.attrs.get("layout") == NHWC and len(tail) == 3:
+                tail = tail[1:] + tail[:1]  # (c, h, w) -> (h, w, c)
+            reg_tail[reg] = tail
     return MemoryLayout(
         slot_elems=slot_elems,
         reg_slot=reg_slot,

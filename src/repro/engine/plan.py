@@ -324,20 +324,14 @@ class CompiledPlan:
         return tuple(sorted({s.op for s in self.steps}))
 
     def int8_report(self) -> Dict[str, Any]:
-        """Counts of native-int8 steps and integer-code handoffs (the
-        compile-time fusion the ``int8`` backend performed), and the
-        indices of the steps running on per-tap transform-domain grids
-        (see :func:`repro.engine.int8.enable_per_tap`)."""
-        native = [
-            (i, s.attrs.get("i8", {}))
-            for i, s in enumerate(self.steps)
-            if s.domain == "int8"
-        ]
+        """Counts of native-int8 steps, integer-code handoffs and
+        absorbed BatchNorm affines (the compile-time fusion the ``int8``
+        backend performed)."""
+        native = [s.attrs.get("i8", {}) for s in self.steps if s.domain == "int8"]
         return {
             "native_int8_steps": len(native),
-            "int_handoffs": sum(1 for _, i8 in native if i8.get("emit_q") is not None),
-            "absorbed_affines": sum(1 for _, i8 in native if i8.get("post") is not None),
-            "per_tap_steps": [i for i, i8 in native if i8.get("per_tap")],
+            "int_handoffs": sum(1 for i8 in native if i8.get("emit_q") is not None),
+            "absorbed_affines": sum(1 for i8 in native if i8.get("post") is not None),
         }
 
     def residency_report(self) -> List[Dict[str, Any]]:
@@ -401,8 +395,7 @@ class CompiledPlan:
         for i, step in enumerate(self.steps):
             tag = " +relu" if step.attrs.get("fuse_relu") else ""
             if step.domain != "float":
-                per_tap = step.attrs.get("i8", {}).get("per_tap")
-                tag += f" <{step.domain}{' per-tap' if per_tap else ''}>"
+                tag += f" <{step.domain}>"
             label = f" [{step.label}]" if step.label else ""
             ins = ",".join(f"r{r}" for r in step.inputs)
             lines.append(f"  {i:3d}: {step.op}{tag}{label} ({ins}) -> r{step.output}")

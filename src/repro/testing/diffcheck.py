@@ -193,7 +193,10 @@ def check_model(seed: int, threads: int = 2) -> dict:
         )
         int8_report = int8_plan.int8_report()
         report["native_int8_steps"] = int8_report["native_int8_steps"]
-        report["per_tap_steps"] = int8_report["per_tap_steps"]
+        stem = next(s for s in int8_plan.steps if s.op != "transpose")
+        report["native_wino_stem"] = (
+            stem.op == "winograd_conv2d" and stem.domain == "int8"
+        )
         report["float_fallback_gemms"] = len(float_gemms)
         audit = winograd_stem_flip_report(int8_plan, x)
         if audit is not None:

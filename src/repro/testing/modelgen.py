@@ -113,8 +113,8 @@ def generate_model(seed: int) -> GeneratedModel:
     layer_index = 0
 
     # Every fifth seed gets a *chained* stride-1 Winograd stem — two
-    # back-to-back Winograd convs on a non-square input — the pair shape
-    # the int8 pass moves to per-tap grids.  The chained flag derives
+    # back-to-back Winograd convs on a non-square input — a pair the int8
+    # pass joins with a direct integer handoff.  The chained flag derives
     # from the seed (not an rng draw) so the other seeds' models are
     # untouched; pad of the second conv alternates so the corpus covers
     # both the aligned (pad=0) and padded consumer prologues.

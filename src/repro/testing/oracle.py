@@ -65,8 +65,8 @@ def int64_gemm():
 def int8_oracle_output(model, x: np.ndarray) -> np.ndarray:
     """Compile and run ``model``'s int8 plan under the int64-GEMM oracle.
 
-    The oracle compiles the model itself, so it integerises the same
-    per-tap grid selection as the plan under test.
+    The oracle compiles the model itself, so it runs the same steps,
+    grids and layouts as the plan under test.
     """
     with int64_gemm():
         return compile_model(model, backend="int8").run(x)
@@ -76,10 +76,11 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
     """Audit the transformed-input quantization codes of a Winograd stem.
 
     Applies when the plan's first step is a native-int8
-    ``winograd_conv2d`` whose only input is the plan input register and
-    whose input/transform quantization stages are frozen; returns
-    ``None`` when the plan has no such step (the caller then relies on
-    the model-level int64-oracle identity alone).
+    ``winograd_conv2d`` whose only input is the plan input register (or
+    its channels-last ``transpose``) and whose input/transform
+    quantization stages are frozen; returns ``None`` when the plan has
+    no such step (the caller then relies on the model-level int64-oracle
+    identity alone).
 
     The returned report carries ``flips`` (count of code decisions that
     differ between the float32 reference composition and the exact
@@ -89,40 +90,37 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
     """
     from repro.engine.kernels import _strided_patches, fake_quant
 
-    steps = plan.steps
+    steps = list(plan.steps)
+    reads = (plan.input_reg,)
+    if steps and steps[0].op == "transpose" and steps[0].inputs == reads:
+        reads = (steps.pop(0).output,)
     if not steps:
         return None
     step = steps[0]
     if (
         step.op != "winograd_conv2d"
         or step.domain != "int8"
-        or tuple(step.inputs) != (plan.input_reg,)
+        or tuple(step.inputs) != reads
     ):
         return None
     attrs = step.attrs
     i8 = attrs.get("i8") or {}
-    if i8.get("per_tap"):
-        # Per-tap stems requantize on tap-shaped scale grids, so the
-        # scalar-multiplier recomputation below does not apply; the
-        # model-level int64-oracle identity covers these plans.
-        return None
     q_in, q_v = attrs.get("q_input"), attrs.get("q_input_t")
     if not q_in or not q_v or "scale" not in q_in or "scale" not in q_v:
         return None
     if "btk" not in i8 or "eb" not in i8:
         return None
     n, c, h, w = x.shape
-    if h != w:
-        return None
     m, r, t, pad = attrs["m"], attrs["r"], attrs["t"], attrs["pad"]
-    out_h = h + 2 * pad - r + 1
-    th = -(-out_h // m)
-    need = th * m + r - 1
-    tt, p = t * t, n * th * th
+    th = -(-(h + 2 * pad - r + 1) // m)
+    tw = -(-(w + 2 * pad - r + 1) // m)
+    need_h, need_w = th * m + r - 1, tw * m + r - 1
+    tt, p = t * t, n * th * tw
+    widths = ((0, 0), (0, 0), (pad, need_h - h - pad), (pad, need_w - w - pad))
 
     # float32 reference composition of the transformed-input codes
     xq = fake_quant(x.copy(), dict(q_in))
-    xp = np.pad(xq, ((0, 0), (0, 0), (pad, need - h - pad), (pad, need - h - pad)))
+    xp = np.pad(xq, widths)
     tiles = np.ascontiguousarray(_strided_patches(xp, t, t, m, m))
     v_ref = np.matmul(np.matmul(attrs["BT"], tiles), attrs["BT"].transpose())
     ref_codes = np.clip(
@@ -132,7 +130,7 @@ def winograd_stem_flip_report(plan, x: np.ndarray) -> Optional[dict]:
 
     # exact integer composition of the same codes
     codes = np.clip(np.rint(x / q_in["scale"]), -q_in["qmax"], q_in["qmax"])
-    xpc = np.pad(codes, ((0, 0), (0, 0), (pad, need - h - pad), (pad, need - h - pad)))
+    xpc = np.pad(codes, widths)
     tmat = np.ascontiguousarray(
         np.transpose(_strided_patches(xpc, t, t, m, m), (4, 5, 1, 0, 2, 3))
     ).reshape(tt, c * p)

@@ -77,6 +77,32 @@ def _saved(tmp_path, plan, x, name="plan"):
     return path, summary
 
 
+def _rewrite_manifest(path, edit):
+    """Apply ``edit`` to the saved manifest and re-hash the file, as a
+    writer of that manifest would have (the manifest is the last
+    section, so the tensor segments keep their offsets)."""
+    import hashlib
+    import json
+
+    data = open(path, "rb").read()
+    fields = list(HEADER.unpack_from(data))
+    manifest_off, manifest_len = fields[4], fields[5]
+    manifest = json.loads(data[manifest_off : manifest_off + manifest_len])
+    edit(manifest)
+    body = json.dumps(manifest, separators=(",", ":")).encode()
+    data = data[:manifest_off] + body
+    fields[3], fields[5] = len(data), len(body)
+    fields[6] = hashlib.sha256(data[HEADER.size :]).digest()
+    open(path, "wb").write(HEADER.pack(*fields) + data[HEADER.size :])
+
+
+@pytest.fixture(scope="module")
+def resnet_int8():
+    from repro.serve.registry import ModelSpec, compile_served
+
+    return compile_served(ModelSpec.parse("resnet18-w0.25-F4-int8@int8")).plan
+
+
 class TestRoundTrip:
     def test_reference_bitwise(self, tmp_path, fp32_case):
         gm, plan = fp32_case
@@ -135,6 +161,57 @@ class TestRoundTrip:
         original, roundtripped = shared_pairs(plan.steps), shared_pairs(loaded.steps)
         assert original, "int8 corpus model should share q dicts across steps"
         assert roundtripped == original
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_uniform_int8_artifact_runs_channels_last_bitwise(
+        self, tmp_path, resnet_int8, batch
+    ):
+        # Contract 5 on the channels-last plan: the loaded plan keeps the
+        # compiled step program (one input transpose, none added on load)
+        # and its bits.
+        x = np.random.default_rng(batch).standard_normal((batch, 3, 32, 32))
+        x = x.astype(np.float32)
+        path, _ = _saved(tmp_path, resnet_int8, x[:1])
+        loaded = load_plan(path)
+        assert [(s.op, s.inputs, s.output) for s in loaded.steps] == [
+            (s.op, s.inputs, s.output) for s in resnet_int8.steps
+        ]
+        assert sum(s.op == "transpose" for s in loaded.steps) == 1
+        np.testing.assert_array_equal(loaded.run(x), resnet_int8.run(x))
+
+    def test_pre_channels_last_artifact_loads_bitwise(self, tmp_path):
+        # A version-2 file from before channels-last int8 plans: no
+        # transpose steps, no layout marks, Winograd weights in their
+        # (t, t, g, K/g, C/g) order.  Loading lays the plan out again.
+        from repro.engine.cache import PlanCache
+        from repro.serve.registry import ModelSpec, compile_served
+
+        spec = ModelSpec.parse("lenet-F2-int8@int8")
+        plan = compile_served(spec, cache=PlanCache()).plan  # mutated below
+        x = np.random.default_rng(3).standard_normal((8, 1, 28, 28))
+        x = x.astype(np.float32)
+        expected = plan.run(x)
+        assert not [s for s in plan.steps if s.op == "conv2d"]
+        (first, last) = [s for s in plan.steps if s.op == "transpose"]
+        assert first.inputs == (plan.input_reg,)
+        legacy = [s for s in plan.steps if s.op != "transpose"]
+        for step in legacy:
+            if step.attrs.pop("layout", None) and step.op == "winograd_conv2d":
+                u2q = step.attrs["i8"]["u2q"]
+                step.attrs["i8"]["u2q"] = np.ascontiguousarray(np.swapaxes(u2q, 3, 4))
+            step.inputs = tuple(
+                {first.output: plan.input_reg, last.output: last.inputs[0]}.get(r, r)
+                for r in step.inputs
+            )
+        old = CompiledPlan(
+            steps=legacy, num_regs=first.output, input_reg=plan.input_reg,
+            output_reg=plan.output_reg, backend="int8", signature=plan.signature,
+        )
+        path, _ = _saved(tmp_path, old, x[:1])
+        loaded = load_plan(path)
+        assert [s.op for s in loaded.steps].count("transpose") == 2
+        np.testing.assert_array_equal(loaded.run(x), expected)
+        np.testing.assert_array_equal(loaded.run(x[:1]), expected[:1])
 
     def test_manifest_and_content_hash(self, tmp_path, fp32_case):
         gm, plan = fp32_case
@@ -233,6 +310,35 @@ class TestRejection:
         expected = f"unknown backend 'retired'; expected one of {BACKENDS}"
         with pytest.raises(ArtifactFormatError, match=re.escape(expected)):
             load_plan(path)
+
+    def test_tap_wise_i8_block_is_refused(self, tmp_path, int8_case):
+        # Earlier engines could save Winograd steps on tap-wise
+        # transform-domain grids; this build cannot reproduce their bits,
+        # so such a file is a typed format error, not a silent uniform run.
+        gm, plan = int8_case
+        path, _ = _saved(tmp_path, plan, gm.sample_input())
+
+        def add_tap_grids(manifest):
+            for step in manifest["steps"]:
+                i8 = step["attrs"]["v"].get("i8")
+                if step["op"] == "winograd_conv2d" and i8 and "btk" in i8["v"]:
+                    i8["v"].update(
+                        per_tap=True,
+                        tap_fv={"__t__": [0, -1]},
+                        tap_fh={"__t__": [0, -1]},
+                        qmax_v={"__t__": [127.0, 254.0]},
+                        qmax_h={"__t__": [127.0, 254.0]},
+                    )
+                    return
+            raise AssertionError("int8 corpus plan has no native Winograd step")
+
+        _rewrite_manifest(path, add_tap_grids)
+        read_manifest(path, verify=True)  # hash and manifest are well formed
+        with pytest.raises(ArtifactFormatError, match="i8 attributes"):
+            load_plan(path)
+        from repro.cli import main
+
+        assert main(["compile", "--inspect", path]) == 2
 
     def test_typed_errors_are_artifact_errors(self):
         for exc in (

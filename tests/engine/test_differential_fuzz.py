@@ -63,15 +63,19 @@ def test_generator_is_deterministic():
 def test_corpus_covers_every_dimension():
     """The fixed tier-1 corpus must actually exercise each axis of the
     mode product — precisions, Winograd layers, quantized Winograd stems
-    (the configuration the bin-boundary audit reaches), native int8
-    execution, and per-tap grids (pinned only by int64-oracle
-    exactness) — otherwise a green run proves much less than it claims."""
+    (the configuration the bin-boundary audit reaches) and native int8
+    execution — otherwise a green run proves much less than it claims.
+    Every native int8 Winograd stem is audited (contract 6), with 0
+    unjustified flips (asserted per seed by ``check_model``)."""
     reports = [check_model(seed) for seed in TIER1_SEEDS]
     seen_precisions = {r["precision"] for r in reports}
     assert seen_precisions == set(PRECISIONS)
     assert sum(1 for r in reports if r["has_winograd"]) >= 10
-    audited = [r for r in reports if r["stem_audit"] is not None]
-    assert len(audited) >= 4, "too few quantized-Winograd-stem audits in corpus"
+    audited = [r["seed"] for r in reports if r["stem_audit"] is not None]
+    stems = [r["seed"] for r in reports if r.get("native_wino_stem")]
+    assert audited == stems, "a native int8 Winograd stem escaped the audit"
+    assert all(
+        r["stem_audit"]["unjustified"] == 0 for r in reports if r["stem_audit"]
+    )
+    assert len(audited) >= 6, "too few quantized-Winograd-stem audits in corpus"
     assert sum(r.get("native_int8_steps", 0) for r in reports) >= 20
-    per_tap = [r["seed"] for r in reports if r.get("per_tap_steps")]
-    assert len(per_tap) >= 4, f"too few per-tap int8 plans in corpus: {per_tap}"

@@ -17,17 +17,15 @@ Contract (ISSUE 3):
   relative tolerance, tiny mismatch mass, identical argmax — not
   bitwise.  Single quantized layers and pure-im2row models are
   empirically bit-identical to reference.
-* **Per-tap grids** — directly handed-off Winograd pairs refine to
-  per-tap transform-domain grids that keep every tap's representable
-  range; those steps are pinned by int64-oracle exactness and reported
-  by ``int8_report()``, ``describe()`` and ``repro compile --inspect``.
+* **Channels-last** — native convolutions read and write NHWC, the
+  ops that follow them keep that layout, and a ``transpose`` step sits
+  only where a consumer needs the other layout (one, at the input, on
+  ResNet).
 * **Fallbacks** — float models and ineligible steps (flex transforms,
   partially-disabled stages) execute through the fast→reference
   chain; cold-compiled plans run the fast path until their ranges freeze
   and then switch to native integer execution.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -409,7 +407,7 @@ class TestIntegration:
         assert all(lat > 0 for lat in latencies)
 
 
-class TestPerTap:
+class TestChannelsLast:
     @pytest.fixture(scope="class")
     def chained_int8(self):
         gm = generate_model(13)  # chained int8 corpus seed
@@ -424,80 +422,53 @@ class TestPerTap:
 
         return compile_served(ModelSpec.parse("resnet18-w0.25-F4-int8@int8")).plan
 
-    def test_oracle_exact(self, chained_int8, strict_bounds):
+    def test_chained_oracle_exact(self, chained_int8, strict_bounds):
         gm = chained_int8
         x = gm.sample_input()
         plan = compile_model(gm.model, backend="int8")
-        assert plan.int8_report()["per_tap_steps"]
+        assert plan.int8_report()["int_handoffs"]
         np.testing.assert_array_equal(plan.run(x), int8_oracle_output(gm.model, x))
 
-    def test_per_tap_grid_preserves_representable_range(self, chained_int8):
-        plan = compile_model(chained_int8.model, backend="int8")
-        tapped = [s for s in plan.steps if s.attrs.get("i8", {}).get("per_tap")]
-        assert tapped, "chained int8 seed should refine at least one pair"
-        for step in tapped:
-            i8 = step.attrs["i8"]
-            fv, fh = i8["tap_fv"], i8["tap_fh"]
-            assert np.all(fv <= 0) and np.all(fh <= 0)
-            assert np.any(fv) or np.any(fh)
-            # Finer scale 2^f is always paired with the widened clip
-            # ceiling 2^-f: scale * qmax — the representable range — is
-            # tap-independent, so refinement can never clip new values.
-            qv = float(step.attrs["q_input_t"]["qmax"])
-            qh = float(step.attrs["q_hadamard"]["qmax"])
-            np.testing.assert_array_equal(np.ldexp(i8["qmax_v"].ravel(), fv), qv)
-            np.testing.assert_array_equal(
-                np.ldexp(i8["qmax_h"].ravel(), fh.ravel()), qh
-            )
-
-    def test_per_tap_plan_roundtrips_bitwise(self, chained_int8, tmp_path):
+    def test_chained_plan_roundtrips_bitwise(self, chained_int8, tmp_path):
         gm = chained_int8
         x = gm.sample_input()
         plan = compile_model(gm.model, backend="int8")
         path = str(tmp_path / "plan.rpln")
         save_plan(plan, path, input_shape=x.shape)
         loaded = load_plan(path)
-        tapped = plan.int8_report()["per_tap_steps"]
-        assert tapped and loaded.int8_report()["per_tap_steps"] == tapped
+        assert [s.op for s in loaded.steps] == [s.op for s in plan.steps]
         np.testing.assert_array_equal(loaded.run(x), plan.run(x))
 
-    def test_resnet_reports_per_tap_steps(self, resnet_int8):
-        tapped = resnet_int8.int8_report()["per_tap_steps"]
-        # Both convs of every dense basic block hand codes off directly.
-        assert tapped == [1, 2, 5, 6, 9, 10, 13, 14, 17, 18, 21, 22]
-        lines = resnet_int8.describe()[1 : 1 + len(resnet_int8.steps)]
-        tagged = [i for i, line in enumerate(lines) if "<int8 per-tap>" in line]
-        assert tagged == tapped
+    def test_resnet_one_transpose_at_input(self, resnet_int8):
+        steps = resnet_int8.steps
+        transposes = [i for i, s in enumerate(steps) if s.op == "transpose"]
+        assert transposes == [0]
+        assert steps[0].inputs == (resnet_int8.input_reg,)
+        assert steps[0].attrs["layout"] == "nhwc"
+        for step in steps[1:]:
+            if step.op == "linear":
+                assert "layout" not in step.attrs
+            else:  # native convs and every op that follows them
+                assert step.attrs["layout"] == "nhwc", step
+        assert resnet_int8.int8_report() == {
+            "native_int8_steps": 22, "int_handoffs": 8, "absorbed_affines": 21,
+        }
+        assert not [line for line in resnet_int8.describe() if "per-tap" in line]
         assert resnet_int8.residency_report() == []
 
-    def test_cli_inspect_lists_per_tap_steps(self, resnet_int8, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "resnet.rpln")
-        save_plan(resnet_int8, path, input_shape=(1, 3, 32, 32))
-        assert main(["compile", "--inspect", path]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        tapped = resnet_int8.int8_report()["per_tap_steps"]
-        assert summary["per_tap_steps"] == tapped
-        assert "residency" not in summary
-        loaded = load_plan(path)
-        assert loaded.int8_report()["per_tap_steps"] == tapped
-        assert sum("<int8 per-tap>" in line for line in loaded.describe()) == len(tapped)
-        x = np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32)
-        np.testing.assert_array_equal(loaded.run(x), resnet_int8.run(x))
-
-    def test_cli_inspect_resolves_shared_i8_blocks(self, chained_int8, tmp_path, capsys):
+    def test_shared_i8_blocks_load(self, chained_int8, tmp_path):
         # Version-2 files written with the old residency pass shared the
         # consumer's i8 dict from the producer's step attributes, so the
         # consumer's i8 block is encoded as a __ref__ to it.
-        from repro.cli import main
-
-        plan = compile_model(chained_int8.model, backend="int8")
-        tapped = plan.int8_report()["per_tap_steps"]
-        producer, consumer = (plan.steps[i] for i in tapped[:2])
+        gm = chained_int8
+        x = gm.sample_input()
+        plan = compile_model(gm.model, backend="int8")
+        wino = [s for s in plan.steps if s.op == "winograd_conv2d"]
+        producer, consumer = wino[:2]
         producer.attrs["edge"] = {"i8": consumer.attrs["i8"]}
         path = str(tmp_path / "shared.rpln")
-        save_plan(plan, path, input_shape=(1,) + chained_int8.sample_input().shape[1:])
-        assert main(["compile", "--inspect", path]) == 0
-        assert json.loads(capsys.readouterr().out)["per_tap_steps"] == tapped
-
+        save_plan(plan, path, input_shape=x.shape)
+        loaded = load_plan(path)
+        producer, consumer = [s for s in loaded.steps if s.op == "winograd_conv2d"][:2]
+        assert producer.attrs["edge"]["i8"] is consumer.attrs["i8"]
+        np.testing.assert_array_equal(loaded.run(x), plan.run(x))

@@ -156,6 +156,42 @@ class TestPlannedExecution:
         assert entry["buffers_reused"] > 0
         assert entry["slots"] < entry["planned_registers"]
 
+    def test_channels_last_registers_keep_logical_shapes(self, rng):
+        """``infer_step_shape`` reports logical NCHW shapes on the
+        channels-last ``@int8`` plan, register for register the shapes of
+        the ``@fast`` plan, while the arena views are permuted: a take-out
+        that missed its permuted view would silently allocate."""
+        from repro.engine.memplan import infer_step_shape
+        from repro.serve.registry import ModelSpec, compile_served
+
+        def shapes(plan):
+            out = {plan.input_reg: (1, 3, 32, 32)}
+            for step in plan.steps:
+                out[step.output] = infer_step_shape(
+                    step, [out[r] for r in step.inputs]
+                )
+            return out
+
+        name = "resnet18-w0.25-F4-int8"
+        served = compile_served(ModelSpec.parse(f"{name}@int8"))
+        plan = served.plan
+        fast = compile_served(ModelSpec.parse(f"{name}@fast")).plan
+        int8_shapes, fast_shapes = shapes(plan), shapes(fast)
+        transposed = {s.output for s in plan.steps if s.op == "transpose"}
+        assert len(transposed) == 1
+        assert set(int8_shapes) - transposed <= set(fast_shapes)
+        for reg, shape in int8_shapes.items():
+            if reg not in transposed:
+                assert shape == fast_shapes[reg], reg
+        assert int8_shapes[plan.output_reg] == fast_shapes[fast.output_reg]
+        for batch in (1, 8, 1):
+            x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+            plan.run(x, threads=1)
+            plan.run(x, threads=1)
+            report = plan.memory_report(batch=batch)
+            assert report["shape_misses"] == 0
+            assert report["steady_state_allocations"] == 0
+
     def test_planned_equals_unplanned_bitwise(self, rng):
         model = lenet(spec=ConvSpec("F2", int8()))
         model.eval()
