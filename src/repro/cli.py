@@ -697,12 +697,11 @@ def run_compile(args) -> int:
     """
     import json
 
-    from repro.engine.artifact import ArtifactError, load_plan, read_manifest
+    from repro.engine.artifact import ArtifactError, read_manifest
 
     if args.inspect:
         try:
             manifest = read_manifest(args.inspect, verify=True)
-            load_plan(args.inspect, verify=False, prepare=False)  # loadable?
         except (OSError, ArtifactError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -96,6 +96,50 @@ def _rewrite_manifest(path, edit):
     open(path, "wb").write(HEADER.pack(*fields) + data[HEADER.size :])
 
 
+def _pre_channels_last(plan):
+    """Rebuild ``plan`` (channels-last, compiled by this build) as a plan
+    saved before channels-last int8 plans existed: transposes removed,
+    layout marks dropped, native weights back in their earlier layouts
+    and epilogue constants one per channel.  Mutates ``plan``'s steps."""
+    transposes = [s for s in plan.steps if s.op == "transpose"]
+    source = {s.output: s.inputs[0] for s in transposes}
+    steps = [s for s in plan.steps if s.op != "transpose"]
+    for step in steps:
+        attrs = step.attrs
+        attrs.pop("layout", None)
+        step.inputs = tuple(source.get(r, r) for r in step.inputs)
+        i8 = attrs.get("i8")
+        if step.domain != "int8" or not isinstance(i8, dict):
+            continue
+        epi = i8.get("epi")
+        if epi is not None:  # K channel constants, not repeated
+            k = attrs.get("out_channels") or attrs["weight"].shape[0]
+            epi["A"] = epi["A"][:k].copy()
+            epi["B"] = None if epi["B"] is None else epi["B"][:k].copy()
+        if step.op == "winograd_conv2d":
+            i8["u2q"] = np.ascontiguousarray(np.swapaxes(i8["u2q"], 3, 4))
+        elif step.op == "conv2d":
+            k, cg, kh, kw = attrs["weight"].shape
+            g = attrs["groups"]
+            wq = i8.pop("wq_mat")  # (g, kh·kw·C/g, K/g), (kh, kw, C) rows
+            if (kh, kw, g) == (1, 1, 1) and attrs["stride"] == (1, 1) and (
+                attrs["padding"] == (0, 0)
+            ):
+                i8["wq_1x1"] = np.ascontiguousarray(wq[0].T)  # (K, C)
+                continue
+            wq = np.transpose(wq.reshape(g, kh, kw, cg, k // g), (0, 3, 1, 2, 4))
+            wq = wq.reshape(g, cg * kh * kw, k // g)
+            i8["wq_mat"] = np.ascontiguousarray(wq[0] if g == 1 else wq)
+    return CompiledPlan(
+        steps=steps,
+        num_regs=min(source, default=plan.num_regs),
+        input_reg=plan.input_reg,
+        output_reg=plan.output_reg,
+        backend="int8",
+        signature=plan.signature,
+    )
+
+
 @pytest.fixture(scope="module")
 def resnet_int8():
     from repro.serve.registry import ModelSpec, compile_served
@@ -179,37 +223,34 @@ class TestRoundTrip:
         assert sum(s.op == "transpose" for s in loaded.steps) == 1
         np.testing.assert_array_equal(loaded.run(x), resnet_int8.run(x))
 
-    def test_pre_channels_last_artifact_loads_bitwise(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name", ["lenet-F2-int8@int8", "squeezenet-F4-int8@int8"]
+    )
+    def test_pre_channels_last_artifact_loads_bitwise(self, tmp_path, name):
         # A version-2 file from before channels-last int8 plans: no
         # transpose steps, no layout marks, Winograd weights in their
-        # (t, t, g, K/g, C/g) order.  Loading lays the plan out again.
+        # (t, t, g, K/g, C/g) order, im2row rows in (C, kh, kw) order
+        # and 1×1 stride-1 weights as a (K, C) ``wq_1x1``.  Loading lays
+        # the plan out again.  SqueezeNet carries 1×1 and 3×3 im2row
+        # steps, so every branch of the weight conversion runs.
         from repro.engine.cache import PlanCache
         from repro.serve.registry import ModelSpec, compile_served
 
-        spec = ModelSpec.parse("lenet-F2-int8@int8")
-        plan = compile_served(spec, cache=PlanCache()).plan  # mutated below
-        x = np.random.default_rng(3).standard_normal((8, 1, 28, 28))
+        served = compile_served(ModelSpec.parse(name), cache=PlanCache())
+        plan = served.plan  # mutated below
+        x = np.random.default_rng(3).standard_normal((8, *served.sample_shape))
         x = x.astype(np.float32)
         expected = plan.run(x)
-        assert not [s for s in plan.steps if s.op == "conv2d"]
-        (first, last) = [s for s in plan.steps if s.op == "transpose"]
-        assert first.inputs == (plan.input_reg,)
-        legacy = [s for s in plan.steps if s.op != "transpose"]
-        for step in legacy:
-            if step.attrs.pop("layout", None) and step.op == "winograd_conv2d":
-                u2q = step.attrs["i8"]["u2q"]
-                step.attrs["i8"]["u2q"] = np.ascontiguousarray(np.swapaxes(u2q, 3, 4))
-            step.inputs = tuple(
-                {first.output: plan.input_reg, last.output: last.inputs[0]}.get(r, r)
-                for r in step.inputs
-            )
-        old = CompiledPlan(
-            steps=legacy, num_regs=first.output, input_reg=plan.input_reg,
-            output_reg=plan.output_reg, backend="int8", signature=plan.signature,
-        )
+        program = [(s.op, s.inputs, s.output) for s in plan.steps]
+        old = _pre_channels_last(plan)
+        assert all(s.op != "transpose" for s in old.steps)
+        if name.startswith("squeezenet"):
+            i8s = [s.attrs["i8"] for s in old.steps if s.op == "conv2d"]
+            assert any("wq_1x1" in i8 for i8 in i8s)
+            assert any(i8.get("wq_mat", np.empty(0)).ndim == 2 for i8 in i8s)
         path, _ = _saved(tmp_path, old, x[:1])
         loaded = load_plan(path)
-        assert [s.op for s in loaded.steps].count("transpose") == 2
+        assert [(s.op, s.inputs, s.output) for s in loaded.steps] == program
         np.testing.assert_array_equal(loaded.run(x), expected)
         np.testing.assert_array_equal(loaded.run(x[:1]), expected[:1])
 
@@ -336,9 +377,6 @@ class TestRejection:
         read_manifest(path, verify=True)  # hash and manifest are well formed
         with pytest.raises(ArtifactFormatError, match="i8 attributes"):
             load_plan(path)
-        from repro.cli import main
-
-        assert main(["compile", "--inspect", path]) == 2
 
     def test_typed_errors_are_artifact_errors(self):
         for exc in (
