@@ -345,11 +345,14 @@ def global_avg_pool_kernel(inputs, attrs):
 def global_avg_pool_fast(inputs, attrs):
     (x,) = inputs
     if _nhwc(attrs):
-        # Gather NCHW first: the sum must run over each channel's
+        x = x.transpose(0, 3, 1, 2)
+    if not x.flags.c_contiguous:
+        # Gather NCHW first (a channels-last input, or the NCHW view of
+        # an im2row GEMM): the sum must run over each channel's
         # contiguous h·w, whose pairwise order fixes the result bits.
-        nchw = x.transpose(0, 3, 1, 2)
-        x = take_scratch("nchw", nchw.shape, x.dtype)
-        np.copyto(x, nchw)
+        nchw = take_scratch("nchw", x.shape, x.dtype)
+        np.copyto(nchw, x)
+        x = nchw
     count = x.shape[2] * x.shape[3]
     out = np.sum(x, axis=(2, 3), out=take_out((x.shape[0], x.shape[1]), x.dtype))
     out *= np.float32(1.0 / count)

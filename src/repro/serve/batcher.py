@@ -2,16 +2,28 @@
 
 One :class:`DynamicBatcher` runs per served model.  Requests arrive as
 single samples ``(1, C, H, W)`` on a bounded asyncio queue; a collector
-coroutine pulls the first request, then keeps absorbing more until either
-``max_batch_size`` is reached or ``max_wait_ms`` has elapsed, stacks the
-group into one array, and executes the compiled plan **once** on a worker
-thread (NumPy kernels release the GIL inside BLAS, so plan execution off
-the event loop gives real parallelism).  Per-sample outputs are then
-sliced back to each request's future.  Every engine kernel is
-row-independent along the batch axis, so coalescing is invisible to the
-caller: bit-exactly on the ``reference`` backend (fixed-size per-tile
-kernels), and to float tolerance on ``fast`` (large fused GEMMs, whose
-BLAS blocking — and hence last-ulp rounding — can vary with batch shape).
+coroutine pulls the first request and everything already queued behind
+it, then keeps absorbing more until either ``max_batch_size`` is reached
+or ``max_wait_ms`` has elapsed, stacks the group into one array, and
+executes the compiled plan **once** on a worker thread (NumPy kernels
+release the GIL inside BLAS, so plan execution off the event loop gives
+real parallelism).  Per-sample outputs are then sliced back to each
+request's future.  Every engine kernel is row-independent along the
+batch axis, so coalescing is invisible to the caller: bit-exactly on the
+``reference`` backend (fixed-size per-tile kernels), and to float
+tolerance on ``fast`` (large fused GEMMs, whose BLAS blocking — and
+hence last-ulp rounding — can vary with batch shape).
+
+The window is only worth waiting when batch-mates are coming.
+:meth:`DynamicBatcher.submit` records the gaps between the last
+:data:`GAP_HISTORY` arrivals; when their median exceeds ``max_wait_ms``
+no co-rider is due within the window, so the collector dispatches what
+it already holds at once (``close_reason="sparse"``).  A quiet server
+thus answers a lone request without paying the window, while a
+closed-loop wave or an overload backlog, whose gaps are tiny, coalesces
+as before.  With no gap history yet the collector waits, so a first
+burst still coalesces.  ``max_wait_ms`` keeps its meaning: the longest a
+request may wait for co-riders.
 
 Failure policy:
 
@@ -35,6 +47,10 @@ most important traffic first.  Batch formation is **deadline-aware**:
   waiting any longer would push its tightest member past its deadline —
   a tight-deadline request is never coalesced behind a wait it cannot
   afford.
+
+``stop()`` answers every request it does not run: queued ones, and ones
+the collector already holds in a forming batch or in a formed batch
+waiting for an execution slot, fail with :class:`BatcherStopped`.
 """
 
 from __future__ import annotations
@@ -43,7 +59,9 @@ import asyncio
 import functools
 import inspect
 import itertools
+import statistics
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import List, Optional
@@ -53,6 +71,9 @@ import numpy as np
 from repro.obs import trace as obs_trace
 from repro.serve.metrics import ModelMetrics
 
+#: Inter-arrival gaps the sparse-traffic rule takes its median over.
+GAP_HISTORY = 8
+
 
 class QueueSaturated(RuntimeError):
     """The model's request queue is full (backpressure — retry later)."""
@@ -60,8 +81,9 @@ class QueueSaturated(RuntimeError):
 
 class BatcherStopped(RuntimeError):
     """Submission raced a batcher that has stopped (blue/green cutover
-    drained it between lookup and submit).  The server retries against
-    the freshly installed batcher, so clients never observe it."""
+    drained it between lookup and submit), or the batcher stopped before
+    running an accepted request.  The server retries against the freshly
+    installed batcher, so clients never observe it."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -78,7 +100,8 @@ class BatchPolicy:
 
     ``max_batch_size=1`` degenerates to batch-1 serving (the loadgen
     baseline); ``max_wait_ms`` bounds the latency cost a request can pay
-    waiting for co-riders.
+    waiting for co-riders, and is waited only while recent arrivals come
+    closer together than it (see the module docstring).
     """
 
     max_batch_size: int = 8
@@ -179,6 +202,10 @@ class DynamicBatcher:
         #: EWMA of recent batch run times (ms) — the collector's estimate
         #: of what dispatching *now* would cost, for deadline-risk closes.
         self._run_est_ms: Optional[float] = None
+        #: The last GAP_HISTORY inter-arrival gaps (s) and the latest
+        #: arrival, both event-loop only: the sparse-traffic rule.
+        self._gaps: deque = deque(maxlen=GAP_HISTORY)
+        self._last_arrival: Optional[float] = None
         self._task: Optional[asyncio.Task] = None
         self._inflight: Optional[asyncio.Semaphore] = None
         self._pending_runs: set = set()
@@ -339,6 +366,9 @@ class DynamicBatcher:
                 f"model {self.name!r}: queue full "
                 f"({self.policy.max_queue} requests waiting)"
             ) from None
+        if self._last_arrival is not None:
+            self._gaps.append(now - self._last_arrival)
+        self._last_arrival = now
         self._outstanding += 1
         future.add_done_callback(self._on_request_done)
         self.metrics.on_enqueue()
@@ -381,20 +411,33 @@ class DynamicBatcher:
             slack = s if slack is None else min(slack, s)
         return slack
 
-    async def _collect_batch(self) -> tuple:
-        """First request blocks; then absorb until full or the wait
-        expires.  Returns ``(batch, close_reason)`` where the reason is
-        ``"size"`` (hit max_batch_size), ``"deadline"`` (the max_wait_ms
-        budget ran out), ``"deadline_risk"`` (waiting longer would push
-        a member past its deadline), or ``"drain"`` (nothing left to
-        coalesce under a zero-wait policy)."""
-        batch: List[_Pending] = []
+    def _sparse(self, budget_s: float) -> bool:
+        """No co-rider is due within the window: the median of the
+        recent inter-arrival gaps exceeds it.  ``False`` without gap
+        history, so a first burst still coalesces."""
+        return (
+            budget_s > 0
+            and bool(self._gaps)
+            and statistics.median(self._gaps) > budget_s
+        )
+
+    async def _collect_batch(self, batch: List[_Pending]) -> str:
+        """First request blocks; then absorb into ``batch`` until full or
+        the wait expires.  Returns the close reason: ``"size"`` (hit
+        max_batch_size), ``"deadline"`` (the max_wait_ms budget ran out),
+        ``"deadline_risk"`` (waiting longer would push a member past its
+        deadline), ``"drain"`` (nothing left to coalesce under a
+        zero-wait policy) or ``"sparse"`` (nothing left queued and
+        arrivals too sparse for a co-rider to be due within the
+        window).  ``batch`` is the caller's, so it can answer the held
+        requests if this coroutine is cancelled."""
         while not batch:
             _, _, pending = await self._queue.get()
             pending = self._expel_if_expired(pending)
             if pending is not None:
                 batch.append(pending)
         budget_s = self.policy.max_wait_ms / 1e3
+        sparse = self._sparse(budget_s)
         start = time.monotonic()
         reason = "size"
         while len(batch) < self.policy.max_batch_size:
@@ -408,6 +451,9 @@ class DynamicBatcher:
                 continue
             except asyncio.QueueEmpty:
                 pass
+            if sparse:
+                reason = "sparse"
+                break
             now = time.monotonic()
             wait = budget_s - (now - start)
             risk = False
@@ -433,7 +479,7 @@ class DynamicBatcher:
             pending = self._expel_if_expired(pending)
             if pending is not None:
                 batch.append(pending)
-        return batch, reason
+        return reason
 
     async def _collector(self) -> None:
         """Collect batches and dispatch them; up to ``max_inflight``
@@ -441,12 +487,21 @@ class DynamicBatcher:
         next batch coalesces while the previous one runs — on multi-core
         hosts batches also overlap inside the executor)."""
         loop = asyncio.get_running_loop()
-        while True:
-            batch, close_reason = await self._collect_batch()
-            await self._inflight.acquire()
-            task = loop.create_task(self._execute(batch, close_reason))
-            self._pending_runs.add(task)
-            task.add_done_callback(self._pending_runs.discard)
+        try:
+            while True:
+                batch: List[_Pending] = []
+                close_reason = await self._collect_batch(batch)
+                await self._inflight.acquire()
+                task = loop.create_task(self._execute(batch, close_reason))
+                self._pending_runs.add(task)
+                task.add_done_callback(self._pending_runs.discard)
+        except asyncio.CancelledError:
+            # stop(): the requests popped off the queue but not yet
+            # handed to _execute would otherwise never be answered.
+            for pending in batch:
+                if not pending.future.done():
+                    pending.future.set_exception(BatcherStopped("batcher stopped"))
+            raise
 
     async def _execute(self, batch: List[_Pending], close_reason: str = "size") -> None:
         """Run one coalesced batch and distribute per-request slices.

@@ -13,7 +13,12 @@ from repro.engine import (
     registry,
 )
 from repro.engine.cache import model_signature
-from repro.engine.kernels import WinogradShapeError, _winograd_geometry
+from repro.engine.int8 import NHWC
+from repro.engine.kernels import (
+    WinogradShapeError,
+    _winograd_geometry,
+    global_avg_pool_fast,
+)
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
@@ -82,6 +87,20 @@ class TestFusion:
         reference = compile_model(model, backend="reference")
         fast = compile_model(model, backend="fast")
         assert len(fast) < len(reference)
+
+
+class TestGlobalAvgPoolFast:
+    @pytest.mark.parametrize("shape", [(2, 8, 8, 64), (1, 7, 7, 128), (3, 4, 4, 16)])
+    def test_bits_do_not_depend_on_input_layout(self, shape):
+        # An im2row conv hands its consumer an NCHW view of NHWC GEMM
+        # memory; the pooled bits must equal those of a contiguous copy.
+        nhwc = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        view = nhwc.transpose(0, 3, 1, 2)
+        contiguous = global_avg_pool_fast([np.ascontiguousarray(view)], {})
+        np.testing.assert_array_equal(global_avg_pool_fast([view], {}), contiguous)
+        np.testing.assert_array_equal(
+            global_avg_pool_fast([nhwc], {"layout": NHWC}), contiguous
+        )
 
 
 class TestShapeError:

@@ -6,12 +6,18 @@ precisely.
 """
 
 import asyncio
+import random
 import time
+import types
 
 import numpy as np
 import pytest
 
+from repro.obs.trace import TraceBuffer
+from repro.serve import batcher as batcher_mod
 from repro.serve.batcher import (
+    BatchedResult,
+    BatcherStopped,
     BatchPolicy,
     DeadlineExceeded,
     DynamicBatcher,
@@ -132,6 +138,131 @@ class TestCoalescing:
         assert snap["batch_size_hist"].get("8") == 1
         assert snap["mean_batch_size"] == 8.0
         assert snap["latency"]["count"] == 8
+
+
+class TestSparseArrivals:
+    def test_lone_request_skips_window_after_sparse_arrivals(self, monkeypatch):
+        # The batcher's clock runs a second ahead between submissions, so
+        # the arrivals are sparse without the test sleeping through them.
+        offset = [0.0]
+        monkeypatch.setattr(
+            batcher_mod,
+            "time",
+            types.SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0]),
+        )
+
+        async def scenario():
+            tracer = TraceBuffer(256)
+            batcher = DynamicBatcher(
+                EchoPlan(),
+                BatchPolicy(max_batch_size=8, max_wait_ms=500, max_queue=8),
+                tracer=tracer,
+            )
+            await batcher.start()
+            results = []
+            try:
+                for i in range(4):
+                    results.append(
+                        await batcher.submit(sample(i), trace_parent=f"root-{i}")
+                    )
+                    offset[0] += 1.0
+            finally:
+                await batcher.stop()
+            reasons = [
+                s.attrs["close_reason"] for s in tracer.snapshot() if s.name == "batch"
+            ]
+            return results, reasons
+
+        results, reasons = run_async(scenario())
+        # No gap history yet: the first request waits out the window.
+        assert results[0].queue_ms >= 400
+        assert reasons[0] == "deadline"
+        for r in results[1:]:
+            assert r.batch_size == 1
+            assert r.queue_ms < 50
+        assert reasons[1:] == ["sparse"] * 3
+
+    def test_closed_loop_wave_keeps_coalescing(self):
+        # Eight closed-loop clients with a little think time: arrivals
+        # within a wave are spread over a few ms, well inside the window,
+        # so the median gap must keep the batcher waiting for the wave.
+        rng = random.Random(0)
+
+        async def client(batcher, c, rounds):
+            for _ in range(rounds):
+                await asyncio.sleep(rng.uniform(0.0, 0.005))
+                await batcher.submit(sample(c))
+
+        async def scenario():
+            batcher = DynamicBatcher(
+                EchoPlan(delay_s=0.002),
+                BatchPolicy(max_batch_size=8, max_wait_ms=50, max_queue=64),
+            )
+            await batcher.start()
+            try:
+                await asyncio.gather(*(client(batcher, c, 6) for c in range(8)))
+            finally:
+                await batcher.stop()
+            return batcher.metrics.snapshot()
+
+        snap = run_async(scenario())
+        assert snap["responses_total"] == 48
+        assert snap["mean_batch_size"] >= 4
+
+    def test_zero_wait_policy_still_drains(self):
+        async def scenario():
+            tracer = TraceBuffer(64)
+            batcher = DynamicBatcher(
+                EchoPlan(),
+                BatchPolicy(max_batch_size=8, max_wait_ms=0, max_queue=8),
+                tracer=tracer,
+            )
+            await batcher.start()
+            try:
+                for i in range(3):
+                    await batcher.submit(sample(i), trace_parent=f"root-{i}")
+                    await asyncio.sleep(0.01)
+            finally:
+                await batcher.stop()
+            return [s.attrs["close_reason"] for s in tracer.snapshot() if s.name == "batch"]
+
+        assert run_async(scenario()) == ["drain"] * 3
+
+
+class TestStop:
+    @pytest.mark.parametrize(
+        "policy, submits",
+        [
+            # One batch runs, one formed batch waits for the only
+            # execution slot, one request is still queued.
+            (BatchPolicy(max_batch_size=1, max_wait_ms=0, max_queue=8), 3),
+            # A lone request sits in a forming batch, inside the window.
+            (BatchPolicy(max_batch_size=8, max_wait_ms=500, max_queue=8), 1),
+        ],
+        ids=["formed-awaiting-slot", "forming"],
+    )
+    def test_stop_answers_every_held_request(self, policy, submits):
+        async def scenario():
+            batcher = DynamicBatcher(EchoPlan(delay_s=0.2), policy, max_inflight=1)
+            await batcher.start()
+            futures = [
+                asyncio.ensure_future(batcher.submit(sample(i))) for i in range(submits)
+            ]
+            await asyncio.sleep(0.05)
+            await batcher.stop()
+            _, pending = await asyncio.wait(futures, timeout=2.0)
+            for f in pending:
+                f.cancel()
+            return [f.exception() or f.result() for f in futures if f not in pending]
+
+        outcomes = run_async(scenario())
+        assert len(outcomes) == submits, "a request was never answered after stop()"
+        if submits == 3:
+            assert isinstance(outcomes[0], BatchedResult)
+            rest = outcomes[1:]
+        else:
+            rest = outcomes
+        assert all(isinstance(o, BatcherStopped) for o in rest)
 
 
 class TestFailureModes:
