@@ -62,7 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.int8 import I8_KEYS, assign_layouts
+from repro.engine.int8 import I8_KEYS, assign_layouts, derive_multipliers
 from repro.engine.plan import CompiledPlan, Step
 from repro.engine.registry import BACKENDS, registry
 
@@ -562,6 +562,14 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
                 f"{path}: step {i} ({step.op}) carries i8 attributes {unknown} "
                 "that this build cannot run bit-identically; recompile the plan"
             )
+        if isinstance(i8, dict) and i8.get("ready"):
+            try:  # the multiplier searches, ahead of the first request
+                derive_multipliers(step.op, step.attrs)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ArtifactFormatError(
+                    f"{path}: step {i} ({step.op}) has a malformed i8 block "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
     num_regs, output_reg = meta["num_regs"], meta["output_reg"]
     if backend == "int8":
         steps, output_reg, num_regs = assign_layouts(steps, output_reg, num_regs)

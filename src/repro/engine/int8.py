@@ -16,10 +16,17 @@ The fake-quant pipeline only ever *sees* values on uniform grids
   ``2^53`` for float64.  :func:`_pick_dtype` proves that bound from the
   compile-time shapes and bit-widths and picks the dtype; steps whose
   accumulators cannot be bounded fall back to the ``fast`` kernels.
-* each fake-quant stage becomes a fused requantization on the codes:
-  ``codes' = clip(rint((codes · dequant) / scale))`` with the dequant
-  scale product precomputed — the dequantize → re-quantize round trip
-  (four full-tensor passes plus allocations per stage) disappears.
+* each fake-quant stage becomes a requantization of the integer
+  accumulator, in place: ``clip(rint((acc · d) / scale))`` with the
+  dequant scale product ``d`` precomputed (plus the bias, for a
+  ``conv2d``/``linear`` output stage that follows one), which replaces
+  the dequantize → re-quantize round trip.  A stage with no bias
+  inside it runs ``clip(rint(acc · M))`` instead, with one multiply,
+  but only where :func:`requant_multiplier` proved an ``M`` equal to
+  the two-op form for every integer accumulator within the stage's
+  proven bound; any other stage keeps the two-op form.  ``M`` is
+  derived whenever a step's runtime constants are prepared or its
+  artifact is loaded (:func:`derive_multipliers`), and never persisted.
 
 Because the transform matrices of every supported Cook–Toom ``F(m, r)``
 are dyadic rationals (integers after scaling by a power of two — checked
@@ -69,6 +76,8 @@ freezes exactly like eager's eval-before-observation path).
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -139,6 +148,21 @@ def _qmax(q: Optional[Dict]) -> Optional[float]:
     if "qmax" in q:
         return float(q["qmax"])
     return float(2 ** (q["dynamic_bits"] - 1) - 1)
+
+
+def stage_scale(q: Dict) -> float:
+    """A frozen stage's scale, guarding degenerate ranges.
+
+    A scale of zero (or non-finite) can only come from a degenerate
+    observation like an all-zero calibration batch; fall back to the
+    same harmless ``1/qmax`` default
+    :func:`~repro.quant.quantizer.quantization_scale` uses rather than
+    divide by it.
+    """
+    scale = q["scale"]
+    if not (scale > 0.0 and np.isfinite(scale)):
+        return 1.0 / q["qmax"]
+    return scale
 
 
 def _pick_dtype(bound: float):
@@ -283,6 +307,91 @@ _STATIC = {
 # ---------------------------------------------------------------------------
 
 
+#: Candidate multipliers tried on each side of ``fl(d / scale)``, in ulp.
+_MUL_ULPS = 4
+
+
+@functools.lru_cache(maxsize=4096)
+def requant_multiplier(d: float, scale: float, qmax: float, bound: float, dtype):
+    """A multiplier ``M`` such that ``clip(rint(acc · M))`` equals
+    ``clip(rint((acc · d) / scale))`` for every integer ``|acc| ≤ bound``,
+    both evaluated in ``dtype``; ``None`` when no candidate passes.
+
+    Both maps are monotone step functions of ``acc``, so they agree on
+    ``[-bound, bound]`` exactly when they step up to each code
+    ``c ∈ (-qmax, qmax]`` at the same accumulator.  Bisection finds the
+    first accumulator ``T_c`` at which the two-op map reaches ``c``; a
+    candidate passes when it reaches ``c`` at ``T_c`` but not at
+    ``T_c - 1`` (``4·qmax`` evaluations per candidate).  Candidates are
+    ``fl(d / scale)`` and its neighbours up to :data:`_MUL_ULPS` ulp
+    away, nearest first.
+    """
+    scalar = np.dtype(dtype).type
+    d, s, qmax = scalar(d), scalar(scale), float(qmax)
+    b = math.floor(bound)
+    limit = dict(_DTYPE_BOUNDS).get(scalar)
+    if limit is None or b > limit or not (d > 0 and s > 0 and np.isfinite(d / s)):
+        return None
+
+    def two_op(acc):
+        r = acc.astype(scalar) * d
+        r /= s
+        return np.rint(r, out=r).clip(-qmax, qmax, out=r)
+
+    codes = np.arange(-qmax + 1.0, qmax + 1.0)
+    lo = np.full(codes.shape, -b, dtype=np.int64)
+    hi = np.full(codes.shape, b + 1, dtype=np.int64)
+    while True:  # lo -> T_c, or b + 1 where the map never reaches c
+        active = lo < hi
+        if not active.any():
+            break
+        mid = (lo + hi) // 2
+        up = two_op(mid) >= codes
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid + 1, lo)
+    at, below = np.minimum(lo, b).astype(scalar), np.maximum(lo - 1, -b).astype(scalar)
+    no_at, no_below = lo > b, lo - 1 < -b  # checks with no point to test
+
+    up = down = d / s
+    candidates = [up]
+    for _ in range(_MUL_ULPS):
+        up, down = np.nextafter(up, scalar(np.inf)), np.nextafter(down, scalar(0))
+        candidates += [up, down]
+    for m in candidates:
+        g_at = np.rint(at * m).clip(-qmax, qmax)
+        g_below = np.rint(below * m).clip(-qmax, qmax)
+        if np.all(no_at | (g_at >= codes)) and np.all(no_below | (g_below < codes)):
+            return float(m)
+    return None
+
+
+def derive_multipliers(op: str, attrs: Dict) -> Dict[str, Optional[float]]:
+    """Stage name → the stage's one-multiply ``M``
+    (:func:`requant_multiplier`), or ``None`` where no ``M`` is exact.
+
+    Stages with a bias inside them are not listed: they keep the two-op
+    form.  The searches are memoized, so the kernels' binders re-derive
+    for free what preparing the step (or loading its artifact) derived
+    first; nothing is stored in the ``i8`` block or persisted."""
+    i8 = attrs["i8"]
+    rq = i8["rq_out"]
+    if op == "winograd_conv2d":
+        stages = [("q_input_t", i8["d_v"], 0), ("q_hadamard", i8["d_h"], 1)]
+        if rq is not None:
+            stages.append(("q_output", rq["d"], 2))
+        bounds, dts = i8["bounds"], i8["dts"]
+    else:
+        stages = [("q_output", rq["d"], 0)] if rq and rq["bias"] is None else []
+        bounds, dts = (i8["bound"],), (i8["dt"],)
+    mul = {}
+    for name, d, j in stages:
+        q = attrs[name]
+        mul[name] = requant_multiplier(
+            float(d), float(stage_scale(q)), float(q["qmax"]), float(bounds[j]), dts[j]
+        )
+    return mul
+
+
 def _epilogue_constants(attrs: Dict, i8: Dict, s_eff: float, bias_pending) -> None:
     """Fold dequant scale, bias, absorbed BN and ReLU into epilogue
     constants: ``y = codes · A + B`` (float out) or one more requant onto
@@ -377,6 +486,7 @@ def prepare_runtime(op: str, attrs: Dict) -> None:
         _runtime_winograd(attrs)
     else:
         _runtime_conv_linear(attrs)
+    derive_multipliers(op, attrs)  # runs the memoized searches now
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,28 @@ intermediates, quantization code buffers).  Outside a planned execution
 both helpers degrade to plain NumPy allocation, so calling a kernel
 directly behaves exactly as before.  A kernel may mutate only arrays it
 obtained this way (or fresh GEMM outputs) — never an input register.
+The native ``int8`` kernels request their buffers and build their views
+once per arena, step and input shape, in a binder whose runner is cached
+by :func:`~repro.engine.memplan.take_bound`; each later run only moves
+data, through the module-level phase helpers.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.int8 import NHWC, prepare_runtime, stages_cold
-from repro.engine.memplan import take_out, take_scratch
+from repro.engine.int8 import (
+    NHWC,
+    derive_multipliers,
+    prepare_runtime,
+    stage_scale,
+    stages_cold,
+)
+from repro.engine.memplan import take_bound, take_out, take_scratch
 from repro.engine.registry import register_kernel
 from repro.quant.quantizer import quantization_scale
 
@@ -52,20 +63,6 @@ from repro.quant.quantizer import quantization_scale
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _stage_scale(q: Dict) -> float:
-    """A frozen stage's scale, guarding degenerate ranges.
-
-    A scale of zero (or non-finite) can only come from a degenerate
-    observation like an all-zero calibration batch; fall back to the
-    same harmless ``1/qmax`` default :func:`quantization_scale` uses
-    rather than divide by it.
-    """
-    scale = q["scale"]
-    if not (scale > 0.0 and np.isfinite(scale)):
-        return 1.0 / q["qmax"]
-    return scale
 
 
 def fake_quant(x: np.ndarray, q: Optional[Dict], out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -86,7 +83,7 @@ def fake_quant(x: np.ndarray, q: Optional[Dict], out: Optional[np.ndarray] = Non
     if q is None:
         return x
     if "scale" in q:
-        scale, qmax = _stage_scale(q), q["qmax"]
+        scale, qmax = stage_scale(q), q["qmax"]
     else:
         bits = q["dynamic_bits"]
         qmax = float(2 ** (bits - 1) - 1)
@@ -725,14 +722,19 @@ def _int8_matmul(a, b, out=None):
     return np.matmul(a, b, out=out)
 
 
-def _cast_scratch(arr: np.ndarray, dtype, tag: str) -> np.ndarray:
-    """Exact dtype conversion into step scratch (integer-valued arrays
-    convert losslessly both ways below the mantissa bounds)."""
+def _check_bound(acc, bound) -> None:
+    """``INT8_STRICT``: the accumulator stays within its proven bound."""
+    assert float(np.abs(acc).max(initial=0.0)) <= bound
+
+
+def _cast_buffer(arr: np.ndarray, dtype, tag: str) -> np.ndarray:
+    """Bind an exact dtype conversion: ``arr`` itself when it already
+    has ``dtype``, else a step-scratch buffer the runner copies it into
+    (integer-valued arrays convert losslessly both ways below the
+    mantissa bounds)."""
     if arr.dtype == dtype:
         return arr
-    buf = take_scratch(tag, arr.shape, dtype)
-    buf[...] = arr
-    return buf
+    return take_scratch(tag, arr.shape, dtype)
 
 
 def _quantize_codes(x, q, out=None):
@@ -742,108 +744,176 @@ def _quantize_codes(x, q, out=None):
     ``rint`` → ``clip`` operations), minus the final multiply back onto
     the grid — codes are the int8 backend's currency.
     """
-    scale, qmax = _stage_scale(q), q["qmax"]
+    scale, qmax = stage_scale(q), q["qmax"]
     r = np.divide(x, scale, out=out)
     np.rint(r, out=r)
     r.clip(-qmax, qmax, out=r)  # the method skips np.clip's wrapper layers
     return r
 
 
-def _requant_codes(acc, d, q, bias=None):
-    """Integer accumulator → codes on stage ``q``'s grid, in place.
+def _requant_stage(d, q, dtype, mul=None, bias=None) -> tuple:
+    """Bind one requant stage for :func:`_requant_codes`: its constants
+    as NumPy scalars of the accumulator ``dtype`` (the same values the
+    Python floats round to inside the ufuncs).  ``mul`` is the stage's
+    proven one-multiply ``M`` (see
+    :func:`repro.engine.int8.requant_multiplier`), or ``None`` for the
+    two-op form."""
+    scalar = np.dtype(dtype).type
+    qmax = scalar(q["qmax"])
+    if mul is not None:
+        return scalar(mul), None, None, -qmax, qmax
+    return scalar(d), bias, scalar(stage_scale(q)), -qmax, qmax
 
-    Composes exactly like ``fake_quant(dequant(acc) [+ bias])``: multiply
-    by the precomputed dequant scale product ``d``, add the (float) bias
-    if the stage sits after one, divide by the stage scale, ``rint``,
-    ``clip`` — the same elementwise grid operations, fused onto the
-    accumulator with no allocation.
+
+def _requant_codes(acc, stage):
+    """Integer accumulator → codes on a stage's grid, in place.
+
+    ``stage`` comes from :func:`_requant_stage`.  The two-op form
+    composes exactly like ``fake_quant(dequant(acc) [+ bias])``:
+    multiply by the dequant scale product ``d``, add the (float) bias if
+    the stage sits after one, divide by the stage scale, ``rint``,
+    ``clip``.  The one-multiply form replaces the first three by
+    ``acc · M``, where ``M`` was proven to make the same decisions.
     """
-    acc *= d
+    mul, bias, scale, lo, hi = stage
+    acc *= mul
     if bias is not None:
         acc += bias
-    scale = _stage_scale(q)
-    acc /= scale
+    if scale is not None:
+        acc /= scale
     np.rint(acc, out=acc)
-    acc.clip(-q["qmax"], q["qmax"], out=acc)
+    acc.clip(lo, hi, out=acc)
     return acc
 
 
-def _requant_out(out, rq, bias_shape=None):
-    """Output-stage requant: fused requant onto the q_output grid, then a
-    lossless downcast to float32 (codes ≤ qmax are exactly representable)
-    so the epilogue composes in float32 exactly like the reference path's
-    elementwise ops.  No-op when the output stage is disabled."""
-    if rq is None:
-        return out
-    bias = rq["bias"]
-    if bias is not None and bias_shape is not None:
-        bias = bias.reshape(bias_shape)
-    _requant_codes(out, rq["d"], rq["q"], bias=bias)
-    return _cast_scratch(out, np.float32, "rq_f32")
+def _epilogue_stage(codes, epi, groups=1) -> tuple:
+    """Bind the step epilogue over contiguous channels-last output
+    ``codes`` (layout ``(..., g, P, K/g)`` when ``groups > 1``): the
+    argument tuple of :func:`_int8_epilogue`.
 
-
-def _int8_epilogue(codes, i8, groups=1):
-    """Fused step epilogue on contiguous channels-last output codes (in
-    place); with ``groups > 1`` their layout is ``(..., g, P, K/g)``.
-
-    ``float`` mode: dequant scale, bias and any absorbed BatchNorm are
-    one per-channel affine ``codes·A + B`` (then ReLU).  ``int`` mode
-    (integer handoff): the same affine lands directly on the consumer's
-    input grid and is rounded/clipped there — a fused ReLU becomes the
-    ``lo = 0`` clip bound, since ``rint``/``clip`` are monotone.
     ``A``/``B`` hold the K channel constants repeated R times; a dense
     step applies them to rows of ``r·K`` codes, ``r`` the largest power
-    of two up to R dividing the row count.
-    """
-    epi = i8["epi"]
+    of two up to R dividing the row count.  The last entry is the
+    float32 result: ``rows`` itself, or scratch of its shape."""
     k = codes.shape[-1] * groups
     if groups == 1:
         width = k * math.gcd(epi["A"].size // k, codes.size // k)
         rows, shape = codes.reshape(-1, width), (width,)  # views: contiguous
     else:
         width, rows, shape = k, codes, (groups, 1, k // groups)
-    rows *= epi["A"][:width].reshape(shape)
-    if epi["B"] is not None:
-        rows += epi["B"][:width].reshape(shape)
+    a = epi["A"][:width].reshape(shape)
+    b = None if epi["B"] is None else epi["B"][:width].reshape(shape)
+    out = _cast_buffer(rows, np.float32, "epi_f32")
     if epi["mode"] == "int":
-        np.rint(codes, out=codes)
-        codes.clip(epi["lo"], epi["hi"], out=codes)
-    elif epi["relu"]:
-        np.maximum(codes, 0.0, out=codes)
-    return _cast_scratch(codes, np.float32, "epi_f32")
+        scalar = codes.dtype.type
+        return rows, a, b, scalar(epi["lo"]), scalar(epi["hi"]), False, out
+    return rows, a, b, None, None, epi["relu"], out
 
 
-def _load_codes(x, attrs, out):
-    """Quantize/pad phase: write the step's input codes into ``out``, the
-    interior of a zero-padded buffer (zero padding is its own code).  An
-    input handed off as codes on this step's grid is copied verbatim."""
-    if attrs["i8"].get("input_prequantized"):
+def _int8_epilogue(rows, a, b, lo, hi, relu, out):
+    """Fused step epilogue, in place on ``rows`` (see
+    :func:`_epilogue_stage`), then a lossless copy into float32 ``out``.
+
+    ``float`` mode (``lo is None``): dequant scale, bias and any
+    absorbed BatchNorm are one per-channel affine ``codes·A + B`` (then
+    ReLU).  ``int`` mode (integer handoff): the same affine lands
+    directly on the consumer's input grid and is rounded/clipped to
+    ``[lo, hi]`` there — a fused ReLU is the ``lo = 0`` clip bound,
+    since ``rint``/``clip`` are monotone.
+    """
+    rows *= a
+    if b is not None:
+        rows += b
+    if lo is not None:
+        np.rint(rows, out=rows)
+        rows.clip(lo, hi, out=rows)
+    elif relu:
+        np.maximum(rows, 0.0, out=rows)
+    if out is not rows:
+        np.copyto(out, rows)
+    return out
+
+
+def _load_codes(x, q, out):
+    """Quantize/pad phase: write the step's input codes into ``out``,
+    the interior of a zero-padded buffer (zero padding is its own
+    code).  With ``q`` ``None`` the input was handed off as codes on
+    this step's grid and is copied verbatim."""
+    if q is None:
         out[...] = x
     else:
-        _quantize_codes(x, attrs["q_input"], out=out)
+        _quantize_codes(x, q, out=out)
 
 
-def _gather_tiles(xp, t, m, dtype):
-    """Tile gather: the ``(t, t, N, th, tw, C)`` tiles of the padded
-    channels-last codes ``xp``, so each tap's tiles form one ``(P, C)``
-    matrix and every copy run is ``C`` contiguous values."""
+def _tile_view(xp, t, m):
+    """The ``(t, t, N, th, tw, C)`` tiles of the padded channels-last
+    codes ``xp``, as a strided view."""
     patches = _strided_patches(xp.transpose(0, 3, 1, 2), t, t, m, m)
-    tiles = np.transpose(patches, (4, 5, 0, 2, 3, 1))
-    tmat = take_scratch("tmat", tiles.shape, dtype)
+    return np.transpose(patches, (4, 5, 0, 2, 3, 1))
+
+
+def _gather_tiles(tiles, tmat):
+    """Tile gather: copy the tile view ``tiles`` (see :func:`_tile_view`)
+    into ``tmat``, so each tap's tiles form one ``(P, C)`` matrix and
+    every copy run is ``C`` contiguous values."""
     np.copyto(tmat, tiles)
     return tmat
 
 
-def _scatter_tiles(z, m, y):
-    """Output scatter: ``(m, m, g, N, th, tw, K/g)`` output tiles ``z``
-    into the channels-last ``(N, th·m, tw·m, K)`` buffer ``y``."""
-    n, hm, wm, _ = y.shape
-    th, tw = hm // m, wm // m
-    g, kg = z.shape[1], z.shape[-1]
-    y.reshape(n, th, m, tw, m, g, kg)[...] = np.transpose(
-        z.reshape(m, m, g, n, th, tw, kg), (3, 4, 0, 5, 1, 2, 6)
-    )
+def _scatter_tiles(tiles, y):
+    """Output scatter: the ``(N, th, m, tw, m, g, K/g)`` view ``tiles`` of
+    the output tiles into the same-shaped view ``y`` of the channels-last
+    ``(N, th·m, tw·m, K)`` output buffer."""
+    np.copyto(y, tiles)
     return y
+
+
+def _bind_codes(shape, q, dtype):
+    """Bind the quantize phase of a step whose GEMM reads its input codes
+    unchanged (1×1 ``conv2d``, ``linear``): returns ``load(x)``, the
+    contiguous codes of ``x`` in ``dtype``.  ``q`` is ``None`` for codes
+    handed off on this step's grid."""
+    qx = None if q is None else take_scratch("qx", shape, np.float32)
+    cast = None if dtype == np.float32 else take_scratch("qx_dt", shape, dtype)
+
+    def load(x):
+        codes = np.ascontiguousarray(x) if qx is None else _quantize_codes(x, q, out=qx)
+        if cast is None:
+            return codes
+        np.copyto(cast, codes)
+        return cast
+
+    return load
+
+
+def _bind_output(acc, i8, mul, groups, bias_shape=None):
+    """Bind the output requant (when the step has an output stage) and
+    the epilogue of the GEMM result ``acc``; returns ``finish()`` and
+    the float32 result it leaves in place of ``acc``'s values.  ``mul``
+    holds the step's proven multipliers (see
+    :func:`repro.engine.int8.derive_multipliers`).
+
+    The requant lands on float32 codes (exactly representable below
+    qmax), so the epilogue composes in float32 exactly like the
+    reference path's elementwise ops."""
+    rq = i8["rq_out"]
+    out = acc
+    if rq is not None:
+        bias = rq["bias"]
+        if bias is not None and bias_shape is not None:
+            bias = bias.reshape(bias_shape)
+        stage = _requant_stage(rq["d"], rq["q"], acc.dtype, mul.get("q_output"), bias)
+        out = _cast_buffer(acc, np.float32, "rq_f32")
+    epi = _epilogue_stage(out, i8["epi"], groups)
+
+    def finish():
+        if rq is not None:
+            _requant_codes(acc, stage)
+            if out is not acc:
+                np.copyto(out, acc)
+        _int8_epilogue(*epi)
+
+    return finish, epi[-1].reshape(acc.shape)
 
 
 def _cold_fallback(fast_fn, inputs, attrs):
@@ -887,144 +957,188 @@ def winograd_int8(inputs, attrs):
     th, tw, C)``, one integer Kronecker GEMM for the input transform,
     the Hadamard stage as one ``(P, C) @ (C, K)`` GEMM per tap (and
     group) against the channels-last ``u2q``, one Kronecker GEMM for
-    the output transform, fused requant between every stage, and an
-    NHWC output scatter.  Every buffer comes from step scratch or the planned
-    output register."""
+    the output transform, requant between every stage, and an NHWC
+    output scatter.  :func:`_bind_winograd` binds every buffer and view
+    once per arena and input shape (see
+    :func:`~repro.engine.memplan.take_bound`); a run only moves data."""
     i8 = _int8_gate("winograd_conv2d", winograd_fast, inputs, attrs)
     if i8 is None:
         return winograd_fast(inputs, attrs)
     if not isinstance(i8, dict) or "btk" not in i8:
         return i8  # cold-fallback result
     (x,) = inputs
+    return take_bound(x.shape, partial(_bind_winograd, x.shape, attrs, i8))(x)
+
+
+def _bind_winograd(shape, attrs, i8):
+    n, h, w, c = shape
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
     dt_v, dt_h, dt_z = i8["dts"]
-
-    n, h, w, c = x.shape
+    mul, bounds = derive_multipliers("winograd_conv2d", attrs), i8["bounds"]
     out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
     tt, p, cg, kg = t * t, n * th * tw, c // g, k // g
     need_h, need_w = th * m + r - 1, tw * m + r - 1
     aligned = pad == 0 and need_h == h and need_w == w
+    q_in = None if i8.get("input_prequantized") else attrs["q_input"]
 
     # When the tiles already cover the input exactly, prequantized codes
     # are tiled straight off the producer's register with no copy at all.
-    if aligned and i8.get("input_prequantized"):
-        xp = x
-    else:
-        xp = take_scratch("xp", (n, need_h, need_w, c), np.float32, zero=not aligned)
-        _load_codes(x, attrs, xp if aligned else xp[:, pad : pad + h, pad : pad + w])
-
-    tmat = _gather_tiles(xp, t, m, dt_v)
-    v = _int8_matmul(
-        i8["btk"], tmat.reshape(tt, p * c), out=take_scratch("v", (tt, p * c), dt_v)
-    )  # (t², P·C), exact integers
-    if INT8_STRICT:
-        assert float(np.abs(v).max(initial=0.0)) <= i8["bounds"][0]
-    _requant_codes(v, i8["d_v"], attrs["q_input_t"])
-    v = _cast_scratch(v, dt_h, "v_h")
-    had = _int8_matmul(
-        v.reshape(tt, p, g, cg).transpose(0, 2, 1, 3),
-        i8["u2q"].reshape(tt, g, cg, kg),
-        out=take_scratch("had", (tt, g, p, kg), dt_h),
-    )  # (t², g, P, K/g)
-    if INT8_STRICT:
-        assert float(np.abs(had).max(initial=0.0)) <= i8["bounds"][1]
-    _requant_codes(had, i8["d_h"], attrs["q_hadamard"])
-    had = _cast_scratch(had, dt_z, "had_z")
-    z = _int8_matmul(
-        i8["atk"],
-        had.reshape(tt, g * p * kg),
-        out=take_scratch("z", (m * m, g * p * kg), dt_z),
-    )  # (m², g·P·K/g)
-    if INT8_STRICT:
-        assert float(np.abs(z).max(initial=0.0)) <= i8["bounds"][2]
-    z = _requant_out(z, i8["rq_out"])
-    z = _int8_epilogue(z.reshape(m * m, g, p, kg), i8, g)
+    direct = aligned and q_in is None
+    if not direct:
+        # Not the float kernels' "xp": a cold step ran those in this
+        # scope, and their interior is this buffer's zero border.
+        xp = take_scratch("xp_nhwc", (n, need_h, need_w, c), np.float32, zero=not aligned)
+        interior = xp if aligned else xp[:, pad : pad + h, pad : pad + w]
+        tiles = _tile_view(xp, t, m)
+    tmat = take_scratch("tmat", (t, t, n, th, tw, c), dt_v)
+    v = take_scratch("v", (tt, p * c), dt_v)
+    rq_v = _requant_stage(i8["d_v"], attrs["q_input_t"], dt_v, mul["q_input_t"])
+    v_h = _cast_buffer(v, dt_h, "v_h")
+    had = take_scratch("had", (tt, g, p, kg), dt_h)
+    rq_h = _requant_stage(i8["d_h"], attrs["q_hadamard"], dt_h, mul["q_hadamard"])
+    had_z = _cast_buffer(had, dt_z, "had_z")
+    z = take_scratch("z", (m * m, g * p * kg), dt_z)
+    finish, z32 = _bind_output(z.reshape(m * m, g, p, kg), i8, mul, g)
     cropped = th * m != out_h or tw * m != out_w
     y = None if cropped else take_out((n, out_h, out_w, k))
     if y is None:
         y = take_scratch("y", (n, th * m, tw * m, k), np.float32)
-    return _scatter_tiles(z, m, y)[:, :out_h, :out_w]
+    # GEMM operands and scatter endpoints, as views of the buffers above
+    tmat2, btk, atk = tmat.reshape(tt, p * c), i8["btk"], i8["atk"]
+    v_tap = v_h.reshape(tt, p, g, cg).transpose(0, 2, 1, 3)
+    u2q = i8["u2q"].reshape(tt, g, cg, kg)
+    had2 = had_z.reshape(tt, g * p * kg)
+    z_tiles = np.transpose(z32.reshape(m, m, g, n, th, tw, kg), (3, 4, 0, 5, 1, 2, 6))
+    y_tiles = y.reshape(n, th, m, tw, m, g, kg)
+    result = y[:, :out_h, :out_w]
+
+    def run(x):
+        if direct:
+            _gather_tiles(_tile_view(x, t, m), tmat)
+        else:
+            _load_codes(x, q_in, interior)
+            _gather_tiles(tiles, tmat)
+        _int8_matmul(btk, tmat2, out=v)  # (t², P·C), exact integers
+        if INT8_STRICT:
+            _check_bound(v, bounds[0])
+        _requant_codes(v, rq_v)
+        if v_h is not v:
+            np.copyto(v_h, v)
+        _int8_matmul(v_tap, u2q, out=had)  # (t², g, P, K/g)
+        if INT8_STRICT:
+            _check_bound(had, bounds[1])
+        _requant_codes(had, rq_h)
+        if had_z is not had:
+            np.copyto(had_z, had)
+        _int8_matmul(atk, had2, out=z)  # (m², g·P·K/g)
+        if INT8_STRICT:
+            _check_bound(z, bounds[2])
+        finish()
+        _scatter_tiles(z_tiles, y_tiles)
+        return result
+
+    return run
 
 
 @register_kernel("conv2d", "int8")
 def conv2d_int8(inputs, attrs):
     """im2row GEMM on channels-last integer codes with fused requant
     epilogue: patch rows in ``(kh, kw, C)`` order, so the GEMM's output
-    rows are already NHWC."""
+    rows are already NHWC.  Bound once per arena and input shape by
+    :func:`_bind_conv2d`."""
     i8 = _int8_gate("conv2d", conv2d_fast, inputs, attrs)
     if i8 is None:
         return conv2d_fast(inputs, attrs)
     if not isinstance(i8, dict) or "dt" not in i8:
         return i8  # cold-fallback result
     (x,) = inputs
+    return take_bound(x.shape, partial(_bind_conv2d, x.shape, attrs, i8))(x)
+
+
+def _bind_conv2d(shape, attrs, i8):
     sh, sw = attrs["stride"]
     ph, pw = attrs["padding"]
     g = attrs["groups"]
     k, cg, kh, kw = attrs["weight"].shape
-    n, h, w, c = x.shape
-    dt = i8["dt"]
-    rq = i8["rq_out"]
+    n, h, w, c = shape
+    dt, kg = i8["dt"], k // g
+    q_in = None if i8.get("input_prequantized") else attrs["q_input"]
 
-    kg = k // g
     if kh == kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and g == 1:
         # 1×1: the channels-last activation already is the row matrix.
-        if i8.get("input_prequantized"):
-            rows = np.ascontiguousarray(x)
-        else:
-            rows = _quantize_codes(
-                x, attrs["q_input"], out=take_scratch("qx", x.shape, np.float32)
-            )
-        rows = _cast_scratch(rows.reshape(1, n * h * w, c), dt, "qx_dt")
         oh, ow = h, w
+        codes = _bind_codes(shape, q_in, dt)
+
+        def load(x):
+            return codes(x).reshape(1, n * h * w, c)
+
     else:
-        xp = take_scratch("xp", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
-        _load_codes(x, attrs, xp[:, ph : ph + h, pw : pw + w])
+        xp = take_scratch("xp_nhwc", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
+        interior = xp[:, ph : ph + h, pw : pw + w]
         patches = _strided_patches(xp.transpose(0, 3, 1, 2), kh, kw, sh, sw)
         oh, ow = patches.shape[2], patches.shape[3]
         rows = take_scratch("rows", (g, n * oh * ow, kh * kw * cg), dt)
-        rows.reshape(g, n, oh, ow, kh, kw, cg)[...] = np.transpose(
+        rows_dst = rows.reshape(g, n, oh, ow, kh, kw, cg)
+        rows_src = np.transpose(
             patches.reshape(n, g, cg, oh, ow, kh, kw), (1, 0, 3, 4, 5, 6, 2)
         )
-    out = _int8_matmul(
-        rows, i8["wq_mat"], out=take_scratch("gemm", (g, n * oh * ow, kg), dt)
-    )  # (g, n·oh·ow, K/g)
-    if INT8_STRICT:
-        assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-    out = _requant_out(out, rq, bias_shape=(g, 1, kg))
-    out = _int8_epilogue(out, i8, g)
+
+        def load(x):
+            _load_codes(x, q_in, interior)
+            np.copyto(rows_dst, rows_src)
+            return rows
+
+    wq_mat, bound = i8["wq_mat"], i8["bound"]
+    gemm = take_scratch("gemm", (g, n * oh * ow, kg), dt)  # (g, n·oh·ow, K/g)
+    mul = derive_multipliers("conv2d", attrs)
+    finish, out = _bind_output(gemm, i8, mul, g, bias_shape=(g, 1, kg))
     if g == 1:
-        return out.reshape(n, oh, ow, k)
-    y = take_out((n, oh, ow, k))
-    if y is None:
-        y = take_scratch("y", (n, oh, ow, k), np.float32)
-    y.reshape(n, oh, ow, g, kg)[...] = np.transpose(
-        out.reshape(g, n, oh, ow, kg), (1, 2, 3, 0, 4)
-    )
-    return y
+        result, y_dst = out.reshape(n, oh, ow, k), None
+    else:
+        result = take_out((n, oh, ow, k))
+        if result is None:
+            result = take_scratch("y", (n, oh, ow, k), np.float32)
+        y_dst = result.reshape(n, oh, ow, g, kg)
+        y_src = np.transpose(out.reshape(g, n, oh, ow, kg), (1, 2, 3, 0, 4))
+
+    def run(x):
+        _int8_matmul(load(x), wq_mat, out=gemm)
+        if INT8_STRICT:
+            _check_bound(gemm, bound)
+        finish()
+        if y_dst is not None:
+            np.copyto(y_dst, y_src)
+        return result
+
+    return run
 
 
 @register_kernel("linear", "int8")
 def linear_int8(inputs, attrs):
-    """Fully-connected layer on integer codes."""
+    """Fully-connected layer on integer codes (bound by
+    :func:`_bind_linear`)."""
     i8 = _int8_gate("linear", linear_kernel, inputs, attrs)
     if i8 is None:
         return linear_kernel(inputs, attrs)
     if not isinstance(i8, dict) or "wq_t" not in i8:
         return i8  # cold-fallback result
     (x,) = inputs
-    k = attrs["weight"].shape[0]
-    if i8.get("input_prequantized"):
-        qx = np.ascontiguousarray(x)
-    else:
-        qx = _quantize_codes(
-            x, attrs["q_input"], out=take_scratch("qx", x.shape, np.float32)
-        )
-    qx = _cast_scratch(qx, i8["dt"], "qx_dt")
-    out = _int8_matmul(
-        qx, i8["wq_t"], out=take_scratch("gemm", (x.shape[0], k), i8["dt"])
-    )  # (N, out)
-    if INT8_STRICT:
-        assert float(np.abs(out).max(initial=0.0)) <= i8["bound"]
-    out = _requant_out(out, i8["rq_out"])
-    return _int8_epilogue(out, i8)
+    return take_bound(x.shape, partial(_bind_linear, x.shape, attrs, i8))(x)
+
+
+def _bind_linear(shape, attrs, i8):
+    q_in = None if i8.get("input_prequantized") else attrs["q_input"]
+    load = _bind_codes(shape, q_in, i8["dt"])
+    wq_t, bound = i8["wq_t"], i8["bound"]
+    gemm = take_scratch("gemm", (shape[0], wq_t.shape[1]), i8["dt"])  # (N, out)
+    finish, result = _bind_output(gemm, i8, derive_multipliers("linear", attrs), 1)
+
+    def run(x):
+        _int8_matmul(load(x), wq_t, out=gemm)
+        if INT8_STRICT:
+            _check_bound(gemm, bound)
+        finish()
+        return result
+
+    return run

@@ -26,6 +26,10 @@ removes that:
   and transform-domain intermediates, quantization code buffers.  After
   warm-up every request hits an existing buffer: zero steady-state
   arena allocations.
+* **Bound programs** (:func:`take_bound`): a kernel may bind its
+  buffers and views once and cache the resulting runner per arena,
+  step and input shape.  The arena drops every cached runner whenever
+  it allocates or grows a buffer, so no runner outlives what it binds.
 
 Arenas are checked out per lane of a ``run`` from a small pool, so
 concurrent executions of one shared plan (lanes of one split run, or the
@@ -251,9 +255,11 @@ class Arena:
         self._scratch: Dict[tuple, np.ndarray] = {}
         self._buf_ids: set = set()
         self._regs: Dict[int, np.ndarray] = {}
-        # Counter lock only: the buffers belong to the one lane that
-        # checked this arena out.
-        self._stats_lock = threading.Lock()
+        self._regs_n: Optional[int] = None  # batch size of ``_regs``
+        # (step, input shape) -> (bound program, buffer requests it made)
+        self._bound: Dict[tuple, tuple] = {}
+        # No locks: one lane owns the arena for a whole run, and the pool
+        # reads the counters at checkin, under its own lock.
         self.alloc_events = 0  # lifetime buffer allocations/growths
         self.last_run_allocs = 0
         self.last_run_hits = 0
@@ -261,20 +267,22 @@ class Arena:
 
     # -- bookkeeping --------------------------------------------------------
     def _note_alloc(self) -> None:
-        with self._stats_lock:
-            self.alloc_events += 1
-            self.last_run_allocs += 1
+        self.alloc_events += 1
+        self.last_run_allocs += 1
+        # A bound program may hold views of the buffer just replaced.
+        self._bound.clear()
 
     def note_hit(self) -> None:
-        with self._stats_lock:
-            self.last_run_hits += 1
+        self.last_run_hits += 1
 
     def note_shape_miss(self) -> None:
-        with self._stats_lock:
-            self.shape_misses += 1
+        self.shape_misses += 1
 
     def begin_run(self, n: int) -> None:
-        """Size the register views for batch ``n`` (growing slots once)."""
+        """Size the register views for batch ``n`` (growing slots once).
+
+        The views of the previous run are kept when its batch size was
+        ``n`` too and no slot grew."""
         self.last_run_allocs = 0
         self.last_run_hits = 0
         layout = self.layout
@@ -288,12 +296,16 @@ class Arena:
                 self._slots[slot] = buf
                 self._buf_ids.add(id(buf))
                 self._note_alloc()
+                self._regs_n = None
+        if self._regs_n == n:
+            return
         regs = {}
         for reg, slot in layout.reg_slot.items():
             tail = layout.reg_tail[reg]
             count = n * _prod(tail)
             regs[reg] = self._slots[slot][:count].reshape((n,) + tail)
         self._regs = regs
+        self._regs_n = n
 
     def reg_view(self, reg: int) -> Optional[np.ndarray]:
         return self._regs.get(reg)
@@ -318,6 +330,23 @@ class Arena:
         else:
             self.note_hit()
         return buf[:need].reshape(shape)
+
+    def bound(self, key: tuple, build):
+        """The program cached under ``key``, built by ``build()`` on a miss.
+
+        A hit counts as many buffer hits as the build made requests, so
+        ``last_run_hits`` reads the same whether a step rebuilt its
+        program or reused it.  Any (re)allocation drops every program
+        (see :meth:`_note_alloc`), including those of other shapes that
+        shared the replaced buffer."""
+        entry = self._bound.get(key)
+        if entry is not None:
+            self.last_run_hits += entry[1]
+            return entry[0]
+        before = self.last_run_hits + self.last_run_allocs
+        program = build()
+        self._bound[key] = (program, self.last_run_hits + self.last_run_allocs - before)
+        return program
 
     def owns(self, arr) -> bool:
         """True when ``arr``'s memory ultimately belongs to this arena."""
@@ -481,6 +510,21 @@ def take_out(shape, dtype=np.float32) -> Optional[np.ndarray]:
         return out
     scope.arena.note_shape_miss()
     return None
+
+
+def take_bound(shape, build):
+    """The running step's bound program for input ``shape``.
+
+    ``build()`` binds a kernel's buffers and views once (through
+    :func:`take_out`/:func:`take_scratch`) and returns a runner that
+    only moves data.  Inside a planned run the runner is cached per
+    arena, step and shape until the arena next (re)allocates; everywhere
+    else it is built afresh, so every call allocates exactly as an
+    unbound kernel would."""
+    scope = getattr(_ws, "scope", None)
+    if scope is None:
+        return build()
+    return scope.arena.bound((scope.step, shape), build)
 
 
 def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:

@@ -286,6 +286,20 @@ class TestJunctionFusion:
         # the warm path is deterministic and no longer mutates state
         np.testing.assert_array_equal(plan.run(b), out_b)
 
+    def test_cold_plan_goes_native_on_zero_padding(self, rng):
+        """The first (float fallback) batch fills its NCHW padded
+        buffers; the native steps after it must not pad on top of them.
+        A planned run then equals an unplanned one, whose buffers are
+        all fresh."""
+        a = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        b = 2.0 * rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
+        plan = compile_model(model.eval(), backend="int8")
+        plan.run(a)  # cold: freezes every range on the fallback path
+        planned = plan.run(b)
+        plan.planning = False
+        np.testing.assert_array_equal(planned, plan.run(b))
+
 
 class TestEligibilityAndBounds:
     def test_dyadic_exponents(self):

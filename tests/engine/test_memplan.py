@@ -241,3 +241,58 @@ class TestPlannedExecution:
         plan.prepare((1, 1, 28, 28))
         entry = plan.memory_report()["planned_shapes"][0]
         assert entry["planned"] and entry["sample_shape"] == [1, 28, 28]
+
+
+class TestBoundPrograms:
+    """Native int8 steps bind their buffers and views once per arena,
+    step and input shape; any arena (re)allocation drops every bound
+    program, so none outlives the buffers it reads or writes."""
+
+    @staticmethod
+    def _arenas(plan):
+        return [a for pool in plan._mem_pools.values() for a in pool._retained]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lifetime_across_batch_sizes(self, rng, threads):
+        import gc
+        import weakref
+
+        from repro.engine.cache import PlanCache
+        from repro.serve.registry import ModelSpec, compile_served
+
+        served = compile_served(
+            ModelSpec.parse("resnet18-w0.25-F4-int8@int8"), cache=PlanCache()
+        )
+        plan = served.plan
+        replaced = []
+        for batch in (1, 8, 2, 16, 1):
+            x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+            fresh = compile_model(served.model, backend="int8").run(x, threads=threads)
+            for _ in range(3):  # allocate, then bind, then reuse
+                np.testing.assert_array_equal(plan.run(x, threads=threads), fresh)
+            report = plan.memory_report()
+            assert report["steady_state_allocations"] == 0
+            assert report["shape_misses"] == 0
+            assert report["allocations_eliminated"] > 20
+            for arena in self._arenas(plan):
+                buffers = list(arena._scratch.values()) + arena._slots
+                replaced += [weakref.ref(b) for b in buffers if b is not None]
+        gc.collect()
+        live = {id(b) for a in self._arenas(plan) for b in a._scratch.values()}
+        live |= {id(b) for a in self._arenas(plan) for b in a._slots}
+        assert all(ref() is None or id(ref()) in live for ref in replaced)
+
+        # Every arena holds exactly what an arena warmed only at its
+        # largest lane holds: no bound program keeps an old buffer.
+        lane_bytes = set()
+        for rows in (1, 2, 4, 8, 16):
+            single = compile_model(served.model, backend="int8")
+            x = rng.standard_normal((rows, 3, 32, 32)).astype(np.float32)
+            single.run(x, threads=1)
+            lane_bytes.add(single.memory_report()["arena_bytes"])
+        assert all(a.nbytes in lane_bytes for a in self._arenas(plan))
+        if threads == 1:
+            warmed = compile_model(served.model, backend="int8")
+            x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+            warmed.run(x, threads=1)
+            assert plan.memory_report()["arena_bytes"] == warmed.memory_report()["arena_bytes"]
