@@ -16,14 +16,17 @@ hence last-ulp rounding — can vary with batch shape).
 
 The window is only worth waiting when batch-mates are coming.
 :meth:`DynamicBatcher.submit` records the gaps between the last
-:data:`GAP_HISTORY` arrivals; when their median exceeds ``max_wait_ms``
-no co-rider is due within the window, so the collector dispatches what
-it already holds at once (``close_reason="sparse"``).  A quiet server
-thus answers a lone request without paying the window, while a
-closed-loop wave or an overload backlog, whose gaps are tiny, coalesces
-as before.  With no gap history yet the collector waits, so a first
-burst still coalesces.  ``max_wait_ms`` keeps its meaning: the longest a
-request may wait for co-riders.
+:data:`GAP_HISTORY` arrivals; when their median and the latest gap both
+exceed ``max_wait_ms`` no co-rider is due within the window, so the
+collector dispatches what it already holds at once
+(``close_reason="sparse"``).  A quiet server thus answers a lone request
+without paying the window, while a closed-loop wave or an overload
+backlog, whose gaps are tiny, coalesces as before.  A burst after quiet
+traffic sends its first request alone, and the rest, each arriving
+inside the window of its predecessor, wait for one another.  With no
+gap history yet the collector waits, so a first burst coalesces whole.
+``max_wait_ms`` keeps its meaning: the longest a request may wait for
+co-riders.
 
 Failure policy:
 
@@ -413,11 +416,14 @@ class DynamicBatcher:
 
     def _sparse(self, budget_s: float) -> bool:
         """No co-rider is due within the window: the median of the
-        recent inter-arrival gaps exceeds it.  ``False`` without gap
+        recent inter-arrival gaps exceeds it, and so does the latest
+        gap (a latest gap inside the window means a burst is under way,
+        so its next member is waited for).  ``False`` without gap
         history, so a first burst still coalesces."""
         return (
             budget_s > 0
             and bool(self._gaps)
+            and self._gaps[-1] > budget_s
             and statistics.median(self._gaps) > budget_s
         )
 

@@ -182,6 +182,48 @@ class TestSparseArrivals:
             assert r.queue_ms < 50
         assert reasons[1:] == ["sparse"] * 3
 
+    def test_burst_after_sparse_arrivals_coalesces_its_rest(self, monkeypatch):
+        # Sparse history (clock a second ahead between submissions), then
+        # a burst of three: its first member leaves alone, and the second
+        # must wait for the third instead of leaving alone too.
+        offset = [0.0]
+        monkeypatch.setattr(
+            batcher_mod,
+            "time",
+            types.SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0]),
+        )
+
+        async def scenario():
+            tracer = TraceBuffer(256)
+            batcher = DynamicBatcher(
+                EchoPlan(),
+                BatchPolicy(max_batch_size=2, max_wait_ms=500, max_queue=8),
+                tracer=tracer,
+            )
+            await batcher.start()
+            try:
+                for i in range(3):
+                    await batcher.submit(sample(i), trace_parent=f"quiet-{i}")
+                    offset[0] += 1.0
+                first = await batcher.submit(sample(3), trace_parent="burst-0")
+                second = asyncio.ensure_future(
+                    batcher.submit(sample(4), trace_parent="burst-1")
+                )
+                await asyncio.sleep(0.02)
+                third = await batcher.submit(sample(5), trace_parent="burst-2")
+                second = await second
+            finally:
+                await batcher.stop()
+            reasons = [
+                s.attrs["close_reason"] for s in tracer.snapshot() if s.name == "batch"
+            ]
+            return first, second, third, reasons
+
+        first, second, third, reasons = run_async(scenario())
+        assert first.batch_size == 1 and first.queue_ms < 50
+        assert second.batch_size == third.batch_size == 2
+        assert reasons[-2:] == ["sparse", "size"]
+
     def test_closed_loop_wave_keeps_coalescing(self):
         # Eight closed-loop clients with a little think time: arrivals
         # within a wave are spread over a few ms, well inside the window,

@@ -28,8 +28,7 @@ from repro.serve.prom import PROM_CONTENT_TYPE
 MODEL = "lenet-F2-fp32"
 
 
-@pytest.fixture(scope="module")
-def traced_server():
+def _serve_traced():
     registry = ModelRegistry()
     registry.load(MODEL)
     handle = start_in_background(
@@ -43,6 +42,13 @@ def traced_server():
         yield handle
     finally:
         handle.stop()
+
+
+traced_server = pytest.fixture(scope="module")(_serve_traced)
+#: A server no request has reached yet: its batcher has no gap history,
+#: so it waits out the window for a burst's co-riders (after sparse
+#: traffic a burst's first request leaves alone).
+fresh_traced_server = pytest.fixture(_serve_traced)
 
 
 @pytest.fixture
@@ -153,12 +159,13 @@ class TestTraceEndpoint:
             client.trace(format="nonsense")
         assert info.value.status == 400
 
-    def test_request_id_survives_batch_coalescing(self, traced_server):
+    def test_request_id_survives_batch_coalescing(self, fresh_traced_server):
         barrier = threading.Barrier(3)
         ids = ["co-a", "co-b", "co-c"]
 
         def fire(rid):
-            with ServeClient(traced_server.base_url) as c:
+            with ServeClient(fresh_traced_server.base_url) as c:
+                c.connect()
                 barrier.wait()
                 c.predict_raw(_sample(), model=MODEL, request_id=rid)
 
@@ -167,7 +174,7 @@ class TestTraceEndpoint:
             t.start()
         for t in threads:
             t.join()
-        with ServeClient(traced_server.base_url) as c:
+        with ServeClient(fresh_traced_server.base_url) as c:
             spans = _fetch_spans(c)
         batches = [s for s in spans if s.name == "batch"]
         coalesced = [b for b in batches
