@@ -650,8 +650,14 @@ def run_infer(args) -> int:
         np.float32
     )
 
+    from repro.autograd import Tensor, no_grad
     from repro.engine import resolve_threads
 
+    if args.backend == "int8":
+        # Calibrate first, as compile_served does: a step runs natively
+        # only when its ranges are frozen at compile time.
+        with no_grad():
+            model(Tensor(x))
     plan = get_cached_plan(model, x.shape, backend=args.backend)
     threads = resolve_threads(args.threads)
     out = plan.run(x, threads=threads)
@@ -667,7 +673,6 @@ def run_infer(args) -> int:
         f"({1e3 * args.batch / engine_ms:7.1f} img/s), {len(plan)} steps"
     )
     if args.compare:
-        from repro.autograd import Tensor, no_grad
 
         def eager():
             with no_grad():

@@ -29,15 +29,15 @@ short::
   NumPy dtypes/scalars, and — critically for the int8 backend — **shared
   dict identity** (a producer's ``emit_q`` *is* its consumer's
   ``q_input`` dict; the requantizer's ``q`` *is* the step's
-  ``q_output``), so a loaded plan re-freezes dynamic observer ranges
-  through exactly the same aliases a fresh compile would.
+  ``q_output``), so a loaded plan has the object graph of a fresh
+  compile.
 
 Loaded plans are bit-identical to freshly compiled ones on every
 backend: the tensor bytes are verbatim, the kernels are resolved from
 the same registry (mirroring ``compile_model``), and read-only mapping
 is safe because all attribute-array mutation happens at compile time —
-the int8 runtime preparation only *adds* freshly allocated arrays to the
-``i8`` dicts, never writes into existing weight arrays.
+the int8 layout pass run at load only *adds* freshly allocated arrays to
+the ``i8`` dicts, never writes into existing weight arrays.
 
 Failure policy: every malformed input raises a typed
 :class:`ArtifactError` subclass (wrong magic, unsupported version,
@@ -138,8 +138,7 @@ class ArtifactCorruptError(ArtifactFormatError):
 #
 # The __obj__/__ref__ memoization preserves the object graph, not just
 # the values: the int8 finalizer aliases dicts across steps (emit_q,
-# rq_out["q"]) and the executor freezes dynamic observer ranges by
-# mutating those dicts in place, so identity is part of the semantics.
+# rq_out["q"]), and a loaded plan shares them the same way.
 
 _TAGS = ("__nd__", "__t__", "__dtype__", "__np__", "__obj__", "__ref__")
 
@@ -516,8 +515,9 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
     recorded ``input_shape`` so the first request allocates nothing.
 
     Failure modes (all :class:`ArtifactError` subclasses; rejection
-    policy in ``docs/artifact-format.md`` § Compatibility): wrong magic
-    or an ``i8`` block with unknown keys → :class:`ArtifactFormatError`;
+    policy in ``docs/artifact-format.md`` § Compatibility): wrong magic,
+    an ``i8`` block with unknown keys or one saved unprepared →
+    :class:`ArtifactFormatError`;
     other format version → :class:`ArtifactVersionError`; short file →
     :class:`ArtifactTruncatedError`; hash mismatch →
     :class:`ArtifactCorruptError`.
@@ -562,7 +562,13 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
                 f"{path}: step {i} ({step.op}) carries i8 attributes {unknown} "
                 "that this build cannot run bit-identically; recompile the plan"
             )
-        if isinstance(i8, dict) and i8.get("ready"):
+        if isinstance(i8, dict):
+            if not i8.get("ready"):
+                raise ArtifactFormatError(
+                    f"{path}: step {i} ({step.op}) has an unprepared i8 block "
+                    "(saved from a plan compiled cold, before its first batch); "
+                    "recompile the plan from a calibrated model"
+                )
             try:  # the multiplier searches, ahead of the first request
                 derive_multipliers(step.op, step.attrs)
             except (KeyError, IndexError, TypeError, ValueError) as exc:

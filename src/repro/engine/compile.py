@@ -567,10 +567,9 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     num_regs = lowerer.next_reg
     if backend != "reference":
         steps = _fuse(steps, output_reg)
-        # The int8 backend keeps the fast layouts too: they serve float
-        # steps and the per-step fallback path (cold observers, flex
-        # transforms).  Quantized Winograd steps keep the nested (eager
-        # grid order) form there, so lazily-frozen ranges match eager.
+        # The int8 backend keeps the fast layouts too: they serve its
+        # float steps (cold observers, flex transforms, unbounded
+        # accumulators), which run exactly as in the fast plan.
         _finalize_fast(steps)
         if backend == "int8":
             from repro.engine.int8 import assign_layouts, finalize_int8

@@ -67,11 +67,13 @@ layout their input arrives in, every other step stays NCHW, and one
 ``transpose`` step sits wherever a consumer's layout differs from its
 producer's (the plan input and output stay NCHW).
 
-Handoffs are only wired when every quantization range involved is frozen
-at compile time (a calibrated model); a plan compiled from a cold model
-keeps float handoffs and warms its per-step constants lazily after the
-first batch froze the ranges (via the ``fast``-kernel fallback, which
-freezes exactly like eager's eval-before-observation path).
+Whether a step runs natively is decided once, at compile time: only a
+step whose activation ranges are all frozen (a calibrated model) gets an
+``i8`` block, prepared in full by :func:`finalize_int8`.  A step with a
+cold stage is an ordinary float step for the plan's lifetime, like a
+flex or otherwise ineligible one, so a plan compiled from an
+uncalibrated model is its ``fast`` plan.  Calibrate the model (one eager
+eval forward) before compiling to go native.
 """
 
 from __future__ import annotations
@@ -141,13 +143,9 @@ def dyadic_exponent(matrix: np.ndarray, limit: int = 24) -> Optional[int]:
     return None
 
 
-def _qmax(q: Optional[Dict]) -> Optional[float]:
-    """Clip bound of a stage dict (frozen or still-dynamic)."""
-    if q is None:
-        return None
-    if "qmax" in q:
-        return float(q["qmax"])
-    return float(2 ** (q["dynamic_bits"] - 1) - 1)
+def _qmax(q: Dict) -> float:
+    """Clip bound of a frozen stage dict."""
+    return float(q["qmax"])
 
 
 def stage_scale(q: Dict) -> float:
@@ -182,11 +180,6 @@ def _all_frozen(step) -> bool:
     return all(_frozen(step.attrs.get(name)) for name in ACTIVATION_STAGES[step.op])
 
 
-def stages_cold(attrs: Dict, op: str) -> bool:
-    """True while any activation stage still waits for its first batch."""
-    return not all(_frozen(attrs.get(name)) for name in ACTIVATION_STAGES[op])
-
-
 def _codes(values: np.ndarray, q: Dict, dtype) -> np.ndarray:
     """Recover the integer codes of an already fake-quantized array.
 
@@ -216,8 +209,6 @@ def _static_conv2d(attrs: Dict) -> Optional[Dict]:
         return None
     wq = _codes(w, q_w, dtype).reshape(g, k // g, reduction)
     return {
-        "ok": True,
-        "ready": False,
         "dt": dtype,
         "bound": bound,
         "s_w": float(q_w["scale"]),
@@ -237,8 +228,6 @@ def _static_linear(attrs: Dict) -> Optional[Dict]:
     if dtype is None:
         return None
     return {
-        "ok": True,
-        "ready": False,
         "dt": dtype,
         "bound": bound,
         "s_w": float(q_w["scale"]),
@@ -280,8 +269,6 @@ def _static_winograd(attrs: Dict) -> Optional[Dict]:
         )
     )
     return {
-        "ok": True,
-        "ready": False,
         "eb": eb,
         "ea": ea,
         "btk": btk.astype(dt_v),
@@ -301,9 +288,7 @@ _STATIC = {
 
 
 # ---------------------------------------------------------------------------
-# Runtime (scale-dependent) preparation — called lazily by the kernels
-# once every activation stage is frozen.  Idempotent; concurrent first
-# batches race benignly (identical values, ``ready`` is written last).
+# Scale-dependent preparation, from the frozen activation ranges
 # ---------------------------------------------------------------------------
 
 
@@ -458,7 +443,6 @@ def _runtime_conv_linear(attrs: Dict) -> None:
     else:
         i8["rq_out"] = None
         _epilogue_constants(attrs, i8, d, bias)
-    i8["ready"] = True
 
 
 def _runtime_winograd(attrs: Dict) -> None:
@@ -478,14 +462,16 @@ def _runtime_winograd(attrs: Dict) -> None:
         s_eff = d_z
     # Winograd applies bias *after* the output quantization stage.
     _epilogue_constants(attrs, i8, s_eff, attrs.get("bias"))
-    i8["ready"] = True
 
 
-def prepare_runtime(op: str, attrs: Dict) -> None:
+def _prepare(op: str, attrs: Dict) -> None:
     if op == "winograd_conv2d":
         _runtime_winograd(attrs)
     else:
         _runtime_conv_linear(attrs)
+    # Always true; written for engines that branched on them, which may
+    # still read this block from an artifact.
+    attrs["i8"]["ok"] = attrs["i8"]["ready"] = True
     derive_multipliers(op, attrs)  # runs the memoized searches now
 
 
@@ -514,7 +500,7 @@ def _absorb_affines(steps: List, output_reg: int) -> List:
             step.op == "affine"
             and producer is not None
             and producer.op in INT8_OPS
-            and producer.attrs.get("i8", {}).get("ok")
+            and "i8" in producer.attrs
             and "post" not in producer.attrs["i8"]
             and not producer.attrs.get("fuse_relu")
             and counts[producer.output] == 1
@@ -543,9 +529,7 @@ def _wire_handoffs(steps: List, output_reg: int) -> None:
             consumers.setdefault(reg, []).append(step)
     for producer in steps:
         i8p = producer.attrs.get("i8")
-        if not (i8p and i8p.get("ok")) or producer.op not in INT8_OPS:
-            continue
-        if not _all_frozen(producer):
+        if i8p is None:
             continue
         reg = producer.output
         consumer = None
@@ -559,17 +543,10 @@ def _wire_handoffs(steps: List, output_reg: int) -> None:
                 continue
             consumer = candidate
             break
-        if consumer is None or consumer.op not in INT8_OPS:
+        i8c = None if consumer is None else consumer.attrs.get("i8")
+        if i8c is None or consumer.inputs != (reg,):
             continue
-        i8c = consumer.attrs.get("i8")
-        if not (i8c and i8c.get("ok")) or consumer.inputs != (reg,):
-            continue
-        if not _all_frozen(consumer):
-            continue
-        q_in = consumer.attrs.get("q_input")
-        if not (isinstance(q_in, dict) and "scale" in q_in):
-            continue
-        i8p["emit_q"] = q_in  # shared dict: producer clips to this grid
+        i8p["emit_q"] = consumer.attrs["q_input"]  # shared: producer clips to it
         i8c["input_prequantized"] = True
         producer.label = (producer.label + " →int").strip()
         consumer.label = ("int→ " + consumer.label).strip()
@@ -579,25 +556,24 @@ def finalize_int8(steps: List, output_reg: int) -> List:
     """Prepare every eligible step for native integer execution.
 
     Mutates step attrs in place (adding the ``i8`` dict) and returns the
-    new step list with absorbed ``affine`` steps removed.  Steps left
-    without an ``i8`` dict (or with none at all on float models) simply
-    execute through the ``fast`` → ``reference`` fallback
-    kernels — compilation never fails on ineligible layers.
+    new step list with absorbed ``affine`` steps removed.  A step is
+    eligible when it is quantized, every activation range is frozen and
+    its accumulators can be bounded; the rest (and every step of a
+    float model) carry no ``i8`` dict and execute through the ``fast``
+    → ``reference`` fallback kernels, so compilation never fails on
+    ineligible layers.
     """
     for step in steps:
-        if step.op in _STATIC and step.attrs.get("quantized"):
+        if step.op in _STATIC and step.attrs.get("quantized") and _all_frozen(step):
             i8 = _STATIC[step.op](step.attrs)
             if i8 is not None:
                 step.attrs["i8"] = i8
                 step.domain = "int8"
     steps = _absorb_affines(steps, output_reg)
     _wire_handoffs(steps, output_reg)
-    # Eagerly prepare fully-frozen steps so warm plans are ready-to-run
-    # (cold steps prepare lazily after their first batch froze ranges).
     for step in steps:
-        i8 = step.attrs.get("i8")
-        if i8 and i8.get("ok") and _all_frozen(step):
-            prepare_runtime(step.op, step.attrs)
+        if "i8" in step.attrs:
+            _prepare(step.op, step.attrs)
     return steps
 
 

@@ -48,13 +48,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engine.int8 import (
-    NHWC,
-    derive_multipliers,
-    prepare_runtime,
-    stage_scale,
-    stages_cold,
-)
+from repro.engine.int8 import NHWC, derive_multipliers, stage_scale
 from repro.engine.memplan import take_bound, take_out, take_scratch
 from repro.engine.registry import register_kernel
 from repro.quant.quantizer import quantization_scale
@@ -916,39 +910,6 @@ def _bind_output(acc, i8, mul, groups, bias_shape=None):
     return finish, epi[-1].reshape(acc.shape)
 
 
-def _cold_fallback(fast_fn, inputs, attrs):
-    """First batch(es) of a cold-compiled plan: run the float ``fast``
-    kernel — freezing the dynamic ranges exactly like eager's
-    eval-before-observation path — and apply any absorbed BatchNorm in
-    float.  Once every stage is frozen the kernel switches to the
-    integer path for good.  A channels-last step converts its input to
-    NCHW for the float kernel and its result back."""
-    nhwc = _nhwc(attrs)
-    if nhwc:
-        inputs = (np.ascontiguousarray(inputs[0].transpose(0, 3, 1, 2)),)
-    y = fast_fn(inputs, attrs)
-    post = attrs["i8"].get("post")
-    if post is not None:
-        bshape = (1, -1) + (1,) * (y.ndim - 2)
-        y = y * post["scale"].reshape(bshape) + post["shift"].reshape(bshape)
-        if post["relu"]:
-            np.maximum(y, 0.0, out=y)
-    return np.ascontiguousarray(y.transpose(0, 2, 3, 1)) if nhwc else y
-
-
-def _int8_gate(op, fast_fn, inputs, attrs):
-    """Shared dispatch: fall back for ineligible steps, run the cold
-    float path until ranges freeze, lazily prepare constants once."""
-    i8 = attrs.get("i8")
-    if i8 is None or not i8.get("ok"):
-        return None  # caller delegates to the float kernel
-    if not i8.get("ready"):
-        if stages_cold(attrs, op):
-            return _cold_fallback(fast_fn, inputs, attrs)
-        prepare_runtime(op, attrs)
-    return i8
-
-
 @register_kernel("winograd_conv2d", "int8")
 def winograd_int8(inputs, attrs):
     """Winograd on channels-last integer codes.
@@ -961,11 +922,9 @@ def winograd_int8(inputs, attrs):
     output scatter.  :func:`_bind_winograd` binds every buffer and view
     once per arena and input shape (see
     :func:`~repro.engine.memplan.take_bound`); a run only moves data."""
-    i8 = _int8_gate("winograd_conv2d", winograd_fast, inputs, attrs)
+    i8 = attrs.get("i8")
     if i8 is None:
         return winograd_fast(inputs, attrs)
-    if not isinstance(i8, dict) or "btk" not in i8:
-        return i8  # cold-fallback result
     (x,) = inputs
     return take_bound(x.shape, partial(_bind_winograd, x.shape, attrs, i8))(x)
 
@@ -986,9 +945,7 @@ def _bind_winograd(shape, attrs, i8):
     # are tiled straight off the producer's register with no copy at all.
     direct = aligned and q_in is None
     if not direct:
-        # Not the float kernels' "xp": a cold step ran those in this
-        # scope, and their interior is this buffer's zero border.
-        xp = take_scratch("xp_nhwc", (n, need_h, need_w, c), np.float32, zero=not aligned)
+        xp = take_scratch("xp", (n, need_h, need_w, c), np.float32, zero=not aligned)
         interior = xp if aligned else xp[:, pad : pad + h, pad : pad + w]
         tiles = _tile_view(xp, t, m)
     tmat = take_scratch("tmat", (t, t, n, th, tw, c), dt_v)
@@ -1047,11 +1004,9 @@ def conv2d_int8(inputs, attrs):
     epilogue: patch rows in ``(kh, kw, C)`` order, so the GEMM's output
     rows are already NHWC.  Bound once per arena and input shape by
     :func:`_bind_conv2d`."""
-    i8 = _int8_gate("conv2d", conv2d_fast, inputs, attrs)
+    i8 = attrs.get("i8")
     if i8 is None:
         return conv2d_fast(inputs, attrs)
-    if not isinstance(i8, dict) or "dt" not in i8:
-        return i8  # cold-fallback result
     (x,) = inputs
     return take_bound(x.shape, partial(_bind_conv2d, x.shape, attrs, i8))(x)
 
@@ -1074,7 +1029,7 @@ def _bind_conv2d(shape, attrs, i8):
             return codes(x).reshape(1, n * h * w, c)
 
     else:
-        xp = take_scratch("xp_nhwc", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
+        xp = take_scratch("xp", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
         interior = xp[:, ph : ph + h, pw : pw + w]
         patches = _strided_patches(xp.transpose(0, 3, 1, 2), kh, kw, sh, sw)
         oh, ow = patches.shape[2], patches.shape[3]
@@ -1118,11 +1073,9 @@ def _bind_conv2d(shape, attrs, i8):
 def linear_int8(inputs, attrs):
     """Fully-connected layer on integer codes (bound by
     :func:`_bind_linear`)."""
-    i8 = _int8_gate("linear", linear_kernel, inputs, attrs)
+    i8 = attrs.get("i8")
     if i8 is None:
-        return linear_kernel(inputs, attrs)
-    if not isinstance(i8, dict) or "wq_t" not in i8:
-        return i8  # cold-fallback result
+        return linear_fast(inputs, attrs)
     (x,) = inputs
     return take_bound(x.shape, partial(_bind_linear, x.shape, attrs, i8))(x)
 

@@ -17,7 +17,8 @@ Three backends ship with the engine:
   fused requantization (precomputed scale product + rint/clip on the
   integer accumulator) instead of a dequantize→fake-quant round trip.
   Steps the integer path cannot take exactly (non-dyadic flex
-  transforms, partially-disabled stages, accumulators past 2^53) fall
+  transforms, partially-disabled stages, accumulators past 2^53) or
+  whose activation ranges were not calibrated before compiling fall
   back per step to the ``fast`` quantized kernels.
 
 Kernel resolution falls back ``int8`` → ``fast`` → ``reference``, so an

@@ -14,11 +14,13 @@ is trained end-to-end with the §5.1 recipe (the paper does the same).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.data.loader import DataLoader
 from repro.hardware.model import ConvShape
@@ -31,6 +33,18 @@ from repro.optim.sgd import SGD
 from repro.training.metrics import Meter, accuracy
 from repro.nas.mixed_op import MixedConv2d
 from repro.nas.search_space import Candidate
+
+
+def _calibrated_plan(path: Module, x: np.ndarray, backend: str):
+    """Compile a candidate from a deep copy calibrated by one eager eval
+    forward on the probe ``x``, so an ``int8`` plan times native steps
+    and the live search model's observers stay untouched."""
+    from repro.engine import compile_model
+
+    model = copy.deepcopy(path).eval()
+    with no_grad():
+        model(Tensor(x))
+    return compile_model(model, backend=backend)
 
 
 @dataclass
@@ -209,12 +223,12 @@ class WiNAS:
         threads: Optional[int] = None,
     ) -> List[float]:
         """Wall-clock each candidate as a compiled single-layer plan."""
-        from repro.engine import compile_model, measure_plan_ms
+        from repro.engine import measure_plan_ms
 
         x = np.zeros((1, op.in_channels, h, w), dtype=np.float32)
         latencies = []
         for path in op.paths:
-            plan = compile_model(path, backend=backend)
+            plan = _calibrated_plan(path, x, backend)
             latencies.append(
                 measure_plan_ms(plan, x, repeats=3, warmup=1, threads=threads)
             )
@@ -231,13 +245,12 @@ class WiNAS:
         workers: int = 0,
     ) -> List[float]:
         """Per-request latency of each candidate under batched serving load."""
-        from repro.engine import compile_model
         from repro.serve.probe import served_latency_ms
 
         x = np.zeros((1, op.in_channels, h, w), dtype=np.float32)
         return [
             served_latency_ms(
-                compile_model(path, backend=backend),
+                _calibrated_plan(path, x, backend),
                 x,
                 concurrency=concurrency,
                 threads=threads,

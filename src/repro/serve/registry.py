@@ -240,11 +240,11 @@ def compile_served(spec: ModelSpec, cache: Optional[PlanCache] = None) -> Served
     ).astype(np.float32)
     if spec.backend == "int8":
         # Calibrate the *model* observers before compiling: the
-        # int8 backend wires integer handoffs between quantized
-        # layers only for ranges frozen at compile time, so an
-        # eager eval pass (which freezes cold observers from its
-        # first batch, deterministically per spec seed) lets the
-        # plan come up fully native instead of half cold.
+        # int8 backend runs a step natively only when its ranges are
+        # frozen at compile time, so an eager eval pass (which
+        # freezes cold observers from its first batch,
+        # deterministically per spec seed) lets the plan come up
+        # native instead of as the fast plan.
         from repro.autograd import Tensor, no_grad
 
         with no_grad():

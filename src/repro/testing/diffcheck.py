@@ -24,6 +24,10 @@ mode                                  contract
                                       Winograd-stem grid flips vs
                                       reference must be bin-boundary
                                       justified
+``int8`` from an uncalibrated model   **is** the ``fast`` plan: same
+                                      steps, no native step, bitwise
+                                      equal outputs and arena bytes
+                                      (:func:`check_cold_int8`)
 ====================================  =====================================
 
 The threaded legs run on ``2 * MIN_LANE_ROWS`` rows, the smallest batch
@@ -112,6 +116,27 @@ def _roundtrip_plan(plan, x):
         os.unlink(path)
 
 
+def check_cold_int8(model, batches, what: str = "") -> None:
+    """An ``int8`` plan compiled from the uncalibrated ``model`` is its
+    ``fast`` plan: the same steps, none native, bitwise equal outputs on
+    every batch of ``batches`` (both plans freeze their cold ranges from
+    the first) and the same resident arena bytes after them."""
+    plans = [compile_model(model, backend=b) for b in ("int8", "fast")]
+    programs = [
+        [(s.op, s.inputs, s.output, s.label, s.domain) for s in p.steps]
+        for p in plans
+    ]
+    assert programs[0] == programs[1], f"{what}: cold int8 steps differ from fast"
+    assert plans[0].int8_report()["native_int8_steps"] == 0
+    for i, x in enumerate(batches):
+        np.testing.assert_array_equal(
+            *(p.run(x, threads=1) for p in plans),
+            err_msg=f"{what}: cold int8 plan differs from fast on batch {i}",
+        )
+    arenas = [p.memory_report()["arena_bytes"] for p in plans]
+    assert arenas[0] == arenas[1], f"{what}: cold int8 vs fast arena bytes {arenas}"
+
+
 def check_model(seed: int, threads: int = 2) -> dict:
     """Generate the model for ``seed`` and assert every mode contract.
 
@@ -155,6 +180,10 @@ def check_model(seed: int, threads: int = 2) -> dict:
 
     # -- int8: exactness oracle + boundary-justified flips -------------------
     if gm.quantized:
+        # cold leg, on a fresh (so uncalibrated) copy of the model
+        check_cold_int8(
+            generate_model(seed).model, (x, 2.0 * x), _msg(gm, "cold leg")
+        )
         int8_plan = compile_model(gm.model, backend="int8")
         native = int8_plan.run(x)
         oracle = int8_oracle_output(gm.model, x)

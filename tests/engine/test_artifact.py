@@ -378,6 +378,31 @@ class TestRejection:
         with pytest.raises(ArtifactFormatError, match="i8 attributes"):
             load_plan(path)
 
+    def test_unprepared_i8_block_is_refused(self, tmp_path, int8_case):
+        # Earlier engines prepared a cold-compiled step's requant
+        # constants on its first batch, so a plan saved before that
+        # batch holds an i8 block without them (``ready`` false).  This
+        # build prepares every block at compile time and has no path to
+        # finish one: loading it is a typed format error, not a
+        # KeyError on the first run.
+        gm, plan = int8_case
+        path, _ = _saved(tmp_path, plan, gm.sample_input())
+
+        def unprepare(manifest):
+            for step in manifest["steps"]:
+                i8 = step["attrs"]["v"].get("i8")
+                if i8 and i8["v"].get("ready"):
+                    for key in ("rq_out", "epi", "d_v", "d_h"):
+                        i8["v"].pop(key, None)
+                    i8["v"]["ready"] = False
+                    return
+            raise AssertionError("int8 corpus plan has no native step")
+
+        _rewrite_manifest(path, unprepare)
+        read_manifest(path, verify=True)  # hash and manifest are well formed
+        with pytest.raises(ArtifactFormatError, match="unprepared i8 block"):
+            load_plan(path)
+
     def test_typed_errors_are_artifact_errors(self):
         for exc in (
             ArtifactFormatError,

@@ -22,9 +22,9 @@ Contract (ISSUE 3):
   only where a consumer needs the other layout (one, at the input, on
   ResNet).
 * **Fallbacks** — float models and ineligible steps (flex transforms,
-  partially-disabled stages) execute through the fast→reference
-  chain; cold-compiled plans run the fast path until their ranges freeze
-  and then switch to native integer execution.
+  partially-disabled stages, stages left uncalibrated at compile time)
+  execute through the fast→reference chain for the plan's lifetime, so
+  an int8 plan compiled from an uncalibrated model is its fast plan.
 """
 
 import numpy as np
@@ -44,6 +44,7 @@ from repro.models.squeezenet import squeezenet
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.qlayers import QuantConv2d, QuantLinear
 from repro.quant.qconfig import fp32, int8
+from repro.testing.diffcheck import check_cold_int8
 from repro.testing.modelgen import generate_model
 from repro.testing.oracle import exact_int64_matmul, int8_oracle_output
 from repro.winograd.layer import WinogradConv2d
@@ -257,48 +258,20 @@ class TestJunctionFusion:
         plan = compile_model(model, backend="int8")
         assert plan.int8_report()["int_handoffs"] >= 2
 
-    def test_cold_plan_wires_no_handoffs_then_warms(self, rng):
-        """A plan compiled from an uncalibrated model must not assume
-        frozen grids; it runs the float fallback on the first batch
-        (freezing ranges exactly like eager) and goes native after."""
-        a = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        b = 2.0 * rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        cold = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-        twin = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-        twin.load_state_dict(cold.state_dict())
-        cold.eval(), twin.eval()
+    def test_uncalibrated_int8_plan_is_the_fast_plan(self, rng):
+        """A step with a cold stage compiles to a float step, so an int8
+        plan compiled from an uncalibrated model is its fast plan: same
+        steps, no native step, bitwise equal outputs on two batches (each
+        plan freezes its ranges from the first) and the same arena at
+        batch 8.  The differential corpus runs the same check on every
+        quantized generated model (``check_cold_int8``)."""
+        from repro.serve.registry import ModelSpec, build_model
 
-        plan = compile_model(cold, backend="int8")  # still cold
-        assert plan.int8_report()["int_handoffs"] == 0
-        ref = compile_model(twin, backend="reference")  # cold twin
-        out_a, ref_a = plan.run(a), ref.run(a)  # both freeze from batch a
-        # first batch runs the fast fallback: same nested grid order as
-        # reference, so the frozen scales (and outputs) match exactly
-        np.testing.assert_allclose(
-            out_a, ref_a, rtol=0, atol=1e-4 * float(np.abs(ref_a).max())
-        )
-        # batch a froze every range; the next batch runs native int8
-        # (kernels prepare their constants lazily on first warm call)
-        out_b = plan.run(b)
-        assert np.all(np.isfinite(out_b))
-        native = [s for s in plan.steps if s.domain == "int8"]
-        assert native and all(s.attrs["i8"]["ready"] for s in native)
-        # the warm path is deterministic and no longer mutates state
-        np.testing.assert_array_equal(plan.run(b), out_b)
-
-    def test_cold_plan_goes_native_on_zero_padding(self, rng):
-        """The first (float fallback) batch fills its NCHW padded
-        buffers; the native steps after it must not pad on top of them.
-        A planned run then equals an unplanned one, whose buffers are
-        all fresh."""
-        a = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        b = 2.0 * rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        model = resnet18(width_multiplier=0.125, spec=ConvSpec("F4", int8()))
-        plan = compile_model(model.eval(), backend="int8")
-        plan.run(a)  # cold: freezes every range on the fallback path
-        planned = plan.run(b)
-        plan.planning = False
-        np.testing.assert_array_equal(planned, plan.run(b))
+        for name in ("resnet18-w0.25-F4-int8@int8", "lenet-F2-int8@int8",
+                     "squeezenet-F4-int8@int8"):
+            model, (c, size) = build_model(ModelSpec.parse(name))
+            a = rng.standard_normal((8, c, size, size)).astype(np.float32)
+            check_cold_int8(model, (a, 2.0 * a), name)
 
 
 class TestEligibilityAndBounds:
@@ -411,13 +384,31 @@ class TestIntegration:
         out = served.plan.run(np.zeros((1, 1, 28, 28), dtype=np.float32))
         assert np.all(np.isfinite(out))
 
-    def test_winas_probe_accepts_backend(self):
+    def test_winas_probe_accepts_backend(self, monkeypatch):
+        """Each candidate is compiled from a calibrated copy: its plan
+        times native steps, and the probed op itself is left as it was
+        (compiling would otherwise warm its weight observers)."""
+        import repro.engine
         from repro.nas import MixedConv2d, SearchConfig, WiNAS, wa_space
 
         assert SearchConfig(engine_backend="int8").engine_backend == "int8"
         op = MixedConv2d(4, 6, wa_space("int8", flex=False), seed=0)
+        before = op.state_dict()
+        plans = []
+        measure = repro.engine.measure_plan_ms
+
+        def recording(plan, *args, **kwargs):
+            plans.append(plan)
+            return measure(plan, *args, **kwargs)
+
+        monkeypatch.setattr(repro.engine, "measure_plan_ms", recording)
         latencies = WiNAS._measure_candidates(op, 8, 8, backend="int8")
-        assert len(latencies) == len(op.candidates)
+        assert len(latencies) == len(plans) == len(op.candidates)
+        assert all(p.int8_report()["native_int8_steps"] > 0 for p in plans)
+        after = op.state_dict()
+        assert after.keys() == before.keys()
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
         assert all(lat > 0 for lat in latencies)
 
 

@@ -78,3 +78,15 @@ class TestMain:
         assert "engine[fast]" in out
         assert "speedup" in out
         assert "winograd_conv2d" in out  # --describe lists the plan steps
+
+    def test_infer_int8_backend_runs_native_steps(self, capsys):
+        # infer calibrates before compiling, so the int8 plan it times
+        # is native rather than the fast plan of an uncalibrated model
+        argv = ["infer", "--model", "lenet", "--algorithm", "F2", "--quant",
+                "int8", "--backend", "int8", "--batch", "2", "--repeats", "1",
+                "--describe"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "engine[int8]" in out
+        assert "<int8>" in out
+        assert "→int" in out  # handoffs join only calibrated steps
