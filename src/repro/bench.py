@@ -100,7 +100,7 @@ def _paired_threads(plan, x, threads: int, rounds: int, warmup: int) -> dict:
     }
 
 
-#: Phases of ``winograd_int8`` in kernel order, and the module-level
+#: Phases of the native Winograd runner in kernel order, and the module-level
 #: helper of ``repro.engine.kernels`` each one is timed through.  The
 #: three ``_int8_matmul`` calls of one Winograd step are, in order, the
 #: forward, Hadamard and inverse GEMMs.

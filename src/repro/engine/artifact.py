@@ -496,7 +496,7 @@ def _verify_hash(raw: np.ndarray, file_size: int, digest: bytes, path: str) -> N
         )
 
 
-def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledPlan:
+def load_plan(path: str, verify: bool = True) -> CompiledPlan:
     """Load a plan artifact into a servable :class:`CompiledPlan`.
 
     Weight and constant arrays are **read-only views onto the mapped
@@ -511,8 +511,7 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
     trusting any byte — a sequential read of the file, far cheaper than
     the compile it replaces; pass ``verify=False`` only where the file
     is already trusted (e.g. re-mapping in a forked worker).
-    ``prepare=True`` pre-builds the arena memory plan for the manifest's
-    recorded ``input_shape`` so the first request allocates nothing.
+    It plans the arena for the manifest's recorded ``input_shape``.
 
     Failure modes (all :class:`ArtifactError` subclasses; rejection
     policy in ``docs/artifact-format.md`` § Compatibility): wrong magic,
@@ -595,6 +594,6 @@ def load_plan(path: str, verify: bool = True, prepare: bool = True) -> CompiledP
     )
     plan.artifact_path = os.path.abspath(path)
     input_shape = meta.get("input_shape")
-    if prepare and input_shape:
+    if input_shape:
         plan.prepare(tuple(input_shape))
     return plan

@@ -490,28 +490,22 @@ def _fuse(steps: List[Step], output_reg: int) -> List[Step]:
 
 
 def _finalize_fast(steps: List[Step]) -> None:
-    """Precompute the fast kernels' GEMM-ready weight layouts."""
+    """Precompute the fast kernels' GEMM-ready weight layouts, for the
+    float-domain steps only (a native int8 step runs on its ``i8``
+    block)."""
     for step in steps:
+        if step.domain != "float":
+            continue
         if step.op == "conv2d":
-            w = step.attrs["weight"]
+            w, g = step.attrs["weight"], step.attrs["groups"]
             k, cg, kh, kw = w.shape
-            g = step.attrs["groups"]
-            if (
-                kh == 1
-                and kw == 1
-                and g == 1
-                and step.attrs["stride"] == (1, 1)
-                and step.attrs["padding"] == (0, 0)
+            if (kh, kw, g) == (1, 1, 1) and step.attrs["stride"] == (1, 1) and (
+                step.attrs["padding"] == (0, 0)
             ):
-                step.attrs["wmat"] = np.ascontiguousarray(w.reshape(k, cg))
-            elif g == 1:
-                step.attrs["wmat"] = np.ascontiguousarray(
-                    w.reshape(k, cg * kh * kw).transpose()
-                )
-            else:
-                step.attrs["wmat"] = np.ascontiguousarray(
-                    np.transpose(w.reshape(g, k // g, cg * kh * kw), (0, 2, 1))
-                )
+                wmat = w.reshape(k, cg)  # the 1×1 channel GEMM's (K, C)
+            else:  # im2row GEMM operands, (g, C/g·kh·kw, K/g)
+                wmat = np.transpose(w.reshape(g, k // g, cg * kh * kw), (0, 2, 1))
+            step.attrs["wmat"] = np.ascontiguousarray(wmat)
         elif step.op == "winograd_conv2d":
             u = step.attrs["u"]
             k = step.attrs["out_channels"]
@@ -567,15 +561,14 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
     num_regs = lowerer.next_reg
     if backend != "reference":
         steps = _fuse(steps, output_reg)
-        # The int8 backend keeps the fast layouts too: they serve its
-        # float steps (cold observers, flex transforms, unbounded
-        # accumulators), which run exactly as in the fast plan.
-        _finalize_fast(steps)
         if backend == "int8":
             from repro.engine.int8 import assign_layouts, finalize_int8
 
             steps = finalize_int8(steps, output_reg)
             steps, output_reg, num_regs = assign_layouts(steps, output_reg, num_regs)
+        # An int8 plan's float steps (cold observers, flex transforms,
+        # unbounded accumulators) run exactly as in the fast plan.
+        _finalize_fast(steps)
     for step in steps:
         step.fn = registry.get(step.op, backend)
     return CompiledPlan(

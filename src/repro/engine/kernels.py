@@ -34,10 +34,12 @@ intermediates, quantization code buffers).  Outside a planned execution
 both helpers degrade to plain NumPy allocation, so calling a kernel
 directly behaves exactly as before.  A kernel may mutate only arrays it
 obtained this way (or fresh GEMM outputs) — never an input register.
-The native ``int8`` kernels request their buffers and build their views
-once per arena, step and input shape, in a binder whose runner is cached
-by :func:`~repro.engine.memplan.take_bound`; each later run only moves
-data, through the module-level phase helpers.
+``conv2d``, ``winograd_conv2d`` and ``linear`` have one kernel each (for
+``fast`` and ``int8``), which requests its buffers and builds its views
+once per arena, step and input shape in a binder — ``_bind_<op>`` for a
+native step, ``_bind_<op>_fast`` for a float one — whose runner
+:func:`~repro.engine.memplan.take_bound` caches; each later run only
+moves data.
 """
 
 from __future__ import annotations
@@ -97,14 +99,6 @@ def fake_quant(x: np.ndarray, q: Optional[Dict], out: Optional[np.ndarray] = Non
     return r if r.dtype == x.dtype else r.astype(x.dtype)
 
 
-def _fq_scratch(x: np.ndarray, q: Optional[Dict], tag: str) -> np.ndarray:
-    """Kernel-prologue fake-quant into step scratch (input registers must
-    never be mutated, so the quantized copy gets its own workspace)."""
-    if q is None:
-        return x
-    return fake_quant(x, q, out=take_scratch(tag, x.shape, x.dtype))
-
-
 def _nhwc(attrs: Dict) -> bool:
     return attrs.get("layout") == NHWC
 
@@ -120,37 +114,52 @@ def _strided_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.nd
     )
 
 
-def _padded_scratch(x: np.ndarray, ph: int, pw: int, tag: str = "xp") -> np.ndarray:
-    """Zero-padded copy of ``x`` in step scratch (same values as
-    ``np.pad``; the pad borders are zeroed once at buffer allocation and
-    stay zero because only the interior is ever written)."""
-    n, c, h, w = x.shape
-    xp = take_scratch(tag, (n, c, h + 2 * ph, w + 2 * pw), np.float32, zero=True)
-    xp[:, :, ph : ph + h, pw : pw + w] = x
-    return xp
+def _run_bound(inputs, attrs: Dict, native, fast) -> np.ndarray:
+    """Run a step through the program ``native(shape, attrs)`` binds when
+    it has an ``i8`` block (fixed at compile time), else ``fast``'s."""
+    (x,) = inputs
+    bind = fast if attrs.get("i8") is None else native
+    return take_bound(x.shape, partial(bind, x.shape, attrs))(x)
 
 
-def _epilogue(y: np.ndarray, attrs: Dict, k: int, quantize_output: bool = True) -> np.ndarray:
-    """Fast-path conv epilogue: bias, output quant, fused ReLU — in place.
+def _bind_pad(shape, ph: int, pw: int, size: tuple, nhwc: bool = False):
+    """Bind scratch ``"xp"`` of spatial ``size`` and the view of its
+    interior at offset ``(ph, pw)`` for an input of ``shape`` (NHWC when
+    ``nhwc``).  Runs write only the interior; the border, zeroed at
+    allocation, stays zero (the values of ``np.pad``)."""
+    if nhwc:
+        n, h, w, c = shape
+        xp = take_scratch("xp", (n, *size, c), np.float32, zero=size != (h, w))
+        return xp, xp[:, ph : ph + h, pw : pw + w]
+    n, c, h, w = shape
+    xp = take_scratch("xp", (n, c, *size), np.float32, zero=size != (h, w))
+    return xp, xp[:, :, ph : ph + h, pw : pw + w]
 
-    ``y`` is always owned by the calling kernel (a fresh GEMM output or
-    this step's scratch), never a register another step still reads, so
-    the epilogue composes in place with values identical to the old
-    allocate-per-stage form.  Folded BN lives entirely in the step's
-    weights/bias by the time the kernel runs (see ``_fold_bn``), so no
-    affine remains here.  The Winograd kernel quantizes its output
-    *before* the bias (matching the eager pipeline order) and passes
-    ``quantize_output=False``; the standard conv quantizes after the
-    bias, matching ``QuantConv2d``.
-    """
+
+def _bind_epilogue(attrs: Dict, bias_shape: tuple, quantize_output: bool = True):
+    """Bind the float epilogue: ``finish(y)`` adds the bias, applies the
+    output quant stage and a fused ReLU, in place on ``y`` (always the
+    runner's own GEMM output or scratch).  Folded BN lives in the
+    weights/bias (see ``_fold_bn``).  The Winograd kernel quantizes its
+    output *before* the bias (eager's order) and passes
+    ``quantize_output=False``; conv and linear quantize after it, like
+    ``QuantConv2d``.  Stage dicts are read at run time: a cold stage
+    freezes on the plan's first batch, after binding."""
     bias = attrs.get("bias")
     if bias is not None:
-        y += bias.reshape(1, k, 1, 1)
-    if quantize_output:
-        y = fake_quant(y, attrs.get("q_output"), out=y)
-    if attrs.get("fuse_relu"):
-        np.maximum(y, 0.0, out=y)
-    return y
+        bias = bias.reshape(bias_shape)
+    q_out = attrs.get("q_output") if quantize_output else None
+    relu = attrs.get("fuse_relu")
+
+    def finish(y):
+        if bias is not None:
+            y += bias
+        y = fake_quant(y, q_out, out=y)
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        return y
+
+    return finish
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +216,6 @@ def concat_fast(inputs, attrs):
     shape = list(inputs[0].shape)
     shape[axis] = sum(a.shape[axis] for a in inputs)
     out = take_out(tuple(shape), inputs[0].dtype)
-    if out is None:
-        return np.concatenate(inputs, axis=axis)
     np.concatenate(inputs, axis=axis, out=out)
     return out
 
@@ -243,8 +250,6 @@ def transpose_kernel(inputs, attrs):
     (x,) = inputs
     view = x.transpose((0, 2, 3, 1) if _nhwc(attrs) else (0, 3, 1, 2))
     out = take_out(view.shape, x.dtype)
-    if out is None:
-        return np.ascontiguousarray(view)
     np.copyto(out, view)
     return out
 
@@ -285,8 +290,6 @@ def max_pool_fast(inputs, attrs):
     nw = (w - kw) // sw + 1
     shape = (n, nh, nw, c) if nhwc else (n, c, nh, nw)
     out = take_out(shape, x.dtype)
-    if out is None:
-        out = np.empty(shape, x.dtype)
     view = out.transpose(0, 3, 1, 2) if nhwc else out
     for i in range(kh):
         for j in range(kw):
@@ -401,20 +404,26 @@ def linear_kernel(inputs, attrs):
 
 
 @register_kernel("linear", "fast")
+@register_kernel("linear", "int8")
 def linear_fast(inputs, attrs):
-    (x,) = inputs
-    x = _fq_scratch(x, attrs.get("q_input"), "qx")
-    weight = attrs["weight"]
-    out = np.matmul(
-        x, weight.transpose(), out=take_out((x.shape[0], weight.shape[0]), x.dtype)
-    )
-    bias = attrs.get("bias")
-    if bias is not None:
-        out += bias
-    out = fake_quant(out, attrs.get("q_output"), out=out)
-    if attrs.get("fuse_relu"):
-        np.maximum(out, 0.0, out=out)
-    return out
+    """Fully-connected layer: one float GEMM with a fused epilogue, or
+    the integer-code GEMM of a native step."""
+    return _run_bound(inputs, attrs, _bind_linear, _bind_linear_fast)
+
+
+def _bind_linear_fast(shape, attrs):
+    q_in = attrs.get("q_input")
+    qx = None if q_in is None else take_scratch("qx", shape)
+    wt = attrs["weight"].transpose()
+    out = take_out((shape[0], wt.shape[1]))
+    finish = _bind_epilogue(attrs, (1, -1))
+
+    def run(x):
+        if qx is not None:
+            x = fake_quant(x, q_in, out=qx)
+        return finish(np.matmul(x, wt, out=out))
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +469,7 @@ def conv2d_reference(inputs, attrs):
 
 
 @register_kernel("conv2d", "fast")
+@register_kernel("conv2d", "int8")
 def conv2d_fast(inputs, attrs):
     """im2row GEMM with a 1×1 shortcut and fused epilogue.
 
@@ -469,53 +479,60 @@ def conv2d_fast(inputs, attrs):
     temporaries (quantized input, padded input, im2row rows, GEMM
     output) live in step scratch.
     """
-    (x,) = inputs
-    weight = attrs["weight"]
+    return _run_bound(inputs, attrs, _bind_conv2d, _bind_conv2d_fast)
+
+
+def _bind_conv2d_fast(shape, attrs):
     sh, sw = attrs["stride"]
     ph, pw = attrs["padding"]
-    groups = attrs["groups"]
-    x = _fq_scratch(x, attrs.get("q_input"), "qx")
-    n, c, h, w = x.shape
-    k, cg, kh, kw = weight.shape
+    g, wmat = attrs["groups"], attrs["wmat"]
+    k, cg, kh, kw = attrs["weight"].shape
+    n, c, h, w = shape
+    q_in = attrs.get("q_input")
+    qx = None if q_in is None else take_scratch("qx", shape)
+    finish = _bind_epilogue(attrs, (1, k, 1, 1))
 
-    if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and groups == 1:
+    if kh == kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and g == 1:
         # 1×1 convolution is a plain channel GEMM: (K, C) @ (C, H·W).
-        wmat = attrs["wmat"]  # (K, C), contiguous, precomputed
-        out = np.matmul(
-            wmat[None],
-            x.reshape(n, c, h * w),
-            out=take_scratch("gemm", (n, k, h * w), x.dtype),
-        )
-        return _epilogue(out.reshape(n, k, h, w), attrs, k)
+        gemm = take_scratch("gemm", (n, k, h * w))
 
-    xp = _padded_scratch(x, ph, pw) if (ph or pw) else x
-    patches = _strided_patches(xp, kh, kw, sh, sw)
-    oh, ow = patches.shape[2], patches.shape[3]
-    if groups == 1:
-        rows = take_scratch("rows", (n * oh * ow, c * kh * kw), x.dtype)
-        rows.reshape(n, oh, ow, c, kh, kw)[...] = np.transpose(
-            patches, (0, 2, 3, 1, 4, 5)
+        def run(x):
+            if qx is not None:
+                x = fake_quant(x, q_in, out=qx)
+            np.matmul(wmat[None], x.reshape(n, c, h * w), out=gemm)
+            return finish(gemm.reshape(n, k, h, w))
+
+        return run
+
+    # One im2row path over a leading group axis: with g == 1, rows[0],
+    # wmat[0] and gemm[0] keep the GEMM 2-D.  (Older artifacts store the
+    # dense wmat 2-D; the reshape views it the same way.)
+    wmat = wmat.reshape(g, cg * kh * kw, k // g)
+    if ph or pw:
+        xp, interior = _bind_pad(shape, ph, pw, (h + 2 * ph, w + 2 * pw))
+    oh, ow, kg = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1, k // g
+    rows = take_scratch("rows", (g, n * oh * ow, cg * kh * kw))
+    gemm = take_scratch("gemm", (g, n * oh * ow, kg))
+    lhs, rhs, out = (rows[0], wmat[0], gemm[0]) if g == 1 else (rows, wmat, gemm)
+    y_src = np.transpose(gemm.reshape(g, n, oh, ow, kg), (1, 0, 4, 2, 3))
+    y = y_src[:, 0] if g == 1 else take_scratch("y", (n, k, oh, ow))
+
+    def run(x):
+        if qx is not None:
+            x = fake_quant(x, q_in, out=qx)
+        if ph or pw:
+            interior[...] = x
+            x = xp
+        patches = _strided_patches(x, kh, kw, sh, sw)
+        rows.reshape(g, n, oh, ow, cg, kh, kw)[...] = np.transpose(
+            patches.reshape(n, g, cg, oh, ow, kh, kw), (1, 0, 3, 4, 2, 5, 6)
         )
-        gemm = np.matmul(
-            rows, attrs["wmat"], out=take_scratch("gemm", (n * oh * ow, k), x.dtype)
-        )
-        out = np.transpose(gemm.reshape(n, oh, ow, k), (0, 3, 1, 2))
-    else:
-        g = groups
-        rows = take_scratch("rows", (g, n * oh * ow, (c // g) * kh * kw), x.dtype)
-        rows.reshape(g, n, oh, ow, c // g, kh, kw)[...] = np.transpose(
-            patches.reshape(n, g, c // g, oh, ow, kh, kw), (1, 0, 3, 4, 2, 5, 6)
-        )
-        gemm = np.matmul(
-            rows,
-            attrs["wmat"],
-            out=take_scratch("gemm", (g, n * oh * ow, k // g), x.dtype),
-        )
-        out = take_scratch("y", (n, k, oh, ow), x.dtype)
-        out.reshape(n, g, k // g, oh, ow)[...] = np.transpose(
-            gemm.reshape(g, n, oh, ow, k // g), (1, 0, 4, 2, 3)
-        )
-    return _epilogue(out, attrs, k)
+        np.matmul(lhs, rhs, out=out)
+        if g > 1:
+            y.reshape(n, g, kg, oh, ow)[...] = y_src
+        return finish(y)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +623,7 @@ def winograd_reference(inputs, attrs):
 
 
 @register_kernel("winograd_conv2d", "fast")
+@register_kernel("winograd_conv2d", "int8")
 def winograd_fast(inputs, attrs):
     """Deployment Winograd path: Kronecker tile transforms + batched GEMMs.
 
@@ -621,68 +639,70 @@ def winograd_fast(inputs, attrs):
     Every intermediate (padded input, tile matrix, transform domains,
     NCHW assembly) lives in step scratch.
     """
-    (x,) = inputs
+    return _run_bound(inputs, attrs, _bind_winograd, _bind_winograd_fast)
+
+
+def _bind_winograd_fast(shape, attrs):
     u2 = attrs["u2"]  # (t, t, g, K/g, C/g), contiguous, cached at compile
     btk, atk = attrs.get("btk"), attrs.get("atk")  # (t², t²), (t², m²)
+    BT, AT = attrs["BT"], attrs["AT"]
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
-
-    x = _fq_scratch(x, attrs.get("q_input"), "qx")
-    n, c, h, w = x.shape
+    stages = ("q_input", "q_input_t", "q_hadamard", "q_output")
+    q_in, q_v, q_h, q_out = map(attrs.get, stages)
+    n, c, h, w = shape
     out_h, out_w, th, tw = _winograd_geometry(h, w, m, r, pad)
-    tt, p = t * t, n * th * tw
+    tt, p, cg = t * t, n * th * tw, c // g
 
-    need_h = th * m + r - 1
-    need_w = tw * m + r - 1
-    if pad == 0 and need_h == h and need_w == w:
-        xp = x  # tiles already cover the input exactly: no pad copy
-    else:
-        xp = take_scratch("xp", (n, c, need_h, need_w), np.float32, zero=True)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    tiles = _strided_patches(xp, t, t, m, m)  # view, no copy
-    if btk is None:  # large tiles: nested two-stage transform (precision)
-        BT = attrs["BT"]
-        v = np.matmul(np.matmul(BT, tiles), BT.transpose())
-        v = fake_quant(v, attrs.get("q_input_t"), out=v)
-        v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
-        v2.reshape(t, t, g, c // g, n, th * tw)[...] = np.transpose(
-            v.reshape(n, g, c // g, th, tw, t, t), (5, 6, 1, 2, 0, 3, 4)
-        ).reshape(t, t, g, c // g, n, th * tw)
-    else:
-        tmat = take_scratch("tiles", (n * c * th * tw, tt), x.dtype)
-        tmat.reshape(n, c, th, tw, t, t)[...] = tiles
-        v = np.matmul(
-            tmat, btk, out=take_scratch("v", (n * c * th * tw, tt), x.dtype)
+    qx = None if q_in is None else take_scratch("qx", shape)
+    need_h, need_w = th * m + r - 1, tw * m + r - 1
+    padded = not (pad == 0 and need_h == h and need_w == w)  # else no pad copy
+    if padded:
+        xp, interior = _bind_pad(shape, pad, pad, (need_h, need_w))
+    if btk is not None:
+        tmat = take_scratch("tiles", (n * c * th * tw, tt))
+        v = take_scratch("v", (n * c * th * tw, tt))
+        v_src = np.transpose(v.reshape(n, g, cg, th * tw, tt), (4, 1, 2, 0, 3))
+    v2 = take_scratch("v2", (t, t, g, cg, p))
+    had = take_scratch("had", (t, t, g, k // g, p))  # (t, t, g, K/g, P)
+    if atk is not None:
+        hadT = take_scratch("hadT", (k * p, tt))
+        ymat = take_scratch("ymat", (k * p, m * m))
+    yout = take_scratch("y", (n, k, th * m, tw * m))
+    result = yout[:, :, :out_h, :out_w]
+    finish = _bind_epilogue(attrs, (1, k, 1, 1), quantize_output=False)
+
+    def run(x):
+        if qx is not None:
+            x = fake_quant(x, q_in, out=qx)
+        if padded:
+            interior[...] = x
+            x = xp
+        tiles = _strided_patches(x, t, t, m, m)  # view, no copy
+        if btk is None:  # large tiles: nested two-stage transform (precision)
+            vn = np.matmul(np.matmul(BT, tiles), BT.transpose())
+            vn = fake_quant(vn, q_v, out=vn)
+            v2.reshape(t, t, g, cg, n, th * tw)[...] = np.transpose(
+                vn.reshape(n, g, cg, th, tw, t, t), (5, 6, 1, 2, 0, 3, 4)
+            ).reshape(t, t, g, cg, n, th * tw)
+        else:
+            tmat.reshape(n, c, th, tw, t, t)[...] = tiles
+            fake_quant(np.matmul(tmat, btk, out=v), q_v, out=v)
+            v2.reshape(tt, g, cg, n, th * tw)[...] = v_src
+        fake_quant(np.matmul(u2, v2, out=had), q_h, out=had)
+        if atk is None:
+            y = np.transpose(had.reshape(t, t, k, p), (2, 3, 0, 1))
+            y = np.matmul(np.matmul(AT, y), AT.transpose())  # (K, P, m, m)
+        else:
+            hadT[...] = np.transpose(had.reshape(tt, k * p), (1, 0))
+            y = np.matmul(hadT, atk, out=ymat)
+        y = fake_quant(y, q_out, out=y)
+        yout.reshape(n, k, th, m, tw, m)[...] = np.transpose(
+            y.reshape(k, n, th, tw, m, m), (1, 0, 2, 4, 3, 5)
         )
-        v = fake_quant(v, attrs.get("q_input_t"), out=v)
-        v2 = take_scratch("v2", (t, t, g, c // g, p), v.dtype)
-        v2.reshape(tt, g, c // g, n, th * tw)[...] = np.transpose(
-            v.reshape(n, g, c // g, th * tw, tt), (4, 1, 2, 0, 3)
-        )
-    had = np.matmul(
-        u2, v2, out=take_scratch("had", (t, t, g, k // g, p), v2.dtype)
-    )  # (t, t, g, K/g, P)
-    had = fake_quant(had, attrs.get("q_hadamard"), out=had)
+        return finish(result)
 
-    if atk is None:
-        AT = attrs["AT"]
-        y = np.transpose(had.reshape(t, t, k, p), (2, 3, 0, 1))
-        y = np.matmul(np.matmul(AT, y), AT.transpose())  # (K, P, m, m)
-    else:
-        hadT = take_scratch("hadT", (k * p, tt), had.dtype)
-        hadT[...] = np.transpose(had.reshape(tt, k * p), (1, 0))
-        y = np.matmul(hadT, atk, out=take_scratch("ymat", (k * p, m * m), had.dtype))
-    y = fake_quant(y, attrs.get("q_output"), out=y)
-
-    yout = take_scratch("y", (n, k, th * m, tw * m), np.float32)
-    yout.reshape(n, k, th, m, tw, m)[...] = np.transpose(
-        y.reshape(k, n, th, tw, m, m), (1, 0, 2, 4, 3, 5)
-    )
-    y = yout
-    if th * m != out_h or tw * m != out_w:
-        y = y[:, :, :out_h, :out_w]
-    y = _epilogue(y, attrs, k, quantize_output=False)
-    return y
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -910,26 +930,16 @@ def _bind_output(acc, i8, mul, groups, bias_shape=None):
     return finish, epi[-1].reshape(acc.shape)
 
 
-@register_kernel("winograd_conv2d", "int8")
-def winograd_int8(inputs, attrs):
-    """Winograd on channels-last integer codes.
+def _bind_winograd(shape, attrs):
+    """Bind a native Winograd step on channels-last integer codes.
 
     Quantize once into the padded buffer, gather tiles as ``(t, t, N,
     th, tw, C)``, one integer Kronecker GEMM for the input transform,
     the Hadamard stage as one ``(P, C) @ (C, K)`` GEMM per tap (and
     group) against the channels-last ``u2q``, one Kronecker GEMM for
     the output transform, requant between every stage, and an NHWC
-    output scatter.  :func:`_bind_winograd` binds every buffer and view
-    once per arena and input shape (see
-    :func:`~repro.engine.memplan.take_bound`); a run only moves data."""
-    i8 = attrs.get("i8")
-    if i8 is None:
-        return winograd_fast(inputs, attrs)
-    (x,) = inputs
-    return take_bound(x.shape, partial(_bind_winograd, x.shape, attrs, i8))(x)
-
-
-def _bind_winograd(shape, attrs, i8):
+    output scatter."""
+    i8 = attrs["i8"]
     n, h, w, c = shape
     m, r, t, g = attrs["m"], attrs["r"], attrs["t"], attrs["groups"]
     k, pad = attrs["out_channels"], attrs["pad"]
@@ -945,8 +955,7 @@ def _bind_winograd(shape, attrs, i8):
     # are tiled straight off the producer's register with no copy at all.
     direct = aligned and q_in is None
     if not direct:
-        xp = take_scratch("xp", (n, need_h, need_w, c), np.float32, zero=not aligned)
-        interior = xp if aligned else xp[:, pad : pad + h, pad : pad + w]
+        xp, interior = _bind_pad(shape, pad, pad, (need_h, need_w), nhwc=True)
         tiles = _tile_view(xp, t, m)
     tmat = take_scratch("tmat", (t, t, n, th, tw, c), dt_v)
     v = take_scratch("v", (tt, p * c), dt_v)
@@ -957,10 +966,8 @@ def _bind_winograd(shape, attrs, i8):
     had_z = _cast_buffer(had, dt_z, "had_z")
     z = take_scratch("z", (m * m, g * p * kg), dt_z)
     finish, z32 = _bind_output(z.reshape(m * m, g, p, kg), i8, mul, g)
-    cropped = th * m != out_h or tw * m != out_w
-    y = None if cropped else take_out((n, out_h, out_w, k))
-    if y is None:
-        y = take_scratch("y", (n, th * m, tw * m, k), np.float32)
+    full = (n, th * m, tw * m, k)
+    y = take_out(full) if full[1:3] == (out_h, out_w) else take_scratch("y", full)
     # GEMM operands and scatter endpoints, as views of the buffers above
     tmat2, btk, atk = tmat.reshape(tt, p * c), i8["btk"], i8["atk"]
     v_tap = v_h.reshape(tt, p, g, cg).transpose(0, 2, 1, 3)
@@ -998,20 +1005,11 @@ def _bind_winograd(shape, attrs, i8):
     return run
 
 
-@register_kernel("conv2d", "int8")
-def conv2d_int8(inputs, attrs):
-    """im2row GEMM on channels-last integer codes with fused requant
-    epilogue: patch rows in ``(kh, kw, C)`` order, so the GEMM's output
-    rows are already NHWC.  Bound once per arena and input shape by
-    :func:`_bind_conv2d`."""
-    i8 = attrs.get("i8")
-    if i8 is None:
-        return conv2d_fast(inputs, attrs)
-    (x,) = inputs
-    return take_bound(x.shape, partial(_bind_conv2d, x.shape, attrs, i8))(x)
-
-
-def _bind_conv2d(shape, attrs, i8):
+def _bind_conv2d(shape, attrs):
+    """Bind a native im2row step on channels-last integer codes with a
+    fused requant epilogue: patch rows in ``(kh, kw, C)`` order, so the
+    GEMM's output rows are already NHWC."""
+    i8 = attrs["i8"]
     sh, sw = attrs["stride"]
     ph, pw = attrs["padding"]
     g = attrs["groups"]
@@ -1029,8 +1027,7 @@ def _bind_conv2d(shape, attrs, i8):
             return codes(x).reshape(1, n * h * w, c)
 
     else:
-        xp = take_scratch("xp", (n, h + 2 * ph, w + 2 * pw, c), np.float32, zero=True)
-        interior = xp[:, ph : ph + h, pw : pw + w]
+        xp, interior = _bind_pad(shape, ph, pw, (h + 2 * ph, w + 2 * pw), nhwc=True)
         patches = _strided_patches(xp.transpose(0, 3, 1, 2), kh, kw, sh, sw)
         oh, ow = patches.shape[2], patches.shape[3]
         rows = take_scratch("rows", (g, n * oh * ow, kh * kw * cg), dt)
@@ -1052,8 +1049,6 @@ def _bind_conv2d(shape, attrs, i8):
         result, y_dst = out.reshape(n, oh, ow, k), None
     else:
         result = take_out((n, oh, ow, k))
-        if result is None:
-            result = take_scratch("y", (n, oh, ow, k), np.float32)
         y_dst = result.reshape(n, oh, ow, g, kg)
         y_src = np.transpose(out.reshape(g, n, oh, ow, kg), (1, 2, 3, 0, 4))
 
@@ -1069,18 +1064,9 @@ def _bind_conv2d(shape, attrs, i8):
     return run
 
 
-@register_kernel("linear", "int8")
-def linear_int8(inputs, attrs):
-    """Fully-connected layer on integer codes (bound by
-    :func:`_bind_linear`)."""
-    i8 = attrs.get("i8")
-    if i8 is None:
-        return linear_fast(inputs, attrs)
-    (x,) = inputs
-    return take_bound(x.shape, partial(_bind_linear, x.shape, attrs, i8))(x)
-
-
-def _bind_linear(shape, attrs, i8):
+def _bind_linear(shape, attrs):
+    """Bind a native fully-connected step on integer codes."""
+    i8 = attrs["i8"]
     q_in = None if i8.get("input_prequantized") else attrs["q_input"]
     load = _bind_codes(shape, q_in, i8["dt"])
     wq_t, bound = i8["wq_t"], i8["bound"]

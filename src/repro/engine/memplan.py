@@ -498,18 +498,19 @@ def unbind_step(prev: Optional[_Scope]) -> None:
     _ws.scope = prev
 
 
-def take_out(shape, dtype=np.float32) -> Optional[np.ndarray]:
-    """The running step's planned output buffer, or ``None`` (the kernel
-    then allocates — exactly NumPy's ``out=None`` behaviour)."""
+def take_out(shape, dtype=np.float32) -> np.ndarray:
+    """The running step's planned output buffer, else (unplanned, or a
+    shape miss) its ``"out"`` scratch, which a bound program may keep.
+    Both are C order, so a downstream reduction sums in one order planned
+    or not (NumPy's ``out=None`` would follow the input's layout)."""
     scope = getattr(_ws, "scope", None)
-    if scope is None or scope.out is None:
-        return None
-    out = scope.out
-    if out.shape == tuple(shape) and out.dtype == np.dtype(dtype):
-        scope.arena.note_hit()
-        return out
-    scope.arena.note_shape_miss()
-    return None
+    if scope is not None and scope.out is not None:
+        out = scope.out
+        if out.shape == tuple(shape) and out.dtype == np.dtype(dtype):
+            scope.arena.note_hit()
+            return out
+        scope.arena.note_shape_miss()
+    return take_scratch("out", shape, dtype)
 
 
 def take_bound(shape, build):

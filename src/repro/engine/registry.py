@@ -18,8 +18,8 @@ Three backends ship with the engine:
   integer accumulator) instead of a dequantize→fake-quant round trip.
   Steps the integer path cannot take exactly (non-dyadic flex
   transforms, partially-disabled stages, accumulators past 2^53) or
-  whose activation ranges were not calibrated before compiling fall
-  back per step to the ``fast`` quantized kernels.
+  whose activation ranges were not calibrated before compiling run
+  the ``fast`` path of the op's one kernel for both backends.
 
 Kernel resolution falls back ``int8`` → ``fast`` → ``reference``, so an
 op needs one kernel to be usable and more only where a faster

@@ -153,7 +153,8 @@ class WiNAS:
         The shape probe runs through a compiled inference plan
         (:mod:`repro.engine`) rather than an eager autograd forward —
         the plan's ``record_hw`` steps leave the same ``last_input_hw``
-        metadata behind, without building a graph.
+        metadata behind without building a graph; it runs on a deep copy,
+        so the live model's state (weight observers too) is untouched.
 
         ``source`` (default :attr:`SearchConfig.latency_source`):
 
@@ -173,10 +174,13 @@ class WiNAS:
         source = source or self.config.latency_source
         if source not in ("table", "measured", "served"):
             raise ValueError(f"unknown latency source {source!r}")
-        self.model.eval()
+        probe_model = copy.deepcopy(self.model).eval()
         probe = np.ascontiguousarray(np.asarray(example_input, dtype=np.float32))
-        compile_model(self.model, backend="fast").run(probe)
-        self.model.train()
+        compile_model(probe_model, backend="fast").run(probe)
+        probed = [m for m in probe_model.modules() if isinstance(m, MixedConv2d)]
+        for op, seen in zip(self.mixed_ops, probed):
+            if hasattr(seen, "last_input_hw"):
+                op.last_input_hw = seen.last_input_hw
         backend = self.config.engine_backend
         for op in self.mixed_ops:
             if not hasattr(op, "last_input_hw"):

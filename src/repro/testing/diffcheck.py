@@ -28,6 +28,8 @@ mode                                  contract
                                       steps, no native step, bitwise
                                       equal outputs and arena bytes
                                       (:func:`check_cold_int8`)
+``fast``/``int8`` on the arena        bitwise equal to an unplanned copy
+                                      over batches of 6 → 2 → 6 rows
 ====================================  =====================================
 
 The threaded legs run on ``2 * MIN_LANE_ROWS`` rows, the smallest batch
@@ -244,6 +246,16 @@ def check_model(seed: int, threads: int = 2) -> dict:
                 gm, "too many grid flips at the Winograd stem"
             )
             report["stem_audit"] = audit
+
+    # -- arena: bound programs reused across batch sizes change no bit ------
+    for backend in ("fast", "int8") if gm.quantized else ("fast",):
+        planned, unplanned = (compile_model(gm.model, backend=backend) for _ in range(2))
+        unplanned.planning = False  # binds afresh and allocates every call
+        for i, batch in enumerate((x_split, x, x_split)):
+            np.testing.assert_array_equal(
+                planned.run(batch, threads=threads), unplanned.run(batch, threads=threads),
+                err_msg=_msg(gm, f"{backend} arena run differs from unplanned, batch {i}"),
+            )
     return report
 
 

@@ -223,6 +223,45 @@ class TestRoundTrip:
         assert sum(s.op == "transpose" for s in loaded.steps) == 1
         np.testing.assert_array_equal(loaded.run(x), resnet_int8.run(x))
 
+    def test_native_steps_carry_no_float_layouts(self, tmp_path, resnet_int8):
+        # The fast kernels' GEMM layouts serve float steps only; a native
+        # step runs on its i8 block.  An artifact that carries them on
+        # native steps too (as earlier engines wrote it) loads and runs
+        # bitwise equal.
+        import dataclasses
+
+        native = [s for s in resnet_int8.steps if s.domain == "int8"]
+        assert {"conv2d", "winograd_conv2d"} <= {s.op for s in native}
+        assert not any("u2" in s.attrs or "wmat" in s.attrs for s in native)
+        steps = []
+        for step in resnet_int8.steps:
+            attrs = dict(step.attrs)  # shared stage dicts stay shared
+            if step.op == "winograd_conv2d":
+                u, g, t = attrs["u"], attrs["groups"], attrs["t"]
+                k, cg = u.shape[:2]
+                attrs["u2"] = np.ascontiguousarray(
+                    np.transpose(u.reshape(g, k // g, cg, t, t), (3, 4, 0, 1, 2))
+                )
+            elif step.op == "conv2d":
+                w = attrs["weight"]
+                attrs["wmat"] = np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
+            steps.append(dataclasses.replace(step, attrs=attrs))
+        old = CompiledPlan(
+            steps=steps,
+            num_regs=resnet_int8.num_regs,
+            input_reg=resnet_int8.input_reg,
+            output_reg=resnet_int8.output_reg,
+            backend="int8",
+            signature=resnet_int8.signature,
+        )
+        x = np.random.default_rng(5).standard_normal((8, 3, 32, 32)).astype(np.float32)
+        path, _ = _saved(tmp_path, old, x[:1])
+        lean, _ = _saved(tmp_path, resnet_int8, x[:1], name="lean")
+        assert os.path.getsize(lean) < os.path.getsize(path)
+        loaded = load_plan(path)
+        np.testing.assert_array_equal(loaded.run(x), resnet_int8.run(x))
+        np.testing.assert_array_equal(loaded.run(x[:1]), resnet_int8.run(x[:1]))
+
     @pytest.mark.parametrize(
         "name", ["lenet-F2-int8@int8", "squeezenet-F4-int8@int8"]
     )

@@ -271,6 +271,23 @@ class TestNasProbe:
         assert op.latencies_ms is not None and len(op.latencies_ms) == len(wa_space())
         assert np.all(op.latencies_ms > 0)
 
+    def test_populate_latencies_leaves_model_state_unchanged(self, rng):
+        """The probe compiles a copy: compiling the live model would warm
+        the cold weight observers of every argmax path in place."""
+        model = resnet18(
+            width_multiplier=0.125, plan=WiNAS.make_plan(wa_space("int8", flex=False))
+        )
+        nas = WiNAS(model, SearchConfig(latency_source="table"))
+        before = model.state_dict()
+        nas.populate_latencies(rng.standard_normal((1, 3, 32, 32)).astype(np.float32))
+        after = model.state_dict()
+        assert after.keys() == before.keys()
+        for name, value in before.items():
+            assert after[name].tobytes() == value.tobytes(), name
+        for op in nas.mixed_ops:
+            assert op.last_input_hw is not None
+            assert op.latencies_ms is not None and np.all(op.latencies_ms > 0)
+
     def test_measured_latency_source(self):
         model, nas = self._tiny_search(latency_source="measured")
         nas.populate_latencies(np.zeros((1, 3, 8, 8), dtype=np.float32))

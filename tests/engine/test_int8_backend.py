@@ -356,7 +356,9 @@ class TestIntegration:
         # concat/affine stop at their fast (arena-aware) variants.
         assert registry.get("concat", "int8") is registry.get("concat", "fast")
         assert registry.get("affine", "int8") is registry.get("affine", "fast")
-        assert registry.get("winograd_conv2d", "int8").__name__ == "winograd_int8"
+        # conv/Winograd/linear: one kernel, native or float per step.
+        for op in ("conv2d", "winograd_conv2d", "linear"):
+            assert registry.get(op, "int8") is registry.get(op, "fast")
 
     def test_chunked_execution_invariance(self, rng):
         """int8 steps are batch-row independent: a run split into two

@@ -244,30 +244,43 @@ class TestPlannedExecution:
 
 
 class TestBoundPrograms:
-    """Native int8 steps bind their buffers and views once per arena,
-    step and input shape; any arena (re)allocation drops every bound
-    program, so none outlives the buffers it reads or writes."""
+    """Convolution, Winograd and linear steps bind their buffers and
+    views once per arena, step and input shape, natively or in float;
+    any arena (re)allocation drops every bound program, so none outlives
+    the buffers it reads or writes."""
 
     @staticmethod
     def _arenas(plan):
         return [a for pool in plan._mem_pools.values() for a in pool._retained]
 
+    # int8 on fast covers the nested Winograd and fake-quant runners.
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "resnet18-w0.25-F4-int8@int8",
+            "resnet18-w0.25-F4-fp32@fast",
+            "resnet18-w0.25-F4-int8@fast",
+        ],
+    )
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_lifetime_across_batch_sizes(self, rng, threads):
+    def test_lifetime_across_batch_sizes(self, rng, threads, name):
         import gc
         import weakref
 
-        from repro.engine.cache import PlanCache
-        from repro.serve.registry import ModelSpec, compile_served
+        from repro.autograd import Tensor, no_grad
+        from repro.serve.registry import ModelSpec, build_model
 
-        served = compile_served(
-            ModelSpec.parse("resnet18-w0.25-F4-int8@int8"), cache=PlanCache()
-        )
-        plan = served.plan
+        spec = ModelSpec.parse(name)
+        backend = spec.backend
+        model, _ = build_model(spec)
+        with no_grad():  # calibrate: frozen ranges, native int8 steps
+            model(Tensor(rng.standard_normal((4, 3, 32, 32)).astype(np.float32)))
+        plan = compile_model(model, backend=backend)
+        assert (plan.int8_report()["native_int8_steps"] > 0) == (backend == "int8")
         replaced = []
         for batch in (1, 8, 2, 16, 1):
             x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
-            fresh = compile_model(served.model, backend="int8").run(x, threads=threads)
+            fresh = compile_model(model, backend=backend).run(x, threads=threads)
             for _ in range(3):  # allocate, then bind, then reuse
                 np.testing.assert_array_equal(plan.run(x, threads=threads), fresh)
             report = plan.memory_report()
@@ -286,13 +299,13 @@ class TestBoundPrograms:
         # largest lane holds: no bound program keeps an old buffer.
         lane_bytes = set()
         for rows in (1, 2, 4, 8, 16):
-            single = compile_model(served.model, backend="int8")
+            single = compile_model(model, backend=backend)
             x = rng.standard_normal((rows, 3, 32, 32)).astype(np.float32)
             single.run(x, threads=1)
             lane_bytes.add(single.memory_report()["arena_bytes"])
         assert all(a.nbytes in lane_bytes for a in self._arenas(plan))
         if threads == 1:
-            warmed = compile_model(served.model, backend="int8")
+            warmed = compile_model(model, backend=backend)
             x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
             warmed.run(x, threads=1)
             assert plan.memory_report()["arena_bytes"] == warmed.memory_report()["arena_bytes"]
