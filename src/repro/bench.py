@@ -120,17 +120,19 @@ def _int8_phases(plan, x, rounds: int) -> dict:
     """Per-run ms of each :data:`INT8_PHASES` phase of ``plan``'s native
     Winograd steps, over ``rounds`` runs of ``plan.run(x, threads=1)``.
 
-    A separate pass: the helpers and the Winograd step functions are
-    wrapped with timers and restored afterwards, so timed rows elsewhere
-    run unwrapped.  Helper calls outside a Winograd step (im2row steps
-    share them) are not counted.  ``share`` is a phase's fraction of
-    ``winograd_ms``, the time inside the Winograd steps, and
-    ``unattributed_ms`` the rest of it (scratch lookups, casts,
+    A separate pass on a copy of ``plan`` whose native Winograd steps
+    bind timed runners, with the helpers wrapped in timers and restored
+    afterwards, so timed rows elsewhere run unwrapped.  Helper calls
+    outside a Winograd step (im2row steps share them) are not counted.
+    ``share`` is a phase's fraction of ``winograd_ms``, the time inside
+    the Winograd steps, and ``unattributed_ms`` the rest of it (casts,
     dispatch).
     """
+    import dataclasses
     import time
 
     from repro.engine import kernels
+    from repro.engine.plan import CompiledPlan
 
     phases = [phase for phase, _ in INT8_PHASES]
     gemms = [phase for phase, helper in INT8_PHASES if helper == "_int8_matmul"]
@@ -150,42 +152,47 @@ def _int8_phases(plan, x, rounds: int) -> dict:
 
         return wrapper
 
-    def timed_step(fn):
-        def step_fn(inputs, attrs):
-            running[0] = iter(gemms)
-            t0 = time.perf_counter()
-            try:
-                return fn(inputs, attrs)
-            finally:
-                ms["winograd"] += time.perf_counter() - t0
-                running[0] = None
+    def timed_step(bind):
+        def timed_bind(inputs, attrs):
+            run = bind(inputs, attrs)
 
-        return step_fn
+            def timed_run(*xs):
+                running[0] = iter(gemms)
+                t0 = time.perf_counter()
+                try:
+                    return run(*xs)
+                finally:
+                    ms["winograd"] += time.perf_counter() - t0
+                    running[0] = None
 
+            return timed_run
+
+        return timed_bind
+
+    timed_steps = [s.op == "winograd_conv2d" and s.domain == "int8" for s in plan.steps]
+    probe = CompiledPlan(
+        [dataclasses.replace(s, fn=timed_step(s.fn)) if timed else s
+         for s, timed in zip(plan.steps, timed_steps)],
+        plan.num_regs, plan.input_reg, plan.output_reg, plan.backend, plan.signature,
+    )
     helpers = {h: (None if h == "_int8_matmul" else p) for p, h in INT8_PHASES}
     saved = {helper: getattr(kernels, helper) for helper in helpers}
-    steps = [s for s in plan.steps if s.op == "winograd_conv2d" and s.domain == "int8"]
-    step_fns = [s.fn for s in steps]
     try:
         for helper, phase in helpers.items():
             setattr(kernels, helper, timed(saved[helper], phase))
-        for step in steps:
-            step.fn = timed_step(step.fn)
-        plan.run(x, threads=1)  # warm-up
+        probe.run(x, threads=1)  # warm-up
         ms.update(dict.fromkeys(ms, 0.0))
         for _ in range(rounds):
-            plan.run(x, threads=1)
+            probe.run(x, threads=1)
     finally:
         for helper, fn in saved.items():
             setattr(kernels, helper, fn)
-        for step, fn in zip(steps, step_fns):
-            step.fn = fn
     wino = ms.pop("winograd")
     return {
         "batch": int(x.shape[0]),
         "threads": 1,
         "rounds": rounds,
-        "winograd_steps": len(steps),
+        "winograd_steps": sum(timed_steps),
         "winograd_ms": round(1e3 * wino / rounds, 3),
         "unattributed_ms": round(1e3 * (wino - sum(ms.values())) / rounds, 3),
         "phases": {

@@ -12,8 +12,10 @@ Two backends per op where it matters:
   strided tile extraction, a dedicated 1×1-convolution GEMM, and cached
   (pre-transformed, pre-laid-out) Winograd filters.
 
-Kernel signature: ``kernel(inputs, attrs) -> np.ndarray``.  ``attrs`` is
-the step's frozen attribute dict; quantization stages appear as
+Kernel signature: ``kernel(inputs, attrs) -> run``, called once with a
+step's first-run inputs; ``run(*inputs) -> np.ndarray`` then executes
+the step on inputs of those shapes and layouts.  ``attrs`` is the
+step's frozen attribute dict; quantization stages appear as
 ``q_<stage>`` entries of the form ``{"scale": s, "qmax": q}`` (frozen
 observer) or ``{"dynamic_bits": b}`` (uncalibrated observer: range taken
 from the batch, mirroring the eager fallback), or ``None`` when disabled.
@@ -25,33 +27,30 @@ ops (``relu``, ``add``, ``affine``, ``concat``, ``max_pool``,
 ``attrs["layout"] == "nhwc"`` (see :func:`repro.engine.int8.assign_layouts`).
 
 Memory discipline (``fast``/``int8`` only — the ``reference``
-kernels keep their original allocation pattern as the fidelity oracle):
-every hot kernel asks the executor's per-run arena for its buffers —
+kernels keep their original allocation pattern as the fidelity oracle,
+behind the :func:`per_call` adapter): every hot kernel asks the
+executor's per-run arena for its buffers when it binds —
 :func:`~repro.engine.memplan.take_out` for the step's planned output
 register, :func:`~repro.engine.memplan.take_scratch` for temporaries
 (im2row row buffers, padded inputs, Winograd tile/transform-domain
-intermediates, quantization code buffers).  Outside a planned execution
-both helpers degrade to plain NumPy allocation, so calling a kernel
-directly behaves exactly as before.  A kernel may mutate only arrays it
-obtained this way (or fresh GEMM outputs) — never an input register.
+intermediates, quantization code buffers) — and its runner only moves
+data.  Outside a planned execution both helpers degrade to plain NumPy
+allocation.  A runner may mutate only arrays its kernel obtained this
+way (or fresh GEMM outputs) — never an input register.
 ``conv2d``, ``winograd_conv2d`` and ``linear`` have one kernel each (for
-``fast`` and ``int8``), which requests its buffers and builds its views
-once per arena, step and input shape in a binder — ``_bind_<op>`` for a
-native step, ``_bind_<op>_fast`` for a float one — whose runner
-:func:`~repro.engine.memplan.take_bound` caches; each later run only
-moves data.
+``fast`` and ``int8``), which binds ``_bind_<op>`` for a native step and
+``_bind_<op>_fast`` for a float one.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.engine.int8 import NHWC, derive_multipliers, stage_scale
-from repro.engine.memplan import take_bound, take_out, take_scratch
+from repro.engine.memplan import take_out, take_scratch
 from repro.engine.registry import register_kernel
 from repro.quant.quantizer import quantization_scale
 
@@ -114,12 +113,21 @@ def _strided_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.nd
     )
 
 
-def _run_bound(inputs, attrs: Dict, native, fast) -> np.ndarray:
-    """Run a step through the program ``native(shape, attrs)`` binds when
-    it has an ``i8`` block (fixed at compile time), else ``fast``'s."""
+def per_call(op: str):
+    """Register the ``reference`` kernel body ``fn(inputs, attrs)``
+    behind a runner that calls it with every run's inputs."""
+
+    def decorator(fn):
+        register_kernel(op)(lambda inputs, attrs: lambda *xs: fn(xs, attrs))
+        return fn
+
+    return decorator
+
+
+def _bind_by_domain(inputs, attrs: Dict, native, fast):
+    """Bind ``native`` for a step with an ``i8`` block, else ``fast``."""
     (x,) = inputs
-    bind = fast if attrs.get("i8") is None else native
-    return take_bound(x.shape, partial(bind, x.shape, attrs))(x)
+    return (fast if attrs.get("i8") is None else native)(x.shape, attrs)
 
 
 def _bind_pad(shape, ph: int, pw: int, size: tuple, nhwc: bool = False):
@@ -167,7 +175,7 @@ def _bind_epilogue(attrs: Dict, bias_shape: tuple, quantize_output: bool = True)
 # ---------------------------------------------------------------------------
 
 
-@register_kernel("relu")
+@per_call("relu")
 def relu_kernel(inputs, attrs):
     """Single-pass ReLU, bit-equal to eager's ``where(x > 0, x, 0.0)``
     for every finite input (including ``-0.0 → 0.0``) without the mask
@@ -182,10 +190,11 @@ def relu_kernel(inputs, attrs):
 @register_kernel("relu", "fast")
 def relu_fast(inputs, attrs):
     (x,) = inputs
-    return np.maximum(x, 0.0, out=take_out(x.shape, x.dtype))
+    out = take_out(x.shape, x.dtype)
+    return lambda x: np.maximum(x, 0.0, out=out)
 
 
-@register_kernel("add")
+@per_call("add")
 def add_kernel(inputs, attrs):
     a, b = inputs
     y = a + b
@@ -196,14 +205,13 @@ def add_kernel(inputs, attrs):
 
 @register_kernel("add", "fast")
 def add_fast(inputs, attrs):
-    a, b = inputs
-    y = np.add(a, b, out=take_out(a.shape, a.dtype))
+    out = take_out(inputs[0].shape, inputs[0].dtype)
     if attrs.get("fuse_relu"):
-        np.maximum(y, 0.0, out=y)
-    return y
+        return lambda a, b: np.maximum(np.add(a, b, out=out), 0.0, out=out)
+    return lambda a, b: np.add(a, b, out=out)
 
 
-@register_kernel("concat")
+@per_call("concat")
 def concat_kernel(inputs, attrs):
     return np.concatenate(inputs, axis=attrs.get("axis", 1))
 
@@ -216,17 +224,16 @@ def concat_fast(inputs, attrs):
     shape = list(inputs[0].shape)
     shape[axis] = sum(a.shape[axis] for a in inputs)
     out = take_out(tuple(shape), inputs[0].dtype)
-    np.concatenate(inputs, axis=axis, out=out)
-    return out
+    return lambda *xs: np.concatenate(xs, axis=axis, out=out)
 
 
-@register_kernel("flatten")
+@per_call("flatten")
 def flatten_kernel(inputs, attrs):
     (x,) = inputs
     return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
 
-@register_kernel("record_hw")
+@per_call("record_hw")
 def record_hw_kernel(inputs, attrs):
     """Record the incoming spatial shape on the source module.
 
@@ -248,10 +255,14 @@ def transpose_kernel(inputs, attrs):
     ["layout"]`` names the target).  Values are copied verbatim, so the
     op is grid-preserving: integer codes pass through it."""
     (x,) = inputs
-    view = x.transpose((0, 2, 3, 1) if _nhwc(attrs) else (0, 3, 1, 2))
-    out = take_out(view.shape, x.dtype)
-    np.copyto(out, view)
-    return out
+    axes = (0, 2, 3, 1) if _nhwc(attrs) else (0, 3, 1, 2)
+    out = take_out(x.transpose(axes).shape, x.dtype)
+
+    def run(x):
+        np.copyto(out, x.transpose(axes))
+        return out
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +270,7 @@ def transpose_kernel(inputs, attrs):
 # ---------------------------------------------------------------------------
 
 
-@register_kernel("max_pool")
+@per_call("max_pool")
 def max_pool_kernel(inputs, attrs):
     (x,) = inputs
     kh, kw = attrs["kernel"]
@@ -291,17 +302,23 @@ def max_pool_fast(inputs, attrs):
     shape = (n, nh, nw, c) if nhwc else (n, c, nh, nw)
     out = take_out(shape, x.dtype)
     view = out.transpose(0, 3, 1, 2) if nhwc else out
-    for i in range(kh):
-        for j in range(kw):
-            window = x[:, :, i : i + sh * nh : sh, j : j + sw * nw : sw]
-            if i == j == 0:
-                np.copyto(view, window)
-            else:
-                np.maximum(view, window, out=view)
-    return out
+
+    def run(x):
+        if nhwc:
+            x = x.transpose(0, 3, 1, 2)
+        for i in range(kh):
+            for j in range(kw):
+                window = x[:, :, i : i + sh * nh : sh, j : j + sw * nw : sw]
+                if i == j == 0:
+                    np.copyto(view, window)
+                else:
+                    np.maximum(view, window, out=view)
+        return out
+
+    return run
 
 
-@register_kernel("avg_pool")
+@per_call("avg_pool")
 def avg_pool_kernel(inputs, attrs):
     (x,) = inputs
     kh, kw = attrs["kernel"]
@@ -322,13 +339,14 @@ def avg_pool_fast(inputs, attrs):
     (x,) = inputs
     kh, kw = attrs["kernel"]
     sh, sw = attrs["stride"]
-    patches = _strided_patches(x, kh, kw, sh, sw)
-    out = np.sum(patches, axis=(4, 5), out=take_out(patches.shape[:4], x.dtype))
-    out *= np.float32(1.0 / (kh * kw))
-    return out
+    out = take_out(_strided_patches(x, kh, kw, sh, sw).shape[:4], x.dtype)
+    scale = np.float32(1.0 / (kh * kw))
+    return lambda x: np.multiply(
+        np.sum(_strided_patches(x, kh, kw, sh, sw), axis=(4, 5), out=out), scale, out=out
+    )
 
 
-@register_kernel("global_avg_pool")
+@per_call("global_avg_pool")
 def global_avg_pool_kernel(inputs, attrs):
     (x,) = inputs
     count = x.shape[2] * x.shape[3]
@@ -338,19 +356,26 @@ def global_avg_pool_kernel(inputs, attrs):
 @register_kernel("global_avg_pool", "fast")
 def global_avg_pool_fast(inputs, attrs):
     (x,) = inputs
-    if _nhwc(attrs):
+    nhwc = _nhwc(attrs)
+    if nhwc:
         x = x.transpose(0, 3, 1, 2)
-    if not x.flags.c_contiguous:
-        # Gather NCHW first (a channels-last input, or the NCHW view of
-        # an im2row GEMM): the sum must run over each channel's
-        # contiguous h·w, whose pairwise order fixes the result bits.
-        nchw = take_scratch("nchw", x.shape, x.dtype)
-        np.copyto(nchw, x)
-        x = nchw
-    count = x.shape[2] * x.shape[3]
-    out = np.sum(x, axis=(2, 3), out=take_out((x.shape[0], x.shape[1]), x.dtype))
-    out *= np.float32(1.0 / count)
-    return out
+    # Gather NCHW first (a channels-last input, or the NCHW view of an
+    # im2row GEMM): the sum must run over each channel's contiguous h·w,
+    # whose pairwise order fixes the result bits.
+    nchw = None if x.flags.c_contiguous else take_scratch("nchw", x.shape, x.dtype)
+    n, c, h, w = x.shape
+    out = take_out((n, c), x.dtype)
+    scale = np.float32(1.0 / (h * w))
+
+    def run(x):
+        if nhwc:
+            x = x.transpose(0, 3, 1, 2)
+        if nchw is not None:
+            np.copyto(nchw, x)
+            x = nchw
+        return np.multiply(np.sum(x, axis=(2, 3), out=out), scale, out=out)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +383,7 @@ def global_avg_pool_fast(inputs, attrs):
 # ---------------------------------------------------------------------------
 
 
-@register_kernel("affine")
+@per_call("affine")
 def affine_kernel(inputs, attrs):
     """Eval-mode BatchNorm, mirroring ``F.batch_norm2d`` op for op."""
     (x,) = inputs
@@ -377,11 +402,15 @@ def affine_kernel(inputs, attrs):
 def affine_fast(inputs, attrs):
     (x,) = inputs
     bshape = (1, 1, 1, -1) if _nhwc(attrs) else (1, x.shape[1], 1, 1)
-    y = np.multiply(x, attrs["scale"].reshape(bshape), out=take_out(x.shape, x.dtype))
-    y += attrs["shift"].reshape(bshape)
-    if attrs.get("fuse_relu"):
-        np.maximum(y, 0.0, out=y)
-    return y
+    scale, shift = attrs["scale"].reshape(bshape), attrs["shift"].reshape(bshape)
+    out = take_out(x.shape, x.dtype)
+    relu = attrs.get("fuse_relu")
+
+    def run(x):
+        y = np.add(np.multiply(x, scale, out=out), shift, out=out)
+        return np.maximum(y, 0.0, out=y) if relu else y
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +418,7 @@ def affine_fast(inputs, attrs):
 # ---------------------------------------------------------------------------
 
 
-@register_kernel("linear")
+@per_call("linear")
 def linear_kernel(inputs, attrs):
     (x,) = inputs
     x = fake_quant(x, attrs.get("q_input"))
@@ -408,7 +437,7 @@ def linear_kernel(inputs, attrs):
 def linear_fast(inputs, attrs):
     """Fully-connected layer: one float GEMM with a fused epilogue, or
     the integer-code GEMM of a native step."""
-    return _run_bound(inputs, attrs, _bind_linear, _bind_linear_fast)
+    return _bind_by_domain(inputs, attrs, _bind_linear, _bind_linear_fast)
 
 
 def _bind_linear_fast(shape, attrs):
@@ -431,7 +460,7 @@ def _bind_linear_fast(shape, attrs):
 # ---------------------------------------------------------------------------
 
 
-@register_kernel("conv2d")
+@per_call("conv2d")
 def conv2d_reference(inputs, attrs):
     """Bit-faithful mirror of ``F.conv2d_im2row`` (plus quant stages)."""
     (x,) = inputs
@@ -479,7 +508,7 @@ def conv2d_fast(inputs, attrs):
     temporaries (quantized input, padded input, im2row rows, GEMM
     output) live in step scratch.
     """
-    return _run_bound(inputs, attrs, _bind_conv2d, _bind_conv2d_fast)
+    return _bind_by_domain(inputs, attrs, _bind_conv2d, _bind_conv2d_fast)
 
 
 def _bind_conv2d_fast(shape, attrs):
@@ -565,7 +594,7 @@ def _winograd_geometry(h, w, m, r, pad):
     return out_h, out_w, th, tw
 
 
-@register_kernel("winograd_conv2d")
+@per_call("winograd_conv2d")
 def winograd_reference(inputs, attrs):
     """Bit-faithful mirror of ``WinogradConv2d.forward`` in eval mode.
 
@@ -639,7 +668,7 @@ def winograd_fast(inputs, attrs):
     Every intermediate (padded input, tile matrix, transform domains,
     NCHW assembly) lives in step scratch.
     """
-    return _run_bound(inputs, attrs, _bind_winograd, _bind_winograd_fast)
+    return _bind_by_domain(inputs, attrs, _bind_winograd, _bind_winograd_fast)
 
 
 def _bind_winograd_fast(shape, attrs):

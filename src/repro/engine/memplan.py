@@ -26,12 +26,13 @@ removes that:
   and transform-domain intermediates, quantization code buffers.  After
   warm-up every request hits an existing buffer: zero steady-state
   arena allocations.
-* **Bound programs** (:func:`take_bound`): a kernel may bind its
-  buffers and views once and cache the resulting runner per arena,
-  step and input shape.  The arena drops every cached runner whenever
-  it allocates or grows a buffer, so no runner outlives what it binds.
+* **Bound programs**: the executor binds every step once per arena and
+  batch size (its kernel takes its buffers through :func:`take_out` and
+  :func:`take_scratch` and returns a runner); the arena keeps the
+  runners for later runs of that size, and drops them all whenever it
+  allocates or grows a buffer, so no runner outlives what it binds.
 
-Arenas are checked out per lane of a ``run`` from a small pool, so
+A ``run`` checks one arena per lane out of a small pool in one go, so
 concurrent executions of one shared plan (lanes of one split run, or the
 inference server's worker pool) never touch the same buffers.  Scratch
 keys are ``(step, tag)``: one arena serves one lane, which runs its
@@ -44,6 +45,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -151,6 +153,11 @@ class MemoryLayout:
     def bytes_per_sample(self) -> int:
         return sum(self.slot_elems) * _ITEMSIZE
 
+    def reg_bytes(self, reg: int, n: int) -> Optional[int]:
+        """Bytes of register ``reg``'s arena view at batch ``n``."""
+        tail = self.reg_tail.get(reg)
+        return None if tail is None else n * _prod(tail) * _ITEMSIZE
+
     def summary(self) -> dict:
         return {
             "planned_registers": self.planned_registers,
@@ -247,17 +254,16 @@ def plan_layout(steps, input_reg: int, output_reg: int, sample_shape) -> Optiona
 
 
 class Arena:
-    """One run's worth of workspaces (checked out per concurrent ``run``)."""
+    """One lane's worth of workspaces (checked out per lane of a ``run``)."""
 
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
         self._slots: List[Optional[np.ndarray]] = [None] * len(layout.slot_elems)
         self._scratch: Dict[tuple, np.ndarray] = {}
         self._buf_ids: set = set()
-        self._regs: Dict[int, np.ndarray] = {}
-        self._regs_n: Optional[int] = None  # batch size of ``_regs``
-        # (step, input shape) -> (bound program, buffer requests it made)
-        self._bound: Dict[tuple, tuple] = {}
+        # batch size -> (runners, buffer requests their binding made)
+        self._programs: Dict[int, tuple] = {}
+        self._slot_allocs = 0  # slot growths of the running binding
         # No locks: one lane owns the arena for a whole run, and the pool
         # reads the counters at checkin, under its own lock.
         self.alloc_events = 0  # lifetime buffer allocations/growths
@@ -269,24 +275,27 @@ class Arena:
     def _note_alloc(self) -> None:
         self.alloc_events += 1
         self.last_run_allocs += 1
-        # A bound program may hold views of the buffer just replaced.
-        self._bound.clear()
+        # A stored program may hold views of the buffer just replaced.
+        self._programs.clear()
 
-    def note_hit(self) -> None:
-        self.last_run_hits += 1
-
-    def note_shape_miss(self) -> None:
-        self.shape_misses += 1
+    def program(self, n: int) -> Optional[list]:
+        """The runners stored for batch ``n``, or ``None`` (after
+        :meth:`begin_run`) when the run must bind its steps.  A replay
+        credits the buffer requests its binding made as hits, so
+        ``last_run_hits`` reads the same either way."""
+        entry = self._programs.get(n)
+        if entry is None:
+            self.begin_run(n)
+            return None
+        self.last_run_allocs = 0
+        self.last_run_hits = entry[1]
+        return entry[0]
 
     def begin_run(self, n: int) -> None:
-        """Size the register views for batch ``n`` (growing slots once).
-
-        The views of the previous run are kept when its batch size was
-        ``n`` too and no slot grew."""
+        """Start a binding run of batch ``n``: grow the slots once."""
         self.last_run_allocs = 0
         self.last_run_hits = 0
-        layout = self.layout
-        for slot, elems in enumerate(layout.slot_elems):
+        for slot, elems in enumerate(self.layout.slot_elems):
             need = n * elems
             buf = self._slots[slot]
             if buf is None or buf.size < need:
@@ -296,19 +305,21 @@ class Arena:
                 self._slots[slot] = buf
                 self._buf_ids.add(id(buf))
                 self._note_alloc()
-                self._regs_n = None
-        if self._regs_n == n:
-            return
-        regs = {}
-        for reg, slot in layout.reg_slot.items():
-            tail = layout.reg_tail[reg]
-            count = n * _prod(tail)
-            regs[reg] = self._slots[slot][:count].reshape((n,) + tail)
-        self._regs = regs
-        self._regs_n = n
+        self._slot_allocs = self.last_run_allocs
 
-    def reg_view(self, reg: int) -> Optional[np.ndarray]:
-        return self._regs.get(reg)
+    def keep(self, n: int, runners: list) -> None:
+        """Store the runners a binding run of batch ``n`` built, until
+        the next (re)allocation (see :meth:`_note_alloc`)."""
+        requests = self.last_run_hits + self.last_run_allocs - self._slot_allocs
+        self._programs[n] = (runners, requests)
+
+    def reg_view(self, reg: int, n: int) -> Optional[np.ndarray]:
+        """Register ``reg``'s planned view at batch ``n``, if it has one."""
+        slot = self.layout.reg_slot.get(reg)
+        if slot is None:
+            return None
+        tail = self.layout.reg_tail[reg]
+        return self._slots[slot][: n * _prod(tail)].reshape((n,) + tail)
 
     def scratch(self, key: tuple, shape, dtype, zero: bool = False) -> np.ndarray:
         """A per-(step, tag) workspace of at least ``shape``.
@@ -328,25 +339,8 @@ class Arena:
             self._buf_ids.add(id(buf))
             self._note_alloc()
         else:
-            self.note_hit()
+            self.last_run_hits += 1
         return buf[:need].reshape(shape)
-
-    def bound(self, key: tuple, build):
-        """The program cached under ``key``, built by ``build()`` on a miss.
-
-        A hit counts as many buffer hits as the build made requests, so
-        ``last_run_hits`` reads the same whether a step rebuilt its
-        program or reused it.  Any (re)allocation drops every program
-        (see :meth:`_note_alloc`), including those of other shapes that
-        shared the replaced buffer."""
-        entry = self._bound.get(key)
-        if entry is not None:
-            self.last_run_hits += entry[1]
-            return entry[0]
-        before = self.last_run_hits + self.last_run_allocs
-        program = build()
-        self._bound[key] = (program, self.last_run_hits + self.last_run_allocs - before)
-        return program
 
     def owns(self, arr) -> bool:
         """True when ``arr``'s memory ultimately belongs to this arena."""
@@ -424,37 +418,41 @@ class ArenaPool:
         self.last_run_allocs = 0
         self.last_run_hits = 0
 
-    def checkout(self) -> Arena:
+    def checkout(self, count: int) -> List[Arena]:
+        """``count`` arenas (idle ones first) under one lock hold: the
+        lanes of one run never share an arena, however they overlap."""
         with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            arena = Arena(self.layout)
-            self._retained.append(arena)
-            self.arenas_built += 1
-            return arena
+            arenas = [self._idle.pop() for _ in range(min(count, len(self._idle)))]
+            while len(arenas) < count:
+                arena = Arena(self.layout)
+                self._retained.append(arena)
+                self.arenas_built += 1
+                arenas.append(arena)
+            return arenas
 
-    def checkin(self, arena: Arena) -> None:
+    def checkin(self, arenas: List[Arena]) -> None:
+        """Return one run's arenas; the run's counters are their sums."""
         with self._lock:
-            if arena not in self._retained:
-                # A post-fork orphan (checked out before the fork reset
-                # emptied the pool) or a burst-overflow arena: record
-                # nothing and let its buffers die with the run.
+            # A post-fork orphan (checked out before the fork reset
+            # emptied the pool) or a burst-overflow arena records
+            # nothing; its buffers die with the run.
+            arenas = [a for a in arenas if a in self._retained]
+            if not arenas:
                 return
-            self.last_run_allocs = arena.last_run_allocs
-            self.last_run_hits = arena.last_run_hits
-            self.alloc_events += arena.last_run_allocs
-            self.shape_misses += arena.shape_misses
-            arena.shape_misses = 0
-            if len(self._idle) < self.MAX_POOLED:
-                self._idle.append(arena)
-            else:
-                # Burst overflow: drop the arena entirely so its buffers
-                # are reclaimed once the run's references die, instead of
-                # keeping gigabytes resident that can never be reused.
-                try:
+            self.last_run_allocs = sum(a.last_run_allocs for a in arenas)
+            self.last_run_hits = sum(a.last_run_hits for a in arenas)
+            self.alloc_events += self.last_run_allocs
+            for arena in arenas:
+                self.shape_misses += arena.shape_misses
+                arena.shape_misses = 0
+                if len(self._idle) < self.MAX_POOLED:
+                    self._idle.append(arena)
+                else:
+                    # Burst overflow: drop the arena entirely so its
+                    # buffers are reclaimed once the run's references
+                    # die, instead of keeping gigabytes resident that
+                    # can never be reused.
                     self._retained.remove(arena)
-                except ValueError:  # pragma: no cover — defensive
-                    pass
 
     def stats(self) -> dict:
         with self._lock:
@@ -475,57 +473,33 @@ class ArenaPool:
 # ---------------------------------------------------------------------------
 
 
-class _Scope:
-    __slots__ = ("arena", "step", "out")
-
-    def __init__(self, arena, step, out):
-        self.arena = arena
-        self.step = step
-        self.out = out
+_ws = threading.local()  # .scope: (arena, step, planned output) or None
 
 
-_ws = threading.local()
-
-
-def bind_step(arena: Optional[Arena], step: int, out) -> Optional[_Scope]:
-    """Enter a step scope (returns the previous scope for restoration)."""
+@contextmanager
+def bind_step(arena: Optional[Arena], step: int, out):
+    """The scope in which step ``step`` binds its buffers."""
     prev = getattr(_ws, "scope", None)
-    _ws.scope = _Scope(arena, step, out) if arena is not None else None
-    return prev
-
-
-def unbind_step(prev: Optional[_Scope]) -> None:
-    _ws.scope = prev
+    _ws.scope = (arena, step, out) if arena is not None else None
+    try:
+        yield
+    finally:
+        _ws.scope = prev
 
 
 def take_out(shape, dtype=np.float32) -> np.ndarray:
-    """The running step's planned output buffer, else (unplanned, or a
-    shape miss) its ``"out"`` scratch, which a bound program may keep.
+    """The binding step's planned output buffer, else (unplanned, or a
+    shape miss) its ``"out"`` scratch, which its runner keeps.
     Both are C order, so a downstream reduction sums in one order planned
     or not (NumPy's ``out=None`` would follow the input's layout)."""
     scope = getattr(_ws, "scope", None)
-    if scope is not None and scope.out is not None:
-        out = scope.out
+    if scope is not None and scope[2] is not None:
+        arena, _, out = scope
         if out.shape == tuple(shape) and out.dtype == np.dtype(dtype):
-            scope.arena.note_hit()
+            arena.last_run_hits += 1
             return out
-        scope.arena.note_shape_miss()
+        arena.shape_misses += 1
     return take_scratch("out", shape, dtype)
-
-
-def take_bound(shape, build):
-    """The running step's bound program for input ``shape``.
-
-    ``build()`` binds a kernel's buffers and views once (through
-    :func:`take_out`/:func:`take_scratch`) and returns a runner that
-    only moves data.  Inside a planned run the runner is cached per
-    arena, step and shape until the arena next (re)allocates; everywhere
-    else it is built afresh, so every call allocates exactly as an
-    unbound kernel would."""
-    scope = getattr(_ws, "scope", None)
-    if scope is None:
-        return build()
-    return scope.arena.bound((scope.step, shape), build)
 
 
 def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
@@ -534,4 +508,5 @@ def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.nd
     scope = getattr(_ws, "scope", None)
     if scope is None:
         return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-    return scope.arena.scratch((scope.step, tag), shape, dtype, zero=zero)
+    arena, step, _ = scope
+    return arena.scratch((step, tag), shape, dtype, zero=zero)

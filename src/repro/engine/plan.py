@@ -189,16 +189,7 @@ class CompiledPlan:
             root_id = obs_trace.new_span_id()
             t_run = obs_trace.now_ns()
         try:
-            if lanes == 1:
-                return self._execute(x, tracer, root_id)
-            outs: List[Optional[np.ndarray]] = [None] * lanes
-
-            def lane(i: int) -> None:
-                lo, hi = i * n // lanes, (i + 1) * n // lanes
-                outs[i] = self._execute(x[lo:hi], tracer, root_id, lane=i, lo=lo)
-
-            run_tasks([partial(lane, i) for i in range(lanes)], lanes)
-            return np.concatenate(outs, axis=0)
+            return self._execute(x, lanes, tracer, root_id)
         finally:
             if tracer is not None:
                 tracer.record(
@@ -219,79 +210,99 @@ class CompiledPlan:
     def _execute(
         self,
         x: np.ndarray,
+        lanes: int = 1,
+        tracer: Optional["obs_trace.TraceBuffer"] = None,
+        parent_id: Optional[str] = None,
+    ) -> np.ndarray:
+        """Run ``x`` (a contiguous float32 batch) as ``lanes`` lanes, with
+        every lane's arena taken in one checkout before the lanes start
+        (``repro bench engine`` times the tracing-disabled :meth:`run`
+        against this method for the ``trace_overhead`` gate)."""
+        n = x.shape[0]
+        pool = self._memory(x.shape[1:])
+        arenas = pool.checkout(lanes) if pool is not None else [None] * lanes
+        outs: List[Optional[np.ndarray]] = [None] * lanes
+
+        def lane(i: int) -> None:
+            lo, hi = i * n // lanes, (i + 1) * n // lanes
+            outs[i] = self._run_lane(x[lo:hi], arenas[i], tracer, parent_id, i, lo)
+
+        try:
+            run_tasks([partial(lane, i) for i in range(lanes)], lanes)
+            if lanes > 1:
+                return np.concatenate(outs, axis=0)
+            # The caller keeps the result; arena buffers go back to the
+            # pool and will be overwritten by the next run.
+            owned = arenas[0] is not None and arenas[0].owns(outs[0])
+            return outs[0].copy() if owned else outs[0]
+        finally:
+            if pool is not None:
+                pool.checkin(arenas)
+
+    def _run_lane(
+        self,
+        x: np.ndarray,
+        arena: Optional[memplan.Arena],
         tracer: Optional["obs_trace.TraceBuffer"] = None,
         parent_id: Optional[str] = None,
         lane: int = 0,
         lo: int = 0,
     ) -> np.ndarray:
-        """The executor loop over one lane: rows ``lo:lo + len(x)`` of the
-        run's batch (a contiguous float32 array), on its own arena.
-
-        With a ``tracer`` it records one ``kernel`` span per step under
-        ``parent_id``; lanes after the first tag theirs with ``lane``,
-        ``rows`` and ``chunk_index`` so step-level consumers count each
-        step once.  With ``None`` the only extra work per step is two
-        ``is None`` checks (``repro bench engine`` times the
-        tracing-disabled :meth:`run` against this loop for the
-        ``trace_overhead`` gate)."""
+        """The executor loop over rows ``lo:lo + len(x)`` of the run's
+        batch, on ``arena`` (``None``: unplanned, every step bound on
+        every call).  The first run of a batch size in an arena binds
+        every step and the arena keeps the runners; later runs of that
+        size only replay them.  With a ``tracer`` it records one
+        ``kernel`` span per step under ``parent_id``; lanes after the
+        first tag theirs with ``lane``, ``rows`` and ``chunk_index`` so
+        step-level consumers count each step once."""
         n = x.shape[0]
-        pool = self._memory(x.shape[1:])
-        arena = pool.checkout() if pool is not None else None
-        try:
-            if arena is not None:
-                arena.begin_run(n)
-            regs: List[Optional[np.ndarray]] = [None] * self.num_regs
-            regs[self.input_reg] = x
-            for step_index, step in enumerate(self.steps):
-                args = tuple(regs[i] for i in step.inputs)
-                out_view = arena.reg_view(step.output) if arena is not None else None
-                if tracer is not None:
-                    t_step = obs_trace.now_ns()
-                prev = memplan.bind_step(arena, step_index, out_view)
-                try:
-                    regs[step.output] = step.fn(args, step.attrs)
-                finally:
-                    memplan.unbind_step(prev)
-                if tracer is not None:
-                    wino = step.op == "winograd_conv2d"
-                    if step.domain == "int8":
-                        domain = "int8-wino" if wino else "int8"
-                    else:
-                        domain = "winograd" if wino else "fp32"
-                    attrs = {
-                        "step": step_index,
-                        "op": step.op,
-                        "backend": self.backend,
-                        "domain": domain,
-                        "batch": n,
-                        "out_bytes": int(regs[step.output].nbytes),
-                        "slot_bytes": (
-                            int(out_view.nbytes) if out_view is not None else None
-                        ),
-                    }
-                    if lane:
-                        attrs.update(lane=lane, rows=[lo, lo + n], chunk_index=lane)
-                    tracer.record(
-                        step.label or step.op,
-                        "kernel",
-                        t_step,
-                        attrs=attrs,
-                        parent_id=parent_id,
-                        lane=lane,
-                    )
-                for reg in step.frees:
-                    if reg != step.output:
-                        regs[reg] = None
-            out = regs[self.output_reg]
-            assert out is not None, "plan produced no output"
-            if arena is not None and arena.owns(out):
-                # The caller keeps the result; arena buffers go back to
-                # the pool and will be overwritten by the next run.
-                out = out.copy()
-            return out
-        finally:
-            if arena is not None:
-                pool.checkin(arena)
+        stored = arena.program(n) if arena is not None else None
+        program = [] if stored is None else stored
+        regs: List[Optional[np.ndarray]] = [None] * self.num_regs
+        regs[self.input_reg] = x
+        for step_index, step in enumerate(self.steps):
+            args = [regs[i] for i in step.inputs]
+            if tracer is not None:
+                t_step = obs_trace.now_ns()
+            if stored is None:
+                out_view = arena.reg_view(step.output, n) if arena is not None else None
+                with memplan.bind_step(arena, step_index, out_view):
+                    program.append(step.fn(args, step.attrs))
+            regs[step.output] = program[step_index](*args)
+            if tracer is not None:
+                wino = step.op == "winograd_conv2d"
+                if step.domain == "int8":
+                    domain = "int8-wino" if wino else "int8"
+                else:
+                    domain = "winograd" if wino else "fp32"
+                attrs = {
+                    "step": step_index,
+                    "op": step.op,
+                    "backend": self.backend,
+                    "domain": domain,
+                    "batch": n,
+                    "out_bytes": int(regs[step.output].nbytes),
+                    "slot_bytes": arena and arena.layout.reg_bytes(step.output, n),
+                }
+                if lane:
+                    attrs.update(lane=lane, rows=[lo, lo + n], chunk_index=lane)
+                tracer.record(
+                    step.label or step.op,
+                    "kernel",
+                    t_step,
+                    attrs=attrs,
+                    parent_id=parent_id,
+                    lane=lane,
+                )
+            for reg in step.frees:
+                if reg != step.output:
+                    regs[reg] = None
+        if stored is None and arena is not None:
+            arena.keep(n, program)
+        out = regs[self.output_reg]
+        assert out is not None, "plan produced no output"
+        return out
 
     def run_many(
         self, inputs: Sequence[np.ndarray], threads: Optional[int] = None

@@ -28,12 +28,13 @@ implementation exists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-#: Kernel signature: ``kernel(inputs, attrs) -> np.ndarray`` where
-#: ``inputs`` is a tuple of input arrays and ``attrs`` the step's frozen
-#: attribute dict (weights, scales, fusion flags, ...).
-Kernel = Callable[[tuple, dict], object]
+#: Kernel signature: ``kernel(inputs, attrs) -> run``: bound once with a
+#: step's first-run input arrays and its frozen attribute dict (weights,
+#: scales, fusion flags, ...), it returns the runner ``run(*inputs) ->
+#: np.ndarray`` that executes the step on every later run.
+Kernel = Callable[[Sequence, dict], Callable]
 
 BACKENDS = ("reference", "fast", "int8")
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,27 @@ class ReplicaAutoscaler:
             self.flap_freezes_total += 1
         self.decisions_total += 1
 
-    def observe(self, model: str, signals: ModelSignals) -> Optional[ScaleDecision]:
-        """One control tick for one model; at most one step of ±1 replica."""
+    def observe(
+        self,
+        model: str,
+        signals: ModelSignals,
+        deltas: Optional[Tuple[int, int]] = None,
+    ) -> Optional[ScaleDecision]:
+        """One control tick for one model; at most one step of ±1 replica.
+        ``deltas`` — ``(shed, deadline miss)`` increments from a baseline
+        the caller keeps — replace those from this autoscaler's own."""
         policy = self.policy
         state = self._state_for(model)
         now = self._clock()
-        shed_delta = max(0, signals.shed_total - state.last_shed)
-        miss_delta = max(0, signals.deadline_exceeded_total - state.last_miss)
+        if deltas is None:
+            deltas = (
+                max(0, signals.shed_total - state.last_shed),
+                max(0, signals.deadline_exceeded_total - state.last_miss),
+            )
+            state.last_shed = signals.shed_total
+            state.last_miss = signals.deadline_exceeded_total
+        shed_delta, miss_delta = deltas
         primed = state.primed
-        state.last_shed = signals.shed_total
-        state.last_miss = signals.deadline_exceeded_total
         state.primed = True
         if not primed:
             # First sighting: the counters' history predates this

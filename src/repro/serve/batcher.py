@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import inspect
 import itertools
 import statistics
 import time
@@ -187,9 +186,6 @@ class DynamicBatcher:
         #: that contain at least one sampled request, so an untraced
         #: deployment takes a single truthiness check per batch.
         self.tracer = tracer
-        # Duck-typed plans (test stubs) may not accept run(trace=...);
-        # detect once so traced batches degrade gracefully.
-        self._plan_traceable = self._accepts_trace(plan)
         #: Engine threads per coalesced batch: a dispatched batch splits
         #: into lanes on the engine worker pool, so one big batch
         #: exploits the cores that batch-level pipelining (max_inflight)
@@ -221,13 +217,6 @@ class DynamicBatcher:
         #: loop, so reaching 0 means every accepted request has been
         #: answered — the drain condition for blue/green cutover.
         self._outstanding = 0
-
-    @staticmethod
-    def _accepts_trace(plan) -> bool:
-        try:
-            return "trace" in inspect.signature(plan.run).parameters
-        except (TypeError, ValueError):
-            return False
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
@@ -549,15 +538,9 @@ class DynamicBatcher:
             )
             local_spans = obs_trace.TraceBuffer(8192) if traced else None
             try:
-                kwargs = {}
-                if self.threads is not None:
-                    kwargs["threads"] = self.threads
-                if local_spans is not None and self._plan_traceable:
-                    kwargs["trace"] = local_spans
-                if kwargs:
-                    run = functools.partial(self.plan.run, stacked, **kwargs)
-                else:  # duck-typed plans (test stubs) need no extra kwargs
-                    run = functools.partial(self.plan.run, stacked)
+                run = functools.partial(
+                    self.plan.run, stacked, threads=self.threads, trace=local_spans
+                )
                 out = await loop.run_in_executor(self._executor, run)
             except BaseException as exc:  # kernel failure / teardown cancel:
                 # fail the whole batch so no submitter is left hanging.

@@ -954,7 +954,7 @@ class WorkerPlanProxy:
     """Duck-typed stand-in for ``CompiledPlan`` that executes remotely.
 
     The :class:`~repro.serve.batcher.DynamicBatcher` only calls
-    ``plan.run(batch[, threads=])`` from its executor thread; this proxy
+    ``plan.run(batch, threads=, trace=)`` from its executor thread; this proxy
     forwards that call to the router (which blocks until a worker
     answers), so the whole batching/deadline/backpressure layer works
     unchanged on top of process workers.

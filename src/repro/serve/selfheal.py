@@ -676,6 +676,19 @@ class SelfHealController:
         self.ticks_total += 1
         actions: List[Action] = []
         for model, sig in signals.items():
+            # One baseline, refreshed every tick in every circuit state:
+            # the autoscaler and the ladder see the same deltas, and
+            # nothing counted while a circuit was open replays later.
+            shed_delta = max(
+                0, sig.shed_total - self._last_shed.get(model, sig.shed_total)
+            )
+            miss_delta = max(
+                0,
+                sig.deadline_exceeded_total
+                - self._last_miss.get(model, sig.deadline_exceeded_total),
+            )
+            self._last_shed[model] = sig.shed_total
+            self._last_miss[model] = sig.deadline_exceeded_total
             breaker = self.circuit(model)
             if breaker.ready_for_probe():
                 actions.append(
@@ -688,14 +701,13 @@ class SelfHealController:
             if breaker.state != CIRCUIT_CLOSED:
                 # Error storms produce sheds/misses as a side effect;
                 # reacting to them would scale or degrade a model whose
-                # problem is not load.  Keep the delta baselines fresh
-                # so recovery starts from a clean slate.
-                self._last_shed[model] = sig.shed_total
-                self._last_miss[model] = sig.deadline_exceeded_total
+                # problem is not load.
                 continue
             at_capacity = True
             if self.autoscaler is not None:
-                decision = self.autoscaler.observe(model, sig)
+                decision = self.autoscaler.observe(
+                    model, sig, deltas=(shed_delta, miss_delta)
+                )
                 if decision is not None:
                     actions.append(
                         Action(
@@ -711,14 +723,6 @@ class SelfHealController:
                 )
             ladder = self._ladders.get(model)
             if ladder is not None:
-                shed_delta = max(
-                    0, sig.shed_total - self._last_shed.get(model, sig.shed_total)
-                )
-                miss_delta = max(
-                    0,
-                    sig.deadline_exceeded_total
-                    - self._last_miss.get(model, sig.deadline_exceeded_total),
-                )
                 pressure = (shed_delta > 0 or miss_delta > 0) and at_capacity
                 move = ladder.observe(pressure)
                 if move is not None:
@@ -737,8 +741,6 @@ class SelfHealController:
                             ),
                         )
                     )
-            self._last_shed[model] = sig.shed_total
-            self._last_miss[model] = sig.deadline_exceeded_total
         return actions
 
     def snapshot(self) -> dict:

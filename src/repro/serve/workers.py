@@ -109,27 +109,6 @@ def slot_view(shm, slot: int, slot_bytes: int, shape, dtype=np.float32) -> np.nd
                       offset=slot * slot_bytes)
 
 
-def _run_plan(
-    plan, x: np.ndarray, threads: Optional[int], trace=None
-) -> np.ndarray:
-    kwargs = {}
-    if threads is not None:
-        kwargs["threads"] = threads
-    if trace is not None:
-        # Only the traced path pays the signature check (duck-typed stub
-        # plans in the tests accept neither kwarg).
-        import inspect
-
-        try:
-            if "trace" in inspect.signature(plan.run).parameters:
-                kwargs["trace"] = trace
-        except (TypeError, ValueError):
-            pass
-    if kwargs:
-        return plan.run(x, **kwargs)
-    return plan.run(x)  # duck-typed plans need no extra kwargs
-
-
 def worker_main(
     worker_id: int,
     conn,
@@ -321,10 +300,9 @@ def worker_main(
                 exec_id = new_span_id()
                 t0_ns = now_ns()
             t0 = time.perf_counter()
-            out = _run_plan(
-                plan,
+            out = plan.run(
                 x,
-                req_threads if req_threads is not None else threads,
+                threads=req_threads if req_threads is not None else threads,
                 trace=buf,
             )
             run_ms = (time.perf_counter() - t0) * 1e3

@@ -96,10 +96,13 @@ class TestGlobalAvgPoolFast:
         # memory; the pooled bits must equal those of a contiguous copy.
         nhwc = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
         view = nhwc.transpose(0, 3, 1, 2)
-        contiguous = global_avg_pool_fast([np.ascontiguousarray(view)], {})
-        np.testing.assert_array_equal(global_avg_pool_fast([view], {}), contiguous)
+        def pool(x, attrs):  # bind, then run the step once
+            return global_avg_pool_fast([x], attrs)(x)
+
+        contiguous = pool(np.ascontiguousarray(view), {})
+        np.testing.assert_array_equal(pool(view, {}), contiguous)
         np.testing.assert_array_equal(
-            global_avg_pool_fast([nhwc], {"layout": NHWC}), contiguous
+            pool(nhwc, {"layout": NHWC}), contiguous
         )
 
 

@@ -39,7 +39,7 @@ def test_forked_child_inherits_no_checked_out_arena():
     plan.run(x)  # builds + parks one arena
     pool = plan._memory((1, 28, 28))
     assert pool is not None
-    held = pool.checkout()  # parent holds a slot across the fork
+    [held] = pool.checkout(1)  # parent holds a slot across the fork
     try:
         assert pool.arenas_built >= 1
 
@@ -53,7 +53,7 @@ def test_forked_child_inherits_no_checked_out_arena():
                     and pool._retained == []
                     and pool.arenas_built == 0
                 )
-                fresh = pool.checkout()
+                [fresh] = pool.checkout(1)
                 conn.send(
                     {
                         "reset": reset,
@@ -79,7 +79,7 @@ def test_forked_child_inherits_no_checked_out_arena():
         # The parent's pool is untouched by the child's reset.
         assert held in pool._retained
     finally:
-        pool.checkin(held)
+        pool.checkin([held])
 
 
 def test_post_fork_orphan_checkin_is_dropped():
@@ -88,9 +88,9 @@ def test_post_fork_orphan_checkin_is_dropped():
     resetting the pool while a checkout is outstanding)."""
     plan = _fresh_plan()
     pool = plan._memory((1, 28, 28))
-    orphan = pool.checkout()
+    [orphan] = pool.checkout(1)
     pool._reset_after_fork()
-    pool.checkin(orphan)  # must be a no-op, not an insertion
+    pool.checkin([orphan])  # must be a no-op, not an insertion
     assert orphan not in pool._idle
     assert orphan not in pool._retained
     assert pool.arenas_built == 0

@@ -15,6 +15,8 @@ Contract:
   same plan produce bit-identical outputs.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -244,10 +246,9 @@ class TestPlannedExecution:
 
 
 class TestBoundPrograms:
-    """Convolution, Winograd and linear steps bind their buffers and
-    views once per arena, step and input shape, natively or in float;
-    any arena (re)allocation drops every bound program, so none outlives
-    the buffers it reads or writes."""
+    """Every step binds its buffers and views once per arena and batch
+    size, natively or in float; any arena (re)allocation drops every
+    stored program, so none outlives the buffers it reads or writes."""
 
     @staticmethod
     def _arenas(plan):
@@ -309,3 +310,63 @@ class TestBoundPrograms:
             x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
             warmed.run(x, threads=1)
             assert plan.memory_report()["arena_bytes"] == warmed.memory_report()["arena_bytes"]
+
+
+class TestReplay:
+    """A warm run of a batch size replays the runners its arena stored:
+    no step scope, no buffer request and no kernel (binder) call."""
+
+    @pytest.mark.parametrize(
+        "name", ["resnet18-w0.25-F4-int8@int8", "resnet18-w0.25-F4-fp32@fast"]
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warm_runs_only_replay(self, rng, monkeypatch, name, threads):
+        from repro.engine import kernels, memplan
+        from repro.serve.registry import ModelSpec, compile_served
+
+        plan = compile_served(ModelSpec.parse(name)).plan
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (memplan, kernels):  # kernels import them by name
+            for helper in ("take_out", "take_scratch"):
+                fn = getattr(module, helper)
+                monkeypatch.setattr(module, helper, counted(helper, fn))
+        monkeypatch.setattr(memplan, "bind_step", counted("bind_step", memplan.bind_step))
+        for step in plan.steps:
+            monkeypatch.setattr(step, "fn", counted("binder", step.fn))
+        for batch in (1, 8, 1):
+            x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+            warm = plan.run(x, threads=threads)  # binds this size's lanes
+            calls.clear()
+            np.testing.assert_array_equal(plan.run(x, threads=threads), warm)
+            assert not calls, (batch, dict(calls))
+            report = plan.memory_report()
+            assert report["steady_state_allocations"] == 0
+            assert report["shape_misses"] == 0
+            assert report["allocations_eliminated"] > 20
+
+    def test_lanes_take_their_arenas_in_one_checkout(self, rng, monkeypatch):
+        """A split run holds one arena per lane even when its lanes run
+        one after another."""
+        from repro.engine import plan as plan_module
+        from repro.serve.registry import ModelSpec, build_model
+
+        model, _ = build_model(ModelSpec.parse("resnet18-w0.25-F4-fp32"))
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        overlapping = compile_model(model, backend="fast")
+        expected = overlapping.run(x, threads=2)
+        monkeypatch.setattr(
+            plan_module, "run_tasks", lambda tasks, threads: [task() for task in tasks]
+        )
+        serial = compile_model(model, backend="fast")
+        np.testing.assert_array_equal(serial.run(x, threads=2), expected)
+        report = serial.memory_report()
+        assert report["arenas_built"] == 2
+        assert report["arena_bytes"] == overlapping.memory_report()["arena_bytes"]

@@ -46,14 +46,19 @@ def _plan_and_input(backend="fast", batch=4, seed=0, qconfig=None):
 
 
 def _untraced_schedule(plan, x, threads, monkeypatch):
-    """``{step: sorted rows per kernel call}`` of one untraced run,
-    observed from the kernel calls themselves (no spans)."""
+    """``{step: sorted rows per runner call}`` of one untraced first run
+    (which binds every step), observed from the runner calls themselves
+    (no spans)."""
     rows = defaultdict(list)
 
     def counted(index, fn):
         def kernel(args, attrs):
-            rows[index].append(len(args[0]))
-            return fn(args, attrs)
+            run = fn(args, attrs)
+
+            def counted_run(*xs):
+                rows[index].append(len(xs[0]))
+                return run(*xs)
+            return counted_run
         return kernel
 
     for index, step in enumerate(plan.steps):

@@ -181,7 +181,7 @@ class SlowPlan:
         self.delay_s = delay_s
         self.executed = []
 
-    def run(self, x):
+    def run(self, x, threads=None, trace=None):
         time.sleep(self.delay_s)
         self.executed.append(x.shape[0])
         return np.asarray(x)

@@ -33,7 +33,7 @@ class EchoPlan:
         self.delay_s = delay_s
         self.batch_sizes = []
 
-    def run(self, x):
+    def run(self, x, threads=None, trace=None):
         self.batch_sizes.append(x.shape[0])
         if self.delay_s:
             time.sleep(self.delay_s)
@@ -41,7 +41,7 @@ class EchoPlan:
 
 
 class FailingPlan:
-    def run(self, x):
+    def run(self, x, threads=None, trace=None):
         raise RuntimeError("kaboom")
 
 

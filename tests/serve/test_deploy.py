@@ -37,7 +37,7 @@ def _stub_served(value: float, version: str = "", fail: bool = False):
     class StubPlan:
         backend = "fast"
 
-        def run(self, x):
+        def run(self, x, threads=None, trace=None):
             if fail:
                 raise RuntimeError("injected regression")
             return np.full((x.shape[0], 4), value, dtype=np.float32)

@@ -11,7 +11,7 @@ class SleepyPlan:
         self.delay_s = delay_s
         self.calls = 0
 
-    def run(self, x):
+    def run(self, x, threads=None, trace=None):
         import time
 
         self.calls += 1

@@ -120,7 +120,7 @@ class TestModelRegistry:
         class StubPlan:
             backend = "fast"
 
-            def run(self, x):
+            def run(self, x, threads=None, trace=None):
                 return x.sum(axis=(1, 2, 3), keepdims=False)[:, None]
 
         registry = ModelRegistry(cache=PlanCache())

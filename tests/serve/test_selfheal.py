@@ -67,7 +67,7 @@ def _stub_served(name=NAME, value=1.0, fail=None, version="v1"):
     class StubPlan:
         backend = "fast"
 
-        def run(self, x):
+        def run(self, x, threads=None, trace=None):
             if fail["on"]:
                 raise RuntimeError("injected model failure")
             return np.full((x.shape[0], 4), value, dtype=np.float32)
@@ -562,6 +562,32 @@ class TestSelfHealController:
         # replayed as fresh pressure once the circuit closes.
         actions = controller.tick({NAME: _signals(shed=50)})
         assert actions == []
+
+    def test_recovered_circuit_does_not_scale_on_stale_misses(self):
+        clock = FakeClock()
+        controller = SelfHealController(
+            SelfHealPolicy(
+                autoscale=AutoscalePolicy(max_replicas=2, up_cooldown_s=0.0),
+                ladders={NAME: [VARIANT]},
+                ladder_down_after_ticks=1,
+                ladder_step_cooldown_s=0.0,
+                circuit_threshold=2,
+                circuit_open_s=1.0,
+            ),
+            clock,
+        )
+        assert controller.tick({NAME: _signals(miss=0)}) == []  # prime
+        controller.record_error(NAME)
+        controller.record_error(NAME)
+        # Requests miss their deadlines while the circuit is open.
+        assert controller.tick({NAME: _signals(miss=9)}) == []
+        clock.advance(1.0)
+        actions = controller.tick({NAME: _signals(miss=9)})
+        assert [a.kind for a in actions] == ["probe"]
+        controller.circuit(NAME).probe_result(True)
+        # No new misses since: neither the autoscaler nor the ladder
+        # reacts to the ones counted while the circuit was open.
+        assert controller.tick({NAME: _signals(miss=9)}) == []
 
     def test_scale_then_ladder_only_at_capacity(self):
         clock = FakeClock()

@@ -478,7 +478,7 @@ class TestFailureModes:
         class SlowPlan:
             backend = "fast"
 
-            def run(self, x):
+            def run(self, x, threads=None, trace=None):
                 time.sleep(delay_s)
                 return np.zeros((x.shape[0], 4), dtype=np.float32)
 
@@ -550,7 +550,7 @@ class TestFailureModes:
         class BrokenPlan:
             backend = "fast"
 
-            def run(self, x):
+            def run(self, x, threads=None, trace=None):
                 raise ValueError("bad kernel")
 
         registry = ModelRegistry(cache=PlanCache())
