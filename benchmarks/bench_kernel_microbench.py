@@ -72,13 +72,12 @@ def _engine_workloads():
 
 @pytest.fixture(scope="module")
 def engine_workloads():
-    from repro.autograd import Tensor, no_grad
+    from repro.quant import ensure_calibrated
 
     workloads = _engine_workloads()
     for model, x in workloads.values():
         model.eval()
-        with no_grad():  # warm quantizer observers so plans freeze ranges
-            model(Tensor(x))
+        ensure_calibrated(model, x)
     return workloads
 
 

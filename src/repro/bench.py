@@ -241,6 +241,7 @@ def run_engine_benchmark(
     from repro.autograd import Tensor, no_grad
     from repro.engine import compile_model, measure_callable_ms, measure_plan_ms
     from repro.engine.pool import THREADS_ENV_VAR, resolve_threads
+    from repro.quant import ensure_calibrated
 
     repeats = 3 if quick else 7
     warmup = 1 if quick else 2
@@ -256,8 +257,7 @@ def run_engine_benchmark(
     workloads = _engine_workloads(seed)
     for model, x in workloads.values():
         model.eval()
-        with no_grad():  # warm quantizer observers so plans freeze ranges
-            model(Tensor(x))
+        ensure_calibrated(model, x)
 
     summary = []
     plans = {}

@@ -652,12 +652,9 @@ def run_infer(args) -> int:
 
     from repro.autograd import Tensor, no_grad
     from repro.engine import resolve_threads
+    from repro.quant import ensure_calibrated
 
-    if args.backend == "int8":
-        # Calibrate first, as compile_served does: a step runs natively
-        # only when its ranges are frozen at compile time.
-        with no_grad():
-            model(Tensor(x))
+    ensure_calibrated(model, x)  # as compile_served does
     plan = get_cached_plan(model, x.shape, backend=args.backend)
     threads = resolve_threads(args.threads)
     out = plan.run(x, threads=threads)

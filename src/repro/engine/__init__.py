@@ -21,8 +21,10 @@ plan of NumPy inference kernels:
 Typical use::
 
     from repro.engine import compile_model
+    from repro.quant import ensure_calibrated
 
     model.eval()
+    ensure_calibrated(model, batch)      # a quantized model must be calibrated
     plan = compile_model(model)          # backend="fast"
     logits = plan.run(batch)             # batch: np.ndarray, NCHW
 

@@ -515,8 +515,8 @@ def load_plan(path: str, verify: bool = True) -> CompiledPlan:
 
     Failure modes (all :class:`ArtifactError` subclasses; rejection
     policy in ``docs/artifact-format.md`` § Compatibility): wrong magic,
-    an ``i8`` block with unknown keys or one saved unprepared →
-    :class:`ArtifactFormatError`;
+    a ``q_*`` stage with no frozen scale, an ``i8`` block with unknown
+    keys or one saved unprepared → :class:`ArtifactFormatError`;
     other format version → :class:`ArtifactVersionError`; short file →
     :class:`ArtifactTruncatedError`; hash mismatch →
     :class:`ArtifactCorruptError`.
@@ -554,7 +554,19 @@ def load_plan(path: str, verify: bool = True) -> CompiledPlan:
             f"{path}: malformed step program ({type(exc).__name__}: {exc})"
         ) from exc
     for i, step in enumerate(steps):
-        i8 = step.attrs.get("i8") if isinstance(step.attrs, dict) else None
+        attrs = step.attrs if isinstance(step.attrs, dict) else {}
+        unfrozen = sorted(
+            k for k, q in attrs.items()
+            if k.startswith("q_") and q is not None
+            and not (isinstance(q, dict) and "scale" in q)
+        )
+        if unfrozen:
+            raise ArtifactFormatError(
+                f"{path}: step {i} ({step.op}) has quantizer stages {unfrozen} "
+                "with no frozen scale (saved before the plan's first batch); "
+                "recompile the plan from a calibrated model"
+            )
+        i8 = attrs.get("i8")
         unknown = sorted(set(i8) - I8_KEYS) if isinstance(i8, dict) else []
         if unknown:
             raise ArtifactFormatError(
@@ -565,7 +577,7 @@ def load_plan(path: str, verify: bool = True) -> CompiledPlan:
             if not i8.get("ready"):
                 raise ArtifactFormatError(
                     f"{path}: step {i} ({step.op}) has an unprepared i8 block "
-                    "(saved from a plan compiled cold, before its first batch); "
+                    "(saved by an earlier engine before the plan's first batch); "
                     "recompile the plan from a calibrated model"
                 )
             try:  # the multiplier searches, ahead of the first request

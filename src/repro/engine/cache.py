@@ -12,9 +12,9 @@ The backend is part of the cache key, and observer buffers are part of
 the signature — which matters doubly for the ``int8`` backend: its
 per-step quantized buffers (integer weight codes, requant multipliers,
 integer-handoff wiring between layers) are derived from the frozen
-ranges at compile time, so calibrating a model changes the signature and
-transparently recompiles a plan with more of the network running native
-integer arithmetic.
+ranges at compile time, so recalibrating a model changes the signature
+and recompiles.  Compiling never writes to the model, so the key a plan
+is looked up under is the key it was stored under.
 """
 
 from __future__ import annotations
@@ -178,8 +178,5 @@ def get_cached_plan(
         # (shape inference + arena slot assignment) runs at compile time
         # here — the first run starts with its layout already decided.
         plan.prepare(tuple(input_shape))
-        # Store under the *post-compile* signature: compiling a quantized
-        # model with cold weight observers warms them (mutating quantizer
-        # buffers), so the pre-compile key would never match again.
-        cache.put((plan.signature, tuple(input_shape), backend), plan)
+        cache.put(key, plan)
     return plan

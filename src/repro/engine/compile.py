@@ -4,9 +4,10 @@ Walks the module tree with per-class lowering rules, freezing every
 parameter (copies, so later training never corrupts a plan) and
 precomputing everything the eager path recomputes per forward:
 
-* quantized weights (``Qw(w)``) with observer ranges frozen at compile
-  time — weight-side observers that were never warmed up are observed
-  once here, exactly what the first eager eval forward would have done;
+* quantized weights (``Qw(w)``) on the observer ranges the model froze
+  — compiling only reads a calibrated model (every enabled observer
+  warmed, see :func:`repro.quant.ensure_calibrated`); a cold stage is a
+  :class:`CompileError`, and the model is never written to;
 * Winograd-transformed filters ``U = Qwt(G · Qw(g) · Gᵀ)``, cached per
   plan instead of being rebuilt every forward;
 * eval-mode BatchNorm statistics.
@@ -60,22 +61,19 @@ class CompileError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _freeze_stage(qz: Optional[Quantizer], observe: Optional[np.ndarray] = None):
-    """Freeze one fake-quant stage into step attrs.
-
-    Returns ``None`` (disabled), ``{"scale", "qmax"}`` (frozen observer)
-    or ``{"dynamic_bits"}`` (activation observer never warmed up — the
-    kernel takes the range from the batch, mirroring eager's fallback).
-    Weight-side stages pass ``observe``: their input is known at compile
-    time, so an uninitialised observer is warmed exactly as the first
-    eager eval forward would have done.
-    """
-    if qz is None or not qz.enabled:
+def _freeze_stage(lw: "_Lowerer", module: Module, stage: str) -> Optional[Dict]:
+    """Freeze the fake-quant stage ``module.<stage>`` into step attrs:
+    ``None`` (disabled) or ``{"scale", "qmax"}`` (its frozen observer).
+    A stage whose observer never saw a batch has no range to freeze."""
+    qz: Quantizer = getattr(module, stage)
+    if not qz.enabled:
         return None
-    if not bool(qz.initialized.data[0]):
-        if observe is None:
-            return {"dynamic_bits": qz.bits}
-        qz.observe(observe)
+    if qz.cold:
+        raise CompileError(
+            f"{lw.describe(module)}: quantizer stage {stage!r} was never "
+            "calibrated; run one eval forward first "
+            "(repro.quant.ensure_calibrated)"
+        )
     return {"scale": qz.scale, "qmax": float(2 ** (qz.bits - 1) - 1)}
 
 
@@ -107,10 +105,16 @@ def lowers(*types: Type[Module]):
 
 
 class _Lowerer:
-    def __init__(self, backend: str):
+    def __init__(self, backend: str, model: Module):
         self.backend = backend
         self.steps: List[Step] = []
         self.next_reg = 1  # register 0 holds the plan input
+        self.names = {id(m): name for name, m in model.named_modules()}
+
+    def describe(self, module: Module) -> str:
+        """``module``'s path in the compiled model, for error messages."""
+        name = self.names.get(id(module)) or "<root>"
+        return f"{type(module).__name__} {name!r}"
 
     def new_reg(self) -> int:
         reg = self.next_reg
@@ -216,12 +220,12 @@ def _lower_linear(lw, module, reg):
 @lowers(QuantLinear)
 def _lower_quant_linear(lw, module, reg):
     linear = module.linear
-    qw = _freeze_stage(module.q_weight, observe=linear.weight.data)
+    qw = _freeze_stage(lw, module, "q_weight")
     attrs = {
         "weight": _compile_fq(linear.weight.data.copy(), qw),
         "bias": linear.bias.data.copy() if linear.bias is not None else None,
-        "q_input": _freeze_stage(module.q_input),
-        "q_output": _freeze_stage(module.q_output),
+        "q_input": _freeze_stage(lw, module, "q_input"),
+        "q_output": _freeze_stage(lw, module, "q_output"),
         "q_weight": qw,  # weight-grid stage (int8 backend recovers codes)
         "quantized": True,
     }
@@ -249,11 +253,11 @@ def _lower_conv2d(lw, module, reg):
 @lowers(QuantConv2d)
 def _lower_quant_conv2d(lw, module, reg):
     conv = module.conv
-    qw = _freeze_stage(module.q_weight, observe=conv.weight.data)
+    qw = _freeze_stage(lw, module, "q_weight")
     attrs = _conv_attrs(conv, _compile_fq(conv.weight.data.copy(), qw))
     attrs.update(
-        q_input=_freeze_stage(module.q_input),
-        q_output=_freeze_stage(module.q_output),
+        q_input=_freeze_stage(lw, module, "q_input"),
+        q_output=_freeze_stage(lw, module, "q_output"),
         q_weight=qw,  # weight-grid stage (int8 backend recovers codes)
         quantized=True,
     )
@@ -269,17 +273,17 @@ def _lower_winograd(lw, module, reg):
     the cached result is bit-identical to what eager recomputes each
     call.
     """
-    qw = _freeze_stage(module.q_weight, observe=module.weight.data)
+    qw = _freeze_stage(lw, module, "q_weight")
     w = _compile_fq(module.weight.data.copy(), qw)
     G = module.G.data.copy()
     u = np.matmul(np.matmul(G, w), G.transpose())
-    qwt = _freeze_stage(module.q_weight_t, observe=u)
+    qwt = _freeze_stage(lw, module, "q_weight_t")
     u = _compile_fq(u, qwt)
 
-    q_input = _freeze_stage(module.q_input)
-    q_input_t = _freeze_stage(module.q_input_t)
-    q_hadamard = _freeze_stage(module.q_hadamard)
-    q_output = _freeze_stage(module.q_output)
+    q_input = _freeze_stage(lw, module, "q_input")
+    q_input_t = _freeze_stage(lw, module, "q_input_t")
+    q_hadamard = _freeze_stage(lw, module, "q_hadamard")
+    q_output = _freeze_stage(lw, module, "q_output")
     quantized = any(
         q is not None for q in (qw, qwt, q_input, q_input_t, q_hadamard, q_output)
     )
@@ -544,16 +548,18 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
 
     The plan freezes eval-mode semantics: BN uses running statistics and
     quantizers use their frozen observer ranges regardless of the
-    module's ``training`` flag.  Parameters are copied — mutating the
-    model afterwards does not affect the plan (recompile, or go through
+    module's ``training`` flag.  Compiling only reads the model:
+    parameters are copied — mutating the model afterwards does not
+    affect the plan (recompile, or go through
     :func:`repro.engine.cache.get_cached_plan`, which keys on a content
-    signature).
+    signature) — and an enabled quantizer the model never calibrated
+    raises :class:`CompileError` naming its module and stage.
     """
     if backend not in BACKENDS:
         raise CompileError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     from repro.engine.cache import model_signature
 
-    lowerer = _Lowerer(backend)
+    lowerer = _Lowerer(backend, model)
     output_reg = lowerer.lower(model, 0)
     if not lowerer.steps:
         raise CompileError(f"{type(model).__name__} lowered to an empty plan")
@@ -566,8 +572,8 @@ def compile_model(model: Module, backend: str = "fast") -> CompiledPlan:
 
             steps = finalize_int8(steps, output_reg)
             steps, output_reg, num_regs = assign_layouts(steps, output_reg, num_regs)
-        # An int8 plan's float steps (cold observers, flex transforms,
-        # unbounded accumulators) run exactly as in the fast plan.
+        # An int8 plan's float steps (flex transforms, partly disabled
+        # stages, unbounded accumulators) run exactly as in the fast plan.
         _finalize_fast(steps)
     for step in steps:
         step.fn = registry.get(step.op, backend)

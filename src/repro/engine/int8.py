@@ -45,10 +45,9 @@ native currency between quantized layers:
   directly follows an int8-capable step is absorbed into that step's
   epilogue (the per-channel scale/shift ride on the dequant multiplier);
 * when an int8 step's output — possibly through grid-preserving ops
-  (``max_pool``, ``flatten``, ``record_hw``) — feeds exactly one other
-  int8 step whose quantization ranges are frozen, the producer emits
-  integer codes *directly on the consumer's input grid* and the consumer
-  skips its quantization prologue entirely.  ``max_pool`` commutes with
+  (``max_pool``, ``flatten``) — feeds exactly one other int8 step, the
+  producer emits integer codes *directly on the consumer's input grid*
+  and the consumer skips its quantization prologue entirely.  ``max_pool`` commutes with
   the (monotone) dequantize, so pooling codes selects the same elements
   as pooling values.
 
@@ -67,13 +66,11 @@ layout their input arrives in, every other step stays NCHW, and one
 ``transpose`` step sits wherever a consumer's layout differs from its
 producer's (the plan input and output stay NCHW).
 
-Whether a step runs natively is decided once, at compile time: only a
-step whose activation ranges are all frozen (a calibrated model) gets an
-``i8`` block, prepared in full by :func:`finalize_int8`.  A step with a
-cold stage is an ordinary float step for the plan's lifetime, like a
-flex or otherwise ineligible one, so a plan compiled from an
-uncalibrated model is its ``fast`` plan.  Calibrate the model (one eager
-eval forward) before compiling to go native.
+Whether a step runs natively is decided once, at compile time, from the
+frozen ranges of the calibrated model (:func:`repro.engine.compile_model`
+compiles no other): an eligible step gets an ``i8`` block, prepared in
+full by :func:`finalize_int8`; a flex or otherwise ineligible step is an
+ordinary float step for the plan's lifetime.
 """
 
 from __future__ import annotations
@@ -91,9 +88,9 @@ _DTYPE_BOUNDS = ((np.float32, 2.0**24), (np.float64, 2.0**53))
 INT8_OPS = ("conv2d", "winograd_conv2d", "linear")
 
 #: Ops that forward integer codes unchanged (grid-preserving): max is
-#: monotone under the positive dequant scale, flatten/record_hw are
-#: shape/metadata only, transpose moves values verbatim.
-PASSTHROUGH_OPS = frozenset({"max_pool", "flatten", "record_hw", "transpose"})
+#: monotone under the positive dequant scale, flatten is shape only,
+#: transpose moves values verbatim.
+PASSTHROUGH_OPS = frozenset({"max_pool", "flatten", "transpose"})
 
 #: Every key an ``i8`` block may carry.  An artifact whose ``i8`` block
 #: holds any other key was written by an engine with different integer
@@ -110,16 +107,8 @@ NCHW = "nchw"
 
 #: Ops that run in the layout of their (first) input.
 FOLLOW_OPS = frozenset(
-    {"relu", "add", "affine", "concat", "max_pool", "global_avg_pool", "record_hw"}
+    {"relu", "add", "affine", "concat", "max_pool", "global_avg_pool"}
 )
-
-#: Activation-side quantization stages per op (weight stages are frozen
-#: at compile time and handled statically).
-ACTIVATION_STAGES = {
-    "conv2d": ("q_input", "q_output"),
-    "linear": ("q_input", "q_output"),
-    "winograd_conv2d": ("q_input", "q_input_t", "q_hadamard", "q_output"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +161,6 @@ def _pick_dtype(bound: float):
     return None
 
 
-def _frozen(q: Optional[Dict]) -> bool:
-    return q is None or "scale" in q
-
-
-def _all_frozen(step) -> bool:
-    return all(_frozen(step.attrs.get(name)) for name in ACTIVATION_STAGES[step.op])
-
-
 def _codes(values: np.ndarray, q: Dict, dtype) -> np.ndarray:
     """Recover the integer codes of an already fake-quantized array.
 
@@ -197,7 +178,7 @@ def _codes(values: np.ndarray, q: Dict, dtype) -> np.ndarray:
 
 def _static_conv2d(attrs: Dict) -> Optional[Dict]:
     q_in, q_w = attrs.get("q_input"), attrs.get("q_weight")
-    if q_in is None or not isinstance(q_w, dict) or "scale" not in q_w:
+    if q_in is None or q_w is None:
         return None
     w = attrs["weight"]
     k, cg, kh, kw = w.shape
@@ -220,7 +201,7 @@ def _static_conv2d(attrs: Dict) -> Optional[Dict]:
 
 def _static_linear(attrs: Dict) -> Optional[Dict]:
     q_in, q_w = attrs.get("q_input"), attrs.get("q_weight")
-    if q_in is None or not isinstance(q_w, dict) or "scale" not in q_w:
+    if q_in is None or q_w is None:
         return None
     w = attrs["weight"]  # (out, in)
     bound = w.shape[1] * _qmax(q_in) * _qmax(q_w)
@@ -240,9 +221,7 @@ def _static_winograd(attrs: Dict) -> Optional[Dict]:
     q_v = attrs.get("q_input_t")
     q_h = attrs.get("q_hadamard")
     q_wt = attrs.get("q_weight_t")
-    if q_in is None or q_v is None or q_h is None:
-        return None
-    if not isinstance(q_wt, dict) or "scale" not in q_wt:
+    if q_in is None or q_v is None or q_h is None or q_wt is None:
         return None
     BT, AT = attrs["BT"], attrs["AT"]
     eb, ea = dyadic_exponent(BT), dyadic_exponent(AT)
@@ -557,14 +536,14 @@ def finalize_int8(steps: List, output_reg: int) -> List:
 
     Mutates step attrs in place (adding the ``i8`` dict) and returns the
     new step list with absorbed ``affine`` steps removed.  A step is
-    eligible when it is quantized, every activation range is frozen and
-    its accumulators can be bounded; the rest (and every step of a
-    float model) carry no ``i8`` dict and execute through the ``fast``
-    → ``reference`` fallback kernels, so compilation never fails on
-    ineligible layers.
+    eligible when it is quantized on the stages its integer pipeline
+    needs, its transforms are dyadic and its accumulators can be
+    bounded; the rest (and every step of a float model) carry no ``i8``
+    dict and execute through the ``fast`` → ``reference`` fallback
+    kernels, so compilation never fails on ineligible layers.
     """
     for step in steps:
-        if step.op in _STATIC and step.attrs.get("quantized") and _all_frozen(step):
+        if step.op in _STATIC and step.attrs.get("quantized"):
             i8 = _STATIC[step.op](step.attrs)
             if i8 is not None:
                 step.attrs["i8"] = i8

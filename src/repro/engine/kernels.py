@@ -16,14 +16,15 @@ Kernel signature: ``kernel(inputs, attrs) -> run``, called once with a
 step's first-run inputs; ``run(*inputs) -> np.ndarray`` then executes
 the step on inputs of those shapes and layouts.  ``attrs`` is the
 step's frozen attribute dict; quantization stages appear as
-``q_<stage>`` entries of the form ``{"scale": s, "qmax": q}`` (frozen
-observer) or ``{"dynamic_bits": b}`` (uncalibrated observer: range taken
-from the batch, mirroring the eager fallback), or ``None`` when disabled.
+``q_<stage>`` entries of the form ``{"scale": s, "qmax": q}`` (the
+observer range the model froze before compiling), or ``None`` when
+disabled; no kernel ever changes them, so a run reads the plan and
+writes only its arena.
 
 Activation layout: every tensor is NCHW except in ``int8`` plans, whose
 native convolutions run channels-last (NHWC) and whose layout-neutral
 ops (``relu``, ``add``, ``affine``, ``concat``, ``max_pool``,
-``global_avg_pool``, ``record_hw``) follow their input; such steps carry
+``global_avg_pool``) follow their input; such steps carry
 ``attrs["layout"] == "nhwc"`` (see :func:`repro.engine.int8.assign_layouts`).
 
 Memory discipline (``fast``/``int8`` only — the ``reference``
@@ -52,7 +53,6 @@ import numpy as np
 from repro.engine.int8 import NHWC, derive_multipliers, stage_scale
 from repro.engine.memplan import take_out, take_scratch
 from repro.engine.registry import register_kernel
-from repro.quant.quantizer import quantization_scale
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +63,13 @@ from repro.quant.quantizer import quantization_scale
 def fake_quant(x: np.ndarray, q: Optional[Dict], out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply one frozen fake-quantization stage (mirrors ``FakeQuant``).
 
-    A stage compiled from an unwarmed activation observer starts as
-    ``{"dynamic_bits": b}``; like eager's eval-before-observation
-    fallback it takes the range from the first batch it sees — and then
-    freezes it into the stage dict, exactly as eager's observer
-    initialises once and keeps that range for every later batch.  (The
-    plan's frozen copy does not write back to the model's observer
-    buffers; recompile after calibrating the model to pick them up.)
-
     ``out`` may be a caller-owned buffer (it may alias ``x`` when the
     caller owns ``x`` too): the same elementwise operations land there
     instead of a fresh array, with identical values.
     """
     if q is None:
         return x
-    if "scale" in q:
-        scale, qmax = stage_scale(q), q["qmax"]
-    else:
-        bits = q["dynamic_bits"]
-        qmax = float(2 ** (bits - 1) - 1)
-        batch_max = float(np.abs(x).max()) if x.size else 0.0
-        # quantization_scale guards batch_max <= 0 (all-zero calibration
-        # batch) by returning 1/qmax, so the divide below is always safe.
-        scale = quantization_scale(batch_max, bits)
-        q["scale"], q["qmax"] = scale, qmax  # freeze, mirroring the observer
+    scale, qmax = stage_scale(q), q["qmax"]
     if out is not None and out.dtype != x.dtype:
         out = None
     # One buffer, then in-place: same elementwise operations (and the
@@ -151,8 +134,7 @@ def _bind_epilogue(attrs: Dict, bias_shape: tuple, quantize_output: bool = True)
     weights/bias (see ``_fold_bn``).  The Winograd kernel quantizes its
     output *before* the bias (eager's order) and passes
     ``quantize_output=False``; conv and linear quantize after it, like
-    ``QuantConv2d``.  Stage dicts are read at run time: a cold stage
-    freezes on the plan's first batch, after binding."""
+    ``QuantConv2d``."""
     bias = attrs.get("bias")
     if bias is not None:
         bias = bias.reshape(bias_shape)
@@ -231,22 +213,6 @@ def concat_fast(inputs, attrs):
 def flatten_kernel(inputs, attrs):
     (x,) = inputs
     return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
-
-
-@per_call("record_hw")
-def record_hw_kernel(inputs, attrs):
-    """Record the incoming spatial shape on the source module.
-
-    This keeps ``repro.hardware`` consumers (the latency table) working
-    when a model is probed through a compiled plan instead of an eager
-    forward: the plan writes ``last_input_hw`` exactly like the eager
-    layers do.
-    """
-    (x,) = inputs
-    hw = (x.shape[1], x.shape[2]) if _nhwc(attrs) else (x.shape[2], x.shape[3])
-    for module in attrs["modules"]:
-        module.last_input_hw = hw
-    return x
 
 
 @register_kernel("transpose")

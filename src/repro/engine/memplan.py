@@ -16,9 +16,9 @@ removes that:
   ``frees`` analysis into a static buffer-reuse plan: registers whose
   live ranges are disjoint share one arena slot (best-fit over freed
   capacities).  A step's output never shares a slot with its own inputs,
-  so no kernel can alias itself; ops that *return* their input
-  (``flatten``'s reshape view, ``record_hw``) are alias-classed with it
-  so the shared memory is freed only when both die.
+  so no kernel can alias itself; an op that *returns* its input
+  (``flatten``'s reshape view) is alias-classed with it so the shared
+  memory is freed only when both die.
 * **The arena** materialises the slots as flat float32 buffers sized for
   the actual batch (capacity-based: a bigger batch grows them once) plus
   a step-keyed scratch space the kernels route their temporaries through
@@ -56,7 +56,7 @@ from repro.engine.int8 import NHWC
 #: Ops whose kernel may return its input array (or a view of it): the
 #: output register aliases the input register's memory, so they must
 #: share a slot lifetime.
-ALIAS_OPS = frozenset({"flatten", "record_hw"})
+ALIAS_OPS = frozenset({"flatten"})
 
 _ITEMSIZE = 4  # every register is float32
 
@@ -91,7 +91,7 @@ def infer_step_shape(step, in_shapes: List[Optional[tuple]]) -> Optional[tuple]:
     a = step.attrs
     op = step.op
     s0 = in_shapes[0] if in_shapes else None
-    if op in ("relu", "affine", "record_hw", "add", "transpose"):
+    if op in ("relu", "affine", "add", "transpose"):
         return s0
     if op == "flatten":
         return (s0[0], _prod(s0[1:]))

@@ -138,26 +138,12 @@ class CompiledPlan:
         return self
 
     # -- execution ------------------------------------------------------------
-    @staticmethod
-    def _has_cold_observer(step: Step) -> bool:
-        """True if a fake-quant stage of ``step`` has not frozen its range
-        yet.  Such a stage takes its scale from the first array it sees,
-        so the run must see the *whole* batch, not a lane's rows —
-        otherwise the frozen scale (and every later result) would depend
-        on the thread count."""
-        return any(
-            isinstance(v, dict) and "dynamic_bits" in v and "scale" not in v
-            for v in step.attrs.values()
-        )
-
     def _lane_count(self, n: int, threads: int) -> int:
         """How many lanes a run of ``n`` rows splits into (1 = serial).
 
         ``reference`` never splits: its GEMMs' last ulp may depend on the
         batch extent BLAS sees, and it is the bit-exactness oracle."""
         if threads <= 1 or n < 2 * MIN_LANE_ROWS or self.backend == "reference":
-            return 1
-        if any(self._has_cold_observer(step) for step in self.steps):
             return 1
         return min(threads, n // MIN_LANE_ROWS)
 

@@ -167,9 +167,5 @@ def _lower_mixed(lw, module, reg):
     Registered here rather than in the engine so the engine imports
     nothing from the search layer; any model holding a ``MixedConv2d``
     has imported this module, so the rule is in place before it compiles.
-    A ``record_hw`` step first writes ``last_input_hw`` on the mixed op
-    so latency-table consumers (wiNAS) see the same shape metadata a
-    probe through the eager model would have left behind.
     """
-    reg = lw.emit("record_hw", (reg,), {"modules": [module]}, label="mixed-op probe")
     return lw.lower(module.paths[module.argmax_index()], reg)

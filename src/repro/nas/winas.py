@@ -30,20 +30,20 @@ from repro.nn.losses import cross_entropy
 from repro.nn.module import Module, Parameter
 from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
+from repro.quant.quantizer import ensure_calibrated
 from repro.training.metrics import Meter, accuracy
 from repro.nas.mixed_op import MixedConv2d
 from repro.nas.search_space import Candidate
 
 
 def _calibrated_plan(path: Module, x: np.ndarray, backend: str):
-    """Compile a candidate from a deep copy calibrated by one eager eval
-    forward on the probe ``x``, so an ``int8`` plan times native steps
-    and the live search model's observers stay untouched."""
+    """Compile a candidate from a deep copy calibrated on the probe
+    ``x``, so an ``int8`` plan times native steps and the live search
+    model's observers stay untouched."""
     from repro.engine import compile_model
 
     model = copy.deepcopy(path).eval()
-    with no_grad():
-        model(Tensor(x))
+    ensure_calibrated(model, x)
     return compile_model(model, backend=backend)
 
 
@@ -150,11 +150,9 @@ class WiNAS:
     ) -> None:
         """Fill each mixed op's candidate latencies.
 
-        The shape probe runs through a compiled inference plan
-        (:mod:`repro.engine`) rather than an eager autograd forward —
-        the plan's ``record_hw`` steps leave the same ``last_input_hw``
-        metadata behind without building a graph; it runs on a deep copy,
-        so the live model's state (weight observers too) is untouched.
+        The shape probe is one eager eval forward of a deep copy, whose
+        layers record ``last_input_hw``; the live model's state
+        (observers too) is untouched.
 
         ``source`` (default :attr:`SearchConfig.latency_source`):
 
@@ -169,14 +167,12 @@ class WiNAS:
           (:func:`repro.serve.served_latency_ms`), so the search
           optimises latency under serving load, queueing included.
         """
-        from repro.engine import compile_model
-
         source = source or self.config.latency_source
         if source not in ("table", "measured", "served"):
             raise ValueError(f"unknown latency source {source!r}")
         probe_model = copy.deepcopy(self.model).eval()
-        probe = np.ascontiguousarray(np.asarray(example_input, dtype=np.float32))
-        compile_model(probe_model, backend="fast").run(probe)
+        with no_grad():
+            probe_model(Tensor(np.asarray(example_input, dtype=np.float32)))
         probed = [m for m in probe_model.modules() if isinstance(m, MixedConv2d)]
         for op, seen in zip(self.mixed_ops, probed):
             if hasattr(seen, "last_input_hw"):

@@ -11,6 +11,7 @@ Table 1's footnote).
 from repro.quant.quantizer import (
     FakeQuant,
     Quantizer,
+    ensure_calibrated,
     fake_quant_array,
     quantization_scale,
 )
@@ -19,6 +20,7 @@ from repro.quant.qconfig import QConfig, STAGES, int8, int10, int16, fp32
 __all__ = [
     "FakeQuant",
     "Quantizer",
+    "ensure_calibrated",
     "fake_quant_array",
     "quantization_scale",
     "QConfig",

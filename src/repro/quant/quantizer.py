@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.function import Function
+from repro.autograd.function import Function, no_grad
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.nn.module import Buffer, Module
 
@@ -96,6 +96,11 @@ class Quantizer(Module):
             self.running_max_abs.data[0] = m * self.running_max_abs.data[0] + (1 - m) * batch_max
 
     @property
+    def cold(self) -> bool:
+        """Enabled but never observed: no range to freeze yet."""
+        return self.enabled and not self.initialized.data[0]
+
+    @property
     def scale(self) -> float:
         if not self.enabled:
             raise RuntimeError("scale undefined for a disabled quantizer")
@@ -115,3 +120,25 @@ class Quantizer(Module):
     def __repr__(self) -> str:
         bits = self.bits if self.enabled else "off"
         return f"Quantizer(bits={bits}, name={self.name!r})"
+
+
+def ensure_calibrated(model: Module, x: np.ndarray) -> bool:
+    """Warm the cold quantizers of ``model`` with one eval-mode forward
+    of ``x``: each freezes the range the first eager eval forward would
+    give it, and warm ones do not move.
+
+    Runs nothing when no enabled quantizer is cold (so a float model, or
+    one already calibrated, pays nothing) and returns whether it ran.
+    :func:`repro.engine.compile_model` refuses a cold stage, so this is
+    the step between building a quantized model and compiling it.
+    """
+    if not any(isinstance(m, Quantizer) and m.cold for m in model.modules()):
+        return False
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            model(Tensor(x))
+    finally:
+        model.train(was_training)
+    return True

@@ -25,6 +25,7 @@ import numpy as np
 from repro.engine import get_cached_plan
 from repro.engine.cache import PlanCache
 from repro.engine.registry import BACKENDS
+from repro.quant.quantizer import ensure_calibrated
 
 #: architecture → (input channels, image size, default width multiplier).
 ARCHITECTURES: Dict[str, Tuple[int, int, Optional[float]]] = {
@@ -238,28 +239,16 @@ def compile_served(spec: ModelSpec, cache: Optional[PlanCache] = None) -> Served
     calib = calib_rng.standard_normal(
         (4, channels, image_size, image_size)
     ).astype(np.float32)
-    if spec.backend == "int8":
-        # Calibrate the *model* observers before compiling: the
-        # int8 backend runs a step natively only when its ranges are
-        # frozen at compile time, so an eager eval pass (which
-        # freezes cold observers from its first batch,
-        # deterministically per spec seed) lets the plan come up
-        # native instead of as the fast plan.
-        from repro.autograd import Tensor, no_grad
-
-        with no_grad():
-            model(Tensor(calib))
+    # Freeze the quantizer ranges from the seeded batch (nothing to do
+    # for a float model): a plan is compiled from a calibrated model.
+    ensure_calibrated(model, calib)
     plan = get_cached_plan(
         model,
         (1, channels, image_size, image_size),
         backend=spec.backend,
         cache=cache,
     )
-    # Deterministic calibration run: freezes any cold activation
-    # quantizer range into the plan *before* it sees traffic, so
-    # concurrent first requests cannot race the one-shot range
-    # observation and responses are reproducible per spec seed.
-    plan.run(calib)
+    plan.run(calib)  # warm-up: binds every step before traffic arrives
     return ServedModel(
         spec=spec,
         plan=plan,

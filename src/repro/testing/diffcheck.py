@@ -24,10 +24,10 @@ mode                                  contract
                                       Winograd-stem grid flips vs
                                       reference must be bin-boundary
                                       justified
-``int8`` from an uncalibrated model   **is** the ``fast`` plan: same
-                                      steps, no native step, bitwise
-                                      equal outputs and arena bytes
-                                      (:func:`check_cold_int8`)
+uncalibrated (quantized models)       every backend refuses to compile
+                                      it (``CompileError``)
+every ``compile_model`` call          leaves the model's signature
+                                      unchanged (compiling only reads)
 ``fast``/``int8`` on the arena        bitwise equal to an unplanned copy
                                       over batches of 6 → 2 → 6 rows
 ====================================  =====================================
@@ -53,9 +53,12 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.engine import compile_model
+from repro.engine import CompileError, compile_model
 from repro.engine.artifact import load_plan, save_plan
+from repro.engine.cache import model_signature
 from repro.engine.plan import MIN_LANE_ROWS
+from repro.engine.registry import BACKENDS
+from repro.quant import ensure_calibrated
 from repro.testing.modelgen import GeneratedModel, generate_model
 from repro.testing.oracle import int8_oracle_output, winograd_stem_flip_report
 
@@ -67,9 +70,19 @@ def _msg(gm: GeneratedModel, what: str) -> str:
 def _eager_output(gm: GeneratedModel, x: np.ndarray) -> np.ndarray:
     """Calibrate (freezes cold observers) then run the frozen forward."""
     gm.model.eval()
+    ensure_calibrated(gm.model, gm.calibration_input())
     with no_grad():
-        gm.model(Tensor(gm.calibration_input()))
         return gm.model(Tensor(x)).data
+
+
+def _compile(gm: GeneratedModel, backend: str):
+    """``compile_model``, asserting it wrote nothing to the model."""
+    before = model_signature(gm.model)
+    plan = compile_model(gm.model, backend=backend)
+    assert model_signature(gm.model) == before, _msg(
+        gm, f"compiling on {backend} changed the model"
+    )
+    return plan
 
 
 def _assert_fast_tolerance(gm, got, expected, what):
@@ -118,27 +131,6 @@ def _roundtrip_plan(plan, x):
         os.unlink(path)
 
 
-def check_cold_int8(model, batches, what: str = "") -> None:
-    """An ``int8`` plan compiled from the uncalibrated ``model`` is its
-    ``fast`` plan: the same steps, none native, bitwise equal outputs on
-    every batch of ``batches`` (both plans freeze their cold ranges from
-    the first) and the same resident arena bytes after them."""
-    plans = [compile_model(model, backend=b) for b in ("int8", "fast")]
-    programs = [
-        [(s.op, s.inputs, s.output, s.label, s.domain) for s in p.steps]
-        for p in plans
-    ]
-    assert programs[0] == programs[1], f"{what}: cold int8 steps differ from fast"
-    assert plans[0].int8_report()["native_int8_steps"] == 0
-    for i, x in enumerate(batches):
-        np.testing.assert_array_equal(
-            *(p.run(x, threads=1) for p in plans),
-            err_msg=f"{what}: cold int8 plan differs from fast on batch {i}",
-        )
-    arenas = [p.memory_report()["arena_bytes"] for p in plans]
-    assert arenas[0] == arenas[1], f"{what}: cold int8 vs fast arena bytes {arenas}"
-
-
 def check_model(seed: int, threads: int = 2) -> dict:
     """Generate the model for ``seed`` and assert every mode contract.
 
@@ -147,6 +139,15 @@ def check_model(seed: int, threads: int = 2) -> dict:
     the corpus actually exercised each dimension.
     """
     gm = generate_model(seed)
+    if gm.quantized:
+        cold = generate_model(seed).model  # a fresh, so uncalibrated, copy
+        for backend in BACKENDS:
+            try:
+                compile_model(cold, backend=backend)
+            except CompileError:
+                pass
+            else:
+                raise AssertionError(_msg(gm, f"uncalibrated model compiled on {backend}"))
     x = gm.sample_input()
     x_split = gm.sample_input(batch=2 * MIN_LANE_ROWS)
     expected = _eager_output(gm, x)
@@ -159,7 +160,7 @@ def check_model(seed: int, threads: int = 2) -> dict:
     }
 
     # -- reference: the bit-exactness oracle --------------------------------
-    ref_plan = compile_model(gm.model, backend="reference")
+    ref_plan = _compile(gm, "reference")
     reference = ref_plan.run(x)
     np.testing.assert_array_equal(
         reference, expected, err_msg=_msg(gm, "reference must match eager bitwise")
@@ -171,7 +172,7 @@ def check_model(seed: int, threads: int = 2) -> dict:
     )
 
     # -- fast: float-tolerance contract, stable under lanes ------------------
-    fast_plan = compile_model(gm.model, backend="fast")
+    fast_plan = _compile(gm, "fast")
     fast = fast_plan.run(x)
     _assert_fast_tolerance(gm, fast, expected, "fast backend out of tolerance")
     _assert_fast_tolerance(
@@ -182,11 +183,7 @@ def check_model(seed: int, threads: int = 2) -> dict:
 
     # -- int8: exactness oracle + boundary-justified flips -------------------
     if gm.quantized:
-        # cold leg, on a fresh (so uncalibrated) copy of the model
-        check_cold_int8(
-            generate_model(seed).model, (x, 2.0 * x), _msg(gm, "cold leg")
-        )
-        int8_plan = compile_model(gm.model, backend="int8")
+        int8_plan = _compile(gm, "int8")
         native = int8_plan.run(x)
         oracle = int8_oracle_output(gm.model, x)
         np.testing.assert_array_equal(
@@ -249,7 +246,7 @@ def check_model(seed: int, threads: int = 2) -> dict:
 
     # -- arena: bound programs reused across batch sizes change no bit ------
     for backend in ("fast", "int8") if gm.quantized else ("fast",):
-        planned, unplanned = (compile_model(gm.model, backend=backend) for _ in range(2))
+        planned, unplanned = (_compile(gm, backend) for _ in range(2))
         unplanned.planning = False  # binds afresh and allocates every call
         for i, batch in enumerate((x_split, x, x_split)):
             np.testing.assert_array_equal(

@@ -6,6 +6,10 @@ averages involved in Eq. 1 using the training set but without modifying the
 weights".  That is precisely what :func:`calibrate` does: forward passes in
 calibration mode update every quantizer's EMA range while no gradients are
 computed and no parameter changes.
+
+:func:`repro.quant.ensure_calibrated` is the one-batch form for
+compiling: it warms only cold observers.  It lives beside the quantizer
+because the serving path, which never imports this package, calls it.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from repro.engine.artifact import (
 )
 from repro.engine.plan import MIN_LANE_ROWS, CompiledPlan, Step
 from repro.engine.registry import BACKENDS
+from repro.quant import ensure_calibrated
 from repro.testing.modelgen import generate_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -60,14 +61,9 @@ def fp32_case():
 def int8_case():
     gm = generate_model(INT8_SEED)
     assert gm.quantized
-    x = gm.calibration_input()
-    from repro.autograd import Tensor, no_grad
-
     gm.model.eval()
-    with no_grad():
-        gm.model(Tensor(x))
+    ensure_calibrated(gm.model, gm.calibration_input())
     plan = compile_model(gm.model, backend="int8")
-    plan.run(x)  # freeze any cold runtime quantizer state before saving
     return gm, plan
 
 
@@ -440,6 +436,29 @@ class TestRejection:
         _rewrite_manifest(path, unprepare)
         read_manifest(path, verify=True)  # hash and manifest are well formed
         with pytest.raises(ArtifactFormatError, match="unprepared i8 block"):
+            load_plan(path)
+
+    def test_unfrozen_quantizer_stage_is_refused(self, tmp_path, int8_case):
+        # Earlier engines compiled an uncalibrated activation stage as
+        # ``{"dynamic_bits": b}`` and froze it on the plan's first batch,
+        # so a plan saved before that batch holds a stage with no scale.
+        # No kernel takes a range from the batch any more: loading it is
+        # a typed format error, not a KeyError on the first request.
+        gm, _ = int8_case
+        plan = compile_model(gm.model, backend="reference")  # no i8 blocks
+        path, _ = _saved(tmp_path, plan, gm.sample_input())
+
+        def thaw(manifest):
+            for step in manifest["steps"]:
+                q = step["attrs"]["v"].get("q_input")
+                if q and "__obj__" in q:
+                    q["v"] = {"dynamic_bits": 8}
+                    return
+            raise AssertionError("int8 corpus plan has no quantized input stage")
+
+        _rewrite_manifest(path, thaw)
+        read_manifest(path, verify=True)  # hash and manifest are well formed
+        with pytest.raises(ArtifactFormatError, match=r"\['q_input'\] with no frozen scale"):
             load_plan(path)
 
     def test_typed_errors_are_artifact_errors(self):

@@ -18,12 +18,15 @@ from repro.engine import PlanCache, get_cached_plan
 from repro.engine.cache import model_signature
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
+from repro.quant import ensure_calibrated
 from repro.quant.qconfig import int8
 
 
 def _quant_model():
     model = lenet(spec=ConvSpec("F2", int8()))
     model.eval()
+    x = np.random.default_rng(0).standard_normal((1, 1, 28, 28)).astype(np.float32)
+    ensure_calibrated(model, x)
     return model
 
 
@@ -67,9 +70,7 @@ class TestThreadSafety:
         cache = PlanCache()
         model = _quant_model()
         x = np.zeros((1, 1, 28, 28), dtype=np.float32)
-        # Compile once up front so observer warming is done serially
-        # (compilation mutates cold weight observers by design).
-        get_cached_plan(model, x.shape, cache=cache)
+        get_cached_plan(model, x.shape, cache=cache)  # every fetch below hits
 
         def fetch(_):
             plan = get_cached_plan(model, x.shape, cache=cache)
@@ -110,14 +111,13 @@ class TestSignatureInvalidation:
         model = _quant_model()
         stale = get_cached_plan(model, self.shape, cache=cache)
         quantizer = model.conv1.q_weight
-        assert bool(quantizer.initialized.data[0])  # warmed at compile
+        assert bool(quantizer.initialized.data[0])  # calibrated
         quantizer.running_max_abs.data *= 3.0
         fresh = get_cached_plan(model, self.shape, cache=cache)
         assert fresh is not stale
 
     def test_signature_sensitive_to_each_tensor_class(self):
         model = _quant_model()
-        get_cached_plan(model, self.shape)  # warm observers first
         base = model_signature(model)
         model.fc3.linear.bias.data += 1.0
         after_param = model_signature(model)

@@ -16,6 +16,7 @@ from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
 from repro.obs.trace import TraceBuffer
+from repro.quant import ensure_calibrated
 from repro.quant.qconfig import fp32, int8
 
 
@@ -39,38 +40,15 @@ def test_chunked_equals_unchunked_fast_float(rng):
     np.testing.assert_allclose(chunked, unchunked, rtol=1e-4, atol=1e-4)
 
 
-def test_cold_observer_step_is_never_chunked(rng):
-    """A fake-quant stage that has not frozen its range takes it from the
-    first array it sees — splitting that run would freeze one lane's
-    range and make results depend on the thread count.  The first
-    threaded run of an uncalibrated plan must therefore run whole and
-    match the serial execution."""
-    from repro.nn import init
-
-    x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
-    outs = []
-    for threads in (1, 2):
-        init.set_default_rng(0)  # identical weights for both plans
-        model = resnet18(width_multiplier=0.25, spec=ConvSpec("F4", int8()))
-        model.eval()
-        plan = compile_model(model, backend="fast")
-        out, lanes = _lanes(plan, x, threads)  # first run: observers are cold
-        assert lanes == 1
-        outs.append(out)
-    np.testing.assert_array_equal(outs[0], outs[1])
-    # Once the observers froze, the same plan splits.
-    assert _lanes(plan, x, 2)[1] == 2
-
-
 def test_batch_composition_is_invisible_reference(rng):
     """run([a;b]) sliced == run(a) ++ run(b) on the reference backend:
     the guarantee the dynamic batcher relies on for bit-identical
     single-sample responses."""
     model = lenet(spec=ConvSpec("F2", int8()))
     model.eval()
-    plan = compile_model(model, backend="reference")
     x = rng.standard_normal((6, 1, 28, 28)).astype(np.float32)
-    plan.run(x[:1])  # calibration
+    ensure_calibrated(model, x[:1])
+    plan = compile_model(model, backend="reference")
     full = plan.run(x)
     singles = np.concatenate([plan.run(x[i : i + 1]) for i in range(6)], axis=0)
     np.testing.assert_array_equal(full, singles)

@@ -27,6 +27,7 @@ from repro.nas.search_space import wa_space
 from repro.nas.winas import SearchConfig, WiNAS
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU
 from repro.nn.module import Module, Sequential
+from repro.quant import ensure_calibrated
 from repro.quant.qconfig import int8
 from repro.winograd.layer import WinogradConv2d
 
@@ -64,6 +65,7 @@ class TestFusion:
             ConvSpec("F4", int8()).build(3, 8, kernel_size=3), BatchNorm2d(8), ReLU()
         )
         model.eval()
+        ensure_calibrated(model, np.ones((1, 3, 8, 8), dtype=np.float32))
         plan = compile_model(model, backend="fast")
         # BN must NOT fold into the quantized conv (it would change the
         # values entering the frozen quantization grid) — but its ReLU
@@ -152,6 +154,53 @@ class TestFallback:
             compile_model(Conv2d(3, 4, 3), backend="warp")
 
 
+class TestCalibrationRequired:
+    """compile_model reads frozen observers and nothing else."""
+
+    def _model(self):
+        model = Sequential(
+            ConvSpec("im2row", int8()).build(3, 4, kernel_size=3),
+            ReLU(),
+            ConvSpec("F2", int8()).build(4, 4, kernel_size=3),
+        )
+        return model.eval()
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "int8"])
+    @pytest.mark.parametrize(
+        "module, stage",
+        [("0", "q_input"), ("2", "q_hadamard"), ("0", "q_weight"), ("2", "q_weight_t")],
+        ids=["activation", "winograd-activation", "weight", "winograd-weight"],
+    )
+    def test_cold_stage_raises_naming_module_and_stage(self, rng, backend, module, stage):
+        model = self._model()
+        ensure_calibrated(model, rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        qz = getattr(dict(model.named_modules())[module], stage)
+        qz.initialized.data[0] = 0.0  # this one stage never saw a batch
+        before = model_signature(model)
+        with pytest.raises(CompileError, match=rf"'{module}'.*{stage}"):
+            compile_model(model, backend=backend)
+        assert model_signature(model) == before  # compiling never writes
+
+    def test_compile_does_not_touch_a_calibrated_model(self, rng):
+        model = self._model()
+        ensure_calibrated(model, rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
+        before = model_signature(model)
+        for backend in ("reference", "fast", "int8"):
+            assert compile_model(model, backend=backend).signature == before
+        assert model_signature(model) == before
+
+    def test_ensure_calibrated_runs_only_when_cold(self, rng):
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        float_model = Sequential(Conv2d(3, 4, 3), ReLU()).eval()
+        assert not ensure_calibrated(float_model, x)  # nothing to warm
+        model = self._model().train()
+        assert ensure_calibrated(model, x)
+        assert model.training  # the caller's mode is restored
+        signature = model_signature(model)
+        assert not ensure_calibrated(model, 3.0 * x)  # already warm
+        assert model_signature(model) == signature
+
+
 class TestRegistry:
     def test_fast_falls_back_to_reference(self):
         reg = KernelRegistry()
@@ -231,19 +280,6 @@ class TestPlanCache:
         get_cached_plan(model, (1, 1, 28, 28), cache=cache)
         assert cache.misses == misses + 1
 
-    def test_quantized_cold_model_hits_cache_on_second_call(self):
-        # Compiling a quantized model with cold weight observers warms
-        # them (buffer mutation); the plan must be stored under the
-        # post-compile signature or every later call would miss.
-        cache = PlanCache()
-        model = lenet(spec=ConvSpec("F2", int8()))
-        model.eval()
-        shape = (1, 1, 28, 28)
-        first = get_cached_plan(model, shape, cache=cache)
-        second = get_cached_plan(model, shape, cache=cache)
-        assert first is second
-        assert cache.hits == 1
-
     def test_signature_tracks_buffers_too(self):
         model = lenet(spec=ConvSpec("im2row"))
         before = model_signature(model)
@@ -275,8 +311,8 @@ class TestNasProbe:
         assert np.all(op.latencies_ms > 0)
 
     def test_populate_latencies_leaves_model_state_unchanged(self, rng):
-        """The probe compiles a copy: compiling the live model would warm
-        the cold weight observers of every argmax path in place."""
+        """The probe runs a copy: an eager forward of the live model
+        would warm the cold observers of every argmax path in place."""
         model = resnet18(
             width_multiplier=0.125, plan=WiNAS.make_plan(wa_space("int8", flex=False))
         )

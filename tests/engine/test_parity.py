@@ -20,11 +20,13 @@ import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.engine import compile_model
+from repro.engine.cache import model_signature
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
 from repro.models.resnext import resnext20
 from repro.models.squeezenet import squeezenet
+from repro.quant import ensure_calibrated
 from repro.quant.qconfig import fp32, int8
 from repro.winograd.layer import WinogradConv2d
 
@@ -119,21 +121,21 @@ class TestTileSizeGrid:
 
 class TestColdObserverSemantics:
     def test_uncalibrated_plan_matches_eager_across_batches(self, rng):
-        """A plan compiled from a *cold* quantized model must mirror
-        eager's eval fallback exactly: both take the range from the
-        first batch, freeze it, and quantize later batches with it."""
+        """A cold quantized model calibrated eagerly on batch ``a``
+        freezes its ranges there: the ``reference`` plan compiled from it
+        equals eager on ``a`` and on ``b`` (quantized with ``a``'s
+        ranges), and compiling left the model as it was."""
         a = rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
         b = 3.0 * rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
 
-        eager_layer = WinogradConv2d(4, 4, 3, m=2, qconfig=int8())
-        plan_layer = WinogradConv2d(4, 4, 3, m=2, qconfig=int8())
-        plan_layer.load_state_dict(eager_layer.state_dict())
-
-        plan = compile_model(plan_layer, backend="reference")  # still cold
-        eager_layer.eval()
+        layer = WinogradConv2d(4, 4, 3, m=2, qconfig=int8()).eval()
+        assert ensure_calibrated(layer, a)
+        signature = model_signature(layer)
+        plan = compile_model(layer, backend="reference")
+        assert model_signature(layer) == signature
         with no_grad():
-            eager_a = eager_layer(Tensor(a)).data  # initialises observers
-            eager_b = eager_layer(Tensor(b)).data  # frozen ranges from batch a
+            eager_a = layer(Tensor(a)).data
+            eager_b = layer(Tensor(b)).data
         np.testing.assert_array_equal(plan.run(a), eager_a)
         np.testing.assert_array_equal(plan.run(b), eager_b)
 

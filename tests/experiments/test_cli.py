@@ -80,8 +80,8 @@ class TestMain:
         assert "winograd_conv2d" in out  # --describe lists the plan steps
 
     def test_infer_int8_backend_runs_native_steps(self, capsys):
-        # infer calibrates before compiling, so the int8 plan it times
-        # is native rather than the fast plan of an uncalibrated model
+        # infer calibrates before compiling (an uncalibrated quantized
+        # model does not compile), so the int8 plan it times is native
         argv = ["infer", "--model", "lenet", "--algorithm", "F2", "--quant",
                 "int8", "--backend", "int8", "--batch", "2", "--repeats", "1",
                 "--describe"]

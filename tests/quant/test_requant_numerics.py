@@ -15,7 +15,7 @@ checks that proof here.
 
 Plus the zero-range calibration guards: an all-zero calibration batch
 must freeze the harmless ``1/qmax`` default scale rather than divide by
-zero (``quantization_scale`` guard + explicit ``fake_quant`` guard).
+zero (``quantization_scale`` guard + explicit ``stage_scale`` guard).
 """
 
 import numpy as np
@@ -206,16 +206,23 @@ class TestZeroRangeGuards:
         assert quantization_scale(float("inf"), 8) == 1.0 / 127.0
 
     def test_fake_quant_dynamic_freeze_on_all_zero_batch(self):
-        """The regression of ISSUE 3: an all-zero first (calibration)
-        batch must freeze the 1/qmax default, not a zero scale."""
-        q = {"dynamic_bits": 8}
+        """An all-zero calibration batch must freeze the 1/qmax default,
+        not a zero scale, and the plan compiled from it stays finite."""
+        from repro.engine import compile_model
+        from repro.models.common import ConvSpec
+        from repro.quant import ensure_calibrated
+        from repro.quant.qconfig import int8
+
+        layer = ConvSpec("im2row", int8()).build(3, 4, kernel_size=3)
         zeros = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        out = fake_quant(zeros, q)
-        assert q["scale"] == 1.0 / 127.0  # frozen to the guarded default
-        np.testing.assert_array_equal(out, zeros)
+        assert ensure_calibrated(layer, zeros)
+        assert layer.q_input.scale == 1.0 / 127.0  # the guarded default
+        plan = compile_model(layer, backend="fast")
+        assert plan.steps[0].attrs["q_input"]["scale"] == 1.0 / 127.0
+        assert np.all(np.isfinite(plan.run(zeros)))
         # later non-zero batches quantize with the frozen range, finitely
         x = np.ones((2, 3, 8, 8), dtype=np.float32)
-        assert np.all(np.isfinite(fake_quant(x, q)))
+        assert np.all(np.isfinite(plan.run(x)))
 
     def test_fake_quant_guards_degenerate_frozen_scale(self):
         """A frozen stage dict carrying a zero/non-finite scale (however
