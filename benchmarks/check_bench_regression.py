@@ -96,6 +96,8 @@ RULES = (
          unit=" ms", required=True, what="native int8 slower than int8 on fast"),
     Rule("memory_allocations", "memory", "steady_state_allocations", "==", 0,
          what="memory planner regressed: steady-state arena allocations"),
+    Rule("arena_bytes", "memory/arenas/*", "arena_bytes", "<=", BASELINE,
+         unit=" B", tolerant=True, disappeared=True, same=("batch",)),
     Rule("trace_overhead", "trace_overhead", "overhead_disabled_pct", "<=", 1.0,
          unit="%", required=True, disappeared=True,
          what="tracing-off overhead of plan.run over the pristine loop"),

@@ -226,7 +226,10 @@ def run_engine_benchmark(
     interleaved rounds, reported as the median per-round ratio at the
     workload batch and at batches 1 and 2 (which run unsplit), alongside
     ``cpu_count`` and the memory planner's allocation stats so the
-    zero-allocation contract is tracked in the same artifact.
+    zero-allocation contract is tracked in the same artifact.  The
+    ``memory`` entry's ``arenas`` split one threads-1 arena of the ResNet
+    ``fast`` and ``int8`` plans at the workload batch into register,
+    persistent-scratch and transient-pool bytes.
 
     The ``trace_overhead`` entry pins the observability contract:
     ``run`` with tracing disabled within budget of the executor loop
@@ -370,6 +373,18 @@ def run_engine_benchmark(
     }
 
     memory = fast_plan.memory_report(batch=int(fp32_row["batch"]))
+    arenas = {}  # one arena's bytes by class, fresh plans at threads 1
+    for name, backend in (("resnet18-w0.25-F4", "fast"), ("resnet18-w0.25-F4-int8", "int8")):
+        model, x = workloads[name]
+        plan = compile_model(model, backend=backend)
+        for _ in range(2):
+            plan.run(x, threads=1)
+        split = plan.memory_report()
+        arenas[f"{name}@{backend}"] = {"batch": int(x.shape[0])} | {
+            key: split[key]
+            for key in ("arena_bytes", "register_bytes", "persistent_scratch_bytes",
+                        "transient_bytes", "steady_state_allocations")
+        }
     report = {
         "benchmark": "bench_engine_vs_eager",
         "threads": 1,  # thread count of the per-workload rows
@@ -390,6 +405,7 @@ def run_engine_benchmark(
             "allocations_eliminated": memory["allocations_eliminated"],
             "arena_bytes": memory["arena_bytes"],
             "planned_shapes": memory["planned_shapes"],
+            "arenas": arenas,
         },
     }
     path = pathlib.Path(out_path) if out_path else _repo_root() / "BENCH_engine.json"

@@ -137,7 +137,9 @@ class PlanCache:
             "plans": len(plans),
             "arenas_built": 0,
             "arena_bytes": 0,
-            "scratch_bytes": 0,
+            "register_bytes": 0,
+            "persistent_scratch_bytes": 0,
+            "transient_bytes": 0,
             "steady_state_allocations": 0,
         }
         for plan in plans:
@@ -145,8 +147,7 @@ class PlanCache:
             if report is None:
                 continue
             snap = report()
-            for key in ("arenas_built", "arena_bytes", "scratch_bytes",
-                        "steady_state_allocations"):
+            for key in totals.keys() - {"plans"}:
                 totals[key] += snap.get(key, 0)
         return totals
 

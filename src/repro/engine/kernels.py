@@ -35,9 +35,14 @@ executor's per-run arena for its buffers when it binds —
 register, :func:`~repro.engine.memplan.take_scratch` for temporaries
 (im2row row buffers, padded inputs, Winograd tile/transform-domain
 intermediates, quantization code buffers) — and its runner only moves
-data.  Outside a planned execution both helpers degrade to plain NumPy
-allocation.  A runner may mutate only arrays its kernel obtained this
-way (or fresh GEMM outputs) — never an input register.
+data.  Temporaries are transient (shared with every other step) unless
+taken ``zero`` or ``persistent``, so a runner returns a view of
+``take_out`` wherever the output's layout is the register's, and of
+persistent scratch only where it is not (the transposed im2row GEMM, a
+cropped Winograd output).  Outside a planned execution both helpers
+degrade to plain NumPy allocation.  A runner may mutate only arrays its
+kernel obtained this way (or fresh GEMM outputs) — never an input
+register.
 ``conv2d``, ``winograd_conv2d`` and ``linear`` have one kernel each (for
 ``fast`` and ``int8``), which binds ``_bind_<op>`` for a native step and
 ``_bind_<op>_fast`` for a float one.
@@ -114,16 +119,21 @@ def _bind_by_domain(inputs, attrs: Dict, native, fast):
 
 
 def _bind_pad(shape, ph: int, pw: int, size: tuple, nhwc: bool = False):
-    """Bind scratch ``"xp"`` of spatial ``size`` and the view of its
+    """Bind padded scratch of spatial ``size`` and the view of its
     interior at offset ``(ph, pw)`` for an input of ``shape`` (NHWC when
     ``nhwc``).  Runs write only the interior; the border, zeroed at
-    allocation, stays zero (the values of ``np.pad``)."""
+    allocation, stays zero (the values of ``np.pad``), so the buffer is
+    shared by every step of the same geometry, which the tag names."""
     if nhwc:
         n, h, w, c = shape
-        xp = take_scratch("xp", (n, *size, c), np.float32, zero=size != (h, w))
+        full = (n, *size, c)
+    else:
+        n, c, h, w = shape
+        full = (n, c, *size)
+    tag = f"xp:{ph},{pw}:{h}x{w}"
+    xp = take_scratch(tag, full, np.float32, zero=size != (h, w))
+    if nhwc:
         return xp, xp[:, ph : ph + h, pw : pw + w]
-    n, c, h, w = shape
-    xp = take_scratch("xp", (n, c, *size), np.float32, zero=size != (h, w))
     return xp, xp[:, :, ph : ph + h, pw : pw + w]
 
 
@@ -489,13 +499,14 @@ def _bind_conv2d_fast(shape, attrs):
 
     if kh == kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and g == 1:
         # 1×1 convolution is a plain channel GEMM: (K, C) @ (C, H·W).
-        gemm = take_scratch("gemm", (n, k, h * w))
+        out = take_out((n, k, h, w))
+        gemm = out.reshape(n, k, h * w)
 
         def run(x):
             if qx is not None:
                 x = fake_quant(x, q_in, out=qx)
             np.matmul(wmat[None], x.reshape(n, c, h * w), out=gemm)
-            return finish(gemm.reshape(n, k, h, w))
+            return finish(out)
 
         return run
 
@@ -507,10 +518,12 @@ def _bind_conv2d_fast(shape, attrs):
         xp, interior = _bind_pad(shape, ph, pw, (h + 2 * ph, w + 2 * pw))
     oh, ow, kg = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1, k // g
     rows = take_scratch("rows", (g, n * oh * ow, cg * kh * kw))
-    gemm = take_scratch("gemm", (g, n * oh * ow, kg))
+    # With one group the output is the GEMM's transposed view, so the
+    # GEMM buffer outlives the step.
+    gemm = take_scratch("gemm", (g, n * oh * ow, kg), persistent=g == 1)
     lhs, rhs, out = (rows[0], wmat[0], gemm[0]) if g == 1 else (rows, wmat, gemm)
     y_src = np.transpose(gemm.reshape(g, n, oh, ow, kg), (1, 0, 4, 2, 3))
-    y = y_src[:, 0] if g == 1 else take_scratch("y", (n, k, oh, ow))
+    y = y_src[:, 0] if g == 1 else take_out((n, k, oh, ow))
 
     def run(x):
         if qx is not None:
@@ -663,7 +676,11 @@ def _bind_winograd_fast(shape, attrs):
     if atk is not None:
         hadT = take_scratch("hadT", (k * p, tt))
         ymat = take_scratch("ymat", (k * p, m * m))
-    yout = take_scratch("y", (n, k, th * m, tw * m))
+    full = (n, k, th * m, tw * m)
+    if full[2:] == (out_h, out_w):
+        yout = take_out(full)
+    else:  # the output is a cropped view of the tile assembly
+        yout = take_scratch("y", full, persistent=True)
     result = yout[:, :, :out_h, :out_w]
     finish = _bind_epilogue(attrs, (1, k, 1, 1), quantize_output=False)
 
@@ -736,13 +753,16 @@ def _check_bound(acc, bound) -> None:
     assert float(np.abs(acc).max(initial=0.0)) <= bound
 
 
-def _cast_buffer(arr: np.ndarray, dtype, tag: str) -> np.ndarray:
+def _cast_buffer(arr: np.ndarray, dtype, tag: str, into=None) -> np.ndarray:
     """Bind an exact dtype conversion: ``arr`` itself when it already
-    has ``dtype``, else a step-scratch buffer the runner copies it into
+    has ``dtype``, else ``into`` (a ``dtype`` buffer of ``arr``'s size:
+    the step's output) or step scratch, which the runner copies it into
     (integer-valued arrays convert losslessly both ways below the
     mantissa bounds)."""
     if arr.dtype == dtype:
         return arr
+    if into is not None:
+        return into.reshape(arr.shape)
     return take_scratch(tag, arr.shape, dtype)
 
 
@@ -795,7 +815,7 @@ def _requant_codes(acc, stage):
     return acc
 
 
-def _epilogue_stage(codes, epi, groups=1) -> tuple:
+def _epilogue_stage(codes, epi, groups=1, into=None) -> tuple:
     """Bind the step epilogue over contiguous channels-last output
     ``codes`` (layout ``(..., g, P, K/g)`` when ``groups > 1``): the
     argument tuple of :func:`_int8_epilogue`.
@@ -803,7 +823,8 @@ def _epilogue_stage(codes, epi, groups=1) -> tuple:
     ``A``/``B`` hold the K channel constants repeated R times; a dense
     step applies them to rows of ``r·K`` codes, ``r`` the largest power
     of two up to R dividing the row count.  The last entry is the
-    float32 result: ``rows`` itself, or scratch of its shape."""
+    float32 result: ``rows`` itself, else ``into`` or scratch of its
+    shape."""
     k = codes.shape[-1] * groups
     if groups == 1:
         width = k * math.gcd(epi["A"].size // k, codes.size // k)
@@ -812,7 +833,7 @@ def _epilogue_stage(codes, epi, groups=1) -> tuple:
         width, rows, shape = k, codes, (groups, 1, k // groups)
     a = epi["A"][:width].reshape(shape)
     b = None if epi["B"] is None else epi["B"][:width].reshape(shape)
-    out = _cast_buffer(rows, np.float32, "epi_f32")
+    out = _cast_buffer(rows, np.float32, "epi_f32", into)
     if epi["mode"] == "int":
         scalar = codes.dtype.type
         return rows, a, b, scalar(epi["lo"]), scalar(epi["hi"]), False, out
@@ -895,11 +916,12 @@ def _bind_codes(shape, q, dtype):
     return load
 
 
-def _bind_output(acc, i8, mul, groups, bias_shape=None):
+def _bind_output(acc, i8, mul, groups, bias_shape=None, into=None):
     """Bind the output requant (when the step has an output stage) and
     the epilogue of the GEMM result ``acc``; returns ``finish()`` and
-    the float32 result it leaves in place of ``acc``'s values.  ``mul``
-    holds the step's proven multipliers (see
+    the float32 result it leaves in place of ``acc``'s values: ``acc``
+    itself when float32, else ``into`` (the step's output, of ``acc``'s
+    size) or scratch.  ``mul`` holds the step's proven multipliers (see
     :func:`repro.engine.int8.derive_multipliers`).
 
     The requant lands on float32 codes (exactly representable below
@@ -912,8 +934,8 @@ def _bind_output(acc, i8, mul, groups, bias_shape=None):
         if bias is not None and bias_shape is not None:
             bias = bias.reshape(bias_shape)
         stage = _requant_stage(rq["d"], rq["q"], acc.dtype, mul.get("q_output"), bias)
-        out = _cast_buffer(acc, np.float32, "rq_f32")
-    epi = _epilogue_stage(out, i8["epi"], groups)
+        out = _cast_buffer(acc, np.float32, "rq_f32", into)
+    epi = _epilogue_stage(out, i8["epi"], groups, into)
 
     def finish():
         if rq is not None:
@@ -962,7 +984,10 @@ def _bind_winograd(shape, attrs):
     z = take_scratch("z", (m * m, g * p * kg), dt_z)
     finish, z32 = _bind_output(z.reshape(m * m, g, p, kg), i8, mul, g)
     full = (n, th * m, tw * m, k)
-    y = take_out(full) if full[1:3] == (out_h, out_w) else take_scratch("y", full)
+    if full[1:3] == (out_h, out_w):
+        y = take_out(full)
+    else:  # the output is a cropped view of the tile assembly
+        y = take_scratch("y", full, persistent=True)
     # GEMM operands and scatter endpoints, as views of the buffers above
     tmat2, btk, atk = tmat.reshape(tt, p * c), i8["btk"], i8["atk"]
     v_tap = v_h.reshape(tt, p, g, cg).transpose(0, 2, 1, 3)
@@ -1037,13 +1062,17 @@ def _bind_conv2d(shape, attrs):
             return rows
 
     wq_mat, bound = i8["wq_mat"], i8["bound"]
-    gemm = take_scratch("gemm", (g, n * oh * ow, kg), dt)  # (g, n·oh·ow, K/g)
-    mul = derive_multipliers("conv2d", attrs)
-    finish, out = _bind_output(gemm, i8, mul, g, bias_shape=(g, 1, kg))
-    if g == 1:
-        result, y_dst = out.reshape(n, oh, ow, k), None
+    result = take_out((n, oh, ow, k))
+    # One group: the GEMM rows already are the NHWC output.
+    into = result.reshape(1, n * oh * ow, k) if g == 1 else None
+    if into is not None and dt == np.float32:
+        gemm = into
     else:
-        result = take_out((n, oh, ow, k))
+        gemm = take_scratch("gemm", (g, n * oh * ow, kg), dt)  # (g, n·oh·ow, K/g)
+    mul = derive_multipliers("conv2d", attrs)
+    finish, out = _bind_output(gemm, i8, mul, g, bias_shape=(g, 1, kg), into=into)
+    y_dst = None
+    if g > 1:
         y_dst = result.reshape(n, oh, ow, g, kg)
         y_src = np.transpose(out.reshape(g, n, oh, ow, kg), (1, 2, 3, 0, 4))
 
@@ -1065,8 +1094,11 @@ def _bind_linear(shape, attrs):
     q_in = None if i8.get("input_prequantized") else attrs["q_input"]
     load = _bind_codes(shape, q_in, i8["dt"])
     wq_t, bound = i8["wq_t"], i8["bound"]
-    gemm = take_scratch("gemm", (shape[0], wq_t.shape[1]), i8["dt"])  # (N, out)
-    finish, result = _bind_output(gemm, i8, derive_multipliers("linear", attrs), 1)
+    result = take_out((shape[0], wq_t.shape[1]))  # (N, out)
+    dt = i8["dt"]
+    gemm = result if dt == np.float32 else take_scratch("gemm", result.shape, dt)
+    mul = derive_multipliers("linear", attrs)
+    finish, _ = _bind_output(gemm, i8, mul, 1, into=result)
 
     def run(x):
         _int8_matmul(load(x), wq_t, out=gemm)

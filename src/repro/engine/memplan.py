@@ -21,23 +21,36 @@ removes that:
   memory is freed only when both die.
 * **The arena** materialises the slots as flat float32 buffers sized for
   the actual batch (capacity-based: a bigger batch grows them once) plus
-  a step-keyed scratch space the kernels route their temporaries through
-  (``take_scratch``) — GEMM row buffers, padded inputs, Winograd tile
-  and transform-domain intermediates, quantization code buffers.  After
-  warm-up every request hits an existing buffer: zero steady-state
-  arena allocations.
+  the scratch the kernels route their temporaries through
+  (``take_scratch``), in two lifetimes.  *Transient* scratch — GEMM row
+  buffers, Winograd tile and transform-domain intermediates,
+  quantization code buffers — is dead once its step returns, so every
+  step carves its transient buffers from offset 0 of one flat,
+  64-byte-aligned pool per arena, sized by the largest step's need at
+  the arena's largest batch.  *Persistent* scratch outlives its step:
+  zero-bordered padded inputs (shared by every step of one padding
+  geometry, so the borders stay zero) and an output whose layout
+  differs from its register.  After warm-up every request hits an
+  existing buffer: zero steady-state arena allocations.
 * **Bound programs**: the executor binds every step once per arena and
   batch size (its kernel takes its buffers through :func:`take_out` and
   :func:`take_scratch` and returns a runner); the arena keeps the
   runners for later runs of that size, and drops them all whenever it
   allocates or grows a buffer, so no runner outlives what it binds.
+  Transient need is linear in the batch: a binding records each step's
+  transient bytes per sample, and a run sizes the pool for its batch
+  from them up front, alongside the slots.  A binding that still had to
+  grow the pool (the plan's first) drops its runners as it goes and
+  keeps no program.
 
 A ``run`` checks one arena per lane out of a small pool in one go, so
 concurrent executions of one shared plan (lanes of one split run, or the
-inference server's worker pool) never touch the same buffers.  Scratch
-keys are ``(step, tag)``: one arena serves one lane, which runs its
-steps in order, so a scratch buffer is never written by two threads at
-once.
+inference server's worker pool) never touch the same buffers.  One arena
+serves one lane, which runs its steps in order, so a step's transient
+views may alias every other step's: the pool is only ever written by
+the step running.  What a step hands on lives in a register (or
+persistent scratch), never in the pool; the executor checks this on
+every binding (:class:`ScratchEscapeError`).
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ import os
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +72,7 @@ from repro.engine.int8 import NHWC
 ALIAS_OPS = frozenset({"flatten"})
 
 _ITEMSIZE = 4  # every register is float32
+_ALIGN = 64  # byte alignment of every transient buffer (a cache line)
 
 
 def _prod(shape) -> int:
@@ -66,6 +80,10 @@ def _prod(shape) -> int:
     for s in shape:
         out *= int(s)
     return out
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +166,23 @@ class MemoryLayout:
     reg_tail: Dict[int, tuple]
     planned_registers: int = 0
     buffers_reused: int = 0
+    #: step -> per-sample bytes of each transient buffer it takes, in
+    #: order; learned when an arena binds the step, shared by every arena
+    #: of the pool (each lane writes whole entries; equal for linear
+    #: buffers whatever the lane's batch)
+    transient: List[Tuple[int, ...]] = field(default_factory=list)
 
     @property
     def bytes_per_sample(self) -> int:
         return sum(self.slot_elems) * _ITEMSIZE
+
+    def transient_bytes(self, n: int) -> int:
+        """Pool bytes the largest step's transient buffers need at batch
+        ``n`` (each rounded up to :data:`_ALIGN`), from the steps bound
+        so far."""
+        return max(
+            (sum(_aligned(b * n) for b in bs) for bs in self.transient), default=0
+        )
 
     def reg_bytes(self, reg: int, n: int) -> Optional[int]:
         """Bytes of register ``reg``'s arena view at batch ``n``."""
@@ -245,12 +276,19 @@ def plan_layout(steps, input_reg: int, output_reg: int, sample_shape) -> Optiona
         reg_tail=reg_tail,
         planned_registers=len(reg_slot),
         buffers_reused=len(record) - len(slot_elems),
+        transient=[()] * len(steps),
     )
 
 
 # ---------------------------------------------------------------------------
-# The arena: slot buffers + step-keyed scratch
+# The arena: slot buffers, persistent scratch and the transient pool
 # ---------------------------------------------------------------------------
+
+
+class ScratchEscapeError(RuntimeError):
+    """A step returned a view of its arena's transient pool, which the
+    next step overwrites: a kernel must return its planned output
+    (:func:`take_out`) or persistent scratch."""
 
 
 class Arena:
@@ -259,17 +297,23 @@ class Arena:
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
         self._slots: List[Optional[np.ndarray]] = [None] * len(layout.slot_elems)
-        self._scratch: Dict[tuple, np.ndarray] = {}
+        self._scratch: Dict[tuple, np.ndarray] = {}  # persistent scratch
+        self._pool: Optional[np.ndarray] = None  # owns the transient pool
+        self._pool_view = np.empty(0, dtype=np.uint8)  # its aligned bytes
         self._buf_ids: set = set()
         # batch size -> (runners, buffer requests their binding made)
         self._programs: Dict[int, tuple] = {}
-        self._slot_allocs = 0  # slot growths of the running binding
+        self._n = 1  # batch of the running binding
+        self._slot_allocs = 0  # slot/pool growths at the start of it
+        self._carve = 0  # next free pool offset of the binding step
+        self._step_bytes: List[int] = []  # its transient bytes per sample
         # No locks: one lane owns the arena for a whole run, and the pool
         # reads the counters at checkin, under its own lock.
         self.alloc_events = 0  # lifetime buffer allocations/growths
         self.last_run_allocs = 0
         self.last_run_hits = 0
         self.shape_misses = 0
+        self.pool_grew = False  # the running binding grew the pool
 
     # -- bookkeeping --------------------------------------------------------
     def _note_alloc(self) -> None:
@@ -277,6 +321,18 @@ class Arena:
         self.last_run_allocs += 1
         # A stored program may hold views of the buffer just replaced.
         self._programs.clear()
+
+    def _replace(self, old: Optional[np.ndarray], new: np.ndarray) -> np.ndarray:
+        if old is not None:
+            self._buf_ids.discard(id(old))
+        self._buf_ids.add(id(new))
+        self._note_alloc()
+        return new
+
+    def _grow_pool(self, nbytes: int) -> None:
+        raw = self._replace(self._pool, np.empty(nbytes + _ALIGN, dtype=np.uint8))
+        shift = -raw.ctypes.data % _ALIGN
+        self._pool, self._pool_view = raw, raw[shift : shift + nbytes]
 
     def program(self, n: int) -> Optional[list]:
         """The runners stored for batch ``n``, or ``None`` (after
@@ -292,26 +348,48 @@ class Arena:
         return entry[0]
 
     def begin_run(self, n: int) -> None:
-        """Start a binding run of batch ``n``: grow the slots once."""
+        """Start a binding run of batch ``n``: grow the slots, and the
+        transient pool to what the steps bound so far need at ``n``."""
         self.last_run_allocs = 0
         self.last_run_hits = 0
         for slot, elems in enumerate(self.layout.slot_elems):
             need = n * elems
             buf = self._slots[slot]
             if buf is None or buf.size < need:
-                if buf is not None:
-                    self._buf_ids.discard(id(buf))
-                buf = np.empty(need, dtype=np.float32)
-                self._slots[slot] = buf
-                self._buf_ids.add(id(buf))
-                self._note_alloc()
+                self._slots[slot] = self._replace(buf, np.empty(need, dtype=np.float32))
+        need = self.layout.transient_bytes(n)
+        if need > self._pool_view.size:
+            self._grow_pool(need)
+        self._n = n
         self._slot_allocs = self.last_run_allocs
+        self.pool_grew = False
+
+    def begin_step(self) -> None:
+        """Start binding a step: its transient buffers carve the pool
+        from offset 0."""
+        self._carve = 0
+        self._step_bytes = []
+
+    def end_step(self, step: int) -> None:
+        """Record what step ``step`` took, as one whole entry (a lane
+        sizing its pool concurrently reads an old or a new record, never
+        a partial one)."""
+        self.layout.transient[step] = tuple(self._step_bytes)
 
     def keep(self, n: int, runners: list) -> None:
         """Store the runners a binding run of batch ``n`` built, until
         the next (re)allocation (see :meth:`_note_alloc`)."""
         requests = self.last_run_hits + self.last_run_allocs - self._slot_allocs
         self._programs[n] = (runners, requests)
+
+    def check_output(self, out: np.ndarray, step: int, op: str) -> None:
+        """Raise :class:`ScratchEscapeError` when the output step ``step``
+        just returned lies in the pool (called on binding; a pool this
+        step outgrew is never written again)."""
+        if np.may_share_memory(out, self._pool_view):
+            raise ScratchEscapeError(
+                f"step {step} ({op}) returned a view of its transient scratch"
+            )
 
     def reg_view(self, reg: int, n: int) -> Optional[np.ndarray]:
         """Register ``reg``'s planned view at batch ``n``, if it has one."""
@@ -321,23 +399,39 @@ class Arena:
         tail = self.layout.reg_tail[reg]
         return self._slots[slot][: n * _prod(tail)].reshape((n,) + tail)
 
+    def transient(self, shape, dtype) -> np.ndarray:
+        """The binding step's next transient buffer of ``shape``: the
+        pool bytes after its previous ones (64-byte aligned).  A pool too
+        small for the step grows here, to exactly what the step has taken
+        so far; earlier views keep the old pool alive only as long as
+        their runners."""
+        dtype = np.dtype(dtype)
+        nbytes = _prod(shape) * dtype.itemsize
+        start = self._carve
+        self._carve = start + _aligned(nbytes)
+        self._step_bytes.append(-(-nbytes // self._n))
+        if self._carve > self._pool_view.size:
+            self._grow_pool(self._carve)
+            self.pool_grew = True
+        else:
+            self.last_run_hits += 1
+        return self._pool_view[start : start + nbytes].view(dtype).reshape(shape)
+
     def scratch(self, key: tuple, shape, dtype, zero: bool = False) -> np.ndarray:
-        """A per-(step, tag) workspace of at least ``shape``.
+        """A persistent workspace of at least ``shape`` under ``key``.
 
         Capacity-based: the flat backing buffer only grows.  ``zero``
         zero-fills on (re)allocation only — safe for the padded-input
-        buffers because a step's pad borders sit at fixed per-sample
-        offsets, and kernels fully overwrite the interior every call.
+        buffers because their pad borders sit at fixed per-sample
+        offsets, and every user fully overwrites the same interior on
+        every call (the key names that geometry; see
+        :func:`take_scratch`).
         """
         need = _prod(shape)
         buf = self._scratch.get(key)
         if buf is None or buf.dtype != np.dtype(dtype) or buf.size < need:
-            if buf is not None:
-                self._buf_ids.discard(id(buf))
-            buf = np.zeros(need, dtype=dtype) if zero else np.empty(need, dtype=dtype)
-            self._scratch[key] = buf
-            self._buf_ids.add(id(buf))
-            self._note_alloc()
+            new = np.zeros(need, dtype=dtype) if zero else np.empty(need, dtype=dtype)
+            buf = self._scratch[key] = self._replace(buf, new)
         else:
             self.last_run_hits += 1
         return buf[:need].reshape(shape)
@@ -350,13 +444,20 @@ class Arena:
         return id(base) in self._buf_ids
 
     @property
-    def nbytes(self) -> int:
-        slots = sum(b.nbytes for b in self._slots if b is not None)
-        return slots + sum(b.nbytes for b in self._scratch.values())
+    def register_nbytes(self) -> int:
+        return sum(b.nbytes for b in self._slots if b is not None)
 
     @property
-    def scratch_nbytes(self) -> int:
+    def persistent_nbytes(self) -> int:
         return sum(b.nbytes for b in self._scratch.values())
+
+    @property
+    def transient_nbytes(self) -> int:
+        return 0 if self._pool is None else self._pool.nbytes
+
+    @property
+    def nbytes(self) -> int:
+        return self.register_nbytes + self.persistent_nbytes + self.transient_nbytes
 
 
 #: Every live ArenaPool, so the after-fork guard below can reset them.
@@ -460,7 +561,9 @@ class ArenaPool:
             return {
                 "arenas_built": self.arenas_built,
                 "arena_bytes": sum(a.nbytes for a in arenas),
-                "scratch_bytes": sum(a.scratch_nbytes for a in arenas),
+                "register_bytes": sum(a.register_nbytes for a in arenas),
+                "persistent_scratch_bytes": sum(a.persistent_nbytes for a in arenas),
+                "transient_bytes": sum(a.transient_nbytes for a in arenas),
                 "alloc_events": self.alloc_events,
                 "last_run_allocs": self.last_run_allocs,
                 "last_run_reuse_hits": self.last_run_hits,
@@ -481,17 +584,22 @@ def bind_step(arena: Optional[Arena], step: int, out):
     """The scope in which step ``step`` binds its buffers."""
     prev = getattr(_ws, "scope", None)
     _ws.scope = (arena, step, out) if arena is not None else None
+    if arena is not None:
+        arena.begin_step()
     try:
         yield
     finally:
         _ws.scope = prev
+        if arena is not None:
+            arena.end_step(step)
 
 
 def take_out(shape, dtype=np.float32) -> np.ndarray:
-    """The binding step's planned output buffer, else (unplanned, or a
-    shape miss) its ``"out"`` scratch, which its runner keeps.
+    """The binding step's planned output register, else (unplanned, or
+    a shape miss) persistent ``"out"`` scratch, which its runner keeps.
     Both are C order, so a downstream reduction sums in one order planned
-    or not (NumPy's ``out=None`` would follow the input's layout)."""
+    or not (NumPy's ``out=None`` would follow the input's layout).  A
+    runner returns this buffer (or a view of it) as the step's output."""
     scope = getattr(_ws, "scope", None)
     if scope is not None and scope[2] is not None:
         arena, _, out = scope
@@ -499,14 +607,31 @@ def take_out(shape, dtype=np.float32) -> np.ndarray:
             arena.last_run_hits += 1
             return out
         arena.shape_misses += 1
-    return take_scratch("out", shape, dtype)
+    return take_scratch("out", shape, dtype, persistent=True)
 
 
-def take_scratch(tag: str, shape, dtype=np.float32, zero: bool = False) -> np.ndarray:
-    """A kernel temporary: arena-backed inside a planned run, a fresh
-    array (``np.zeros``/``np.empty``) everywhere else."""
+def take_scratch(
+    tag: str, shape, dtype=np.float32, zero: bool = False, persistent: bool = False
+) -> np.ndarray:
+    """A kernel buffer: arena-backed inside a planned run, a fresh array
+    (``np.zeros``/``np.empty``) everywhere else.
+
+    By default the buffer is *transient*: carved from the arena's pool,
+    which the next step overwrites, so it may hold neither the step's
+    output nor anything a later run reads back.  ``persistent`` gives
+    step-keyed scratch that outlives the step (an output whose layout
+    differs from its register).  ``zero`` (persistent too) zero-fills on
+    allocation only, for a padded input whose users write only its
+    interior: every step taking ``tag`` with the same per-sample shape
+    and dtype shares the buffer, so ``tag`` must name the interior's
+    offsets and extent."""
     scope = getattr(_ws, "scope", None)
     if scope is None:
         return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
     arena, step, _ = scope
-    return arena.scratch((step, tag), shape, dtype, zero=zero)
+    if zero:
+        key = (tag, tuple(shape[1:]), np.dtype(dtype).str)
+        return arena.scratch(key, shape, dtype, zero=True)
+    if persistent:
+        return arena.scratch((step, tag), shape, dtype)
+    return arena.transient(shape, dtype)

@@ -237,25 +237,38 @@ class CompiledPlan:
         """The executor loop over rows ``lo:lo + len(x)`` of the run's
         batch, on ``arena`` (``None``: unplanned, every step bound on
         every call).  The first run of a batch size in an arena binds
-        every step and the arena keeps the runners; later runs of that
-        size only replay them.  With a ``tracer`` it records one
+        every step and the arena keeps the runners (unless the binding
+        had to grow the transient pool); later runs of that size only
+        replay them.  A binding checks every step's output against the
+        pool (:class:`~repro.engine.memplan.ScratchEscapeError`).
+        With a ``tracer`` it records one
         ``kernel`` span per step under ``parent_id``; lanes after the
         first tag theirs with ``lane``, ``rows`` and ``chunk_index`` so
         step-level consumers count each step once."""
         n = x.shape[0]
         stored = arena.program(n) if arena is not None else None
-        program = [] if stored is None else stored
+        program: Optional[list] = [] if stored is None else stored
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[self.input_reg] = x
         for step_index, step in enumerate(self.steps):
             args = [regs[i] for i in step.inputs]
             if tracer is not None:
                 t_step = obs_trace.now_ns()
-            if stored is None:
+            if stored is not None:
+                regs[step.output] = program[step_index](*args)
+            else:
                 out_view = arena.reg_view(step.output, n) if arena is not None else None
                 with memplan.bind_step(arena, step_index, out_view):
-                    program.append(step.fn(args, step.attrs))
-            regs[step.output] = program[step_index](*args)
+                    run = step.fn(args, step.attrs)
+                regs[step.output] = run(*args)
+                if arena is not None:
+                    arena.check_output(regs[step.output], step_index, step.op)
+                    if arena.pool_grew:
+                        # The runners bound so far hold the outgrown
+                        # pool: drop them now, not at the end of the run.
+                        program = None
+                    elif program is not None:
+                        program.append(run)
             if tracer is not None:
                 wino = step.op == "winograd_conv2d"
                 if step.domain == "int8":
@@ -284,7 +297,7 @@ class CompiledPlan:
             for reg in step.frees:
                 if reg != step.output:
                     regs[reg] = None
-        if stored is None and arena is not None:
+        if stored is None and arena is not None and program is not None:
             arena.keep(n, program)
         out = regs[self.output_reg]
         assert out is not None, "plan produced no output"
@@ -344,7 +357,9 @@ class CompiledPlan:
         Static (per planned input shape): registers, arena slots,
         ``buffers_reused`` (registers sharing a slot thanks to disjoint
         liveness) and peak arena bytes.  Runtime (aggregated over the
-        plan's arena pools): arenas built, resident bytes, and
+        plan's arena pools): arenas built, resident ``arena_bytes`` split
+        into ``register_bytes`` (slots), ``persistent_scratch_bytes``
+        and ``transient_bytes`` (the step-shared pools), and
         ``steady_state_allocations`` — arena buffer allocations during
         the *most recent* run, which drops to zero once warm (the
         zero-allocation contract) — next to ``allocations_eliminated``,
@@ -358,7 +373,9 @@ class CompiledPlan:
             "planned_shapes": [],
             "arenas_built": 0,
             "arena_bytes": 0,
-            "scratch_bytes": 0,
+            "register_bytes": 0,
+            "persistent_scratch_bytes": 0,
+            "transient_bytes": 0,
             "steady_state_allocations": 0,
             "allocations_eliminated": 0,
             "shape_misses": 0,
@@ -379,8 +396,9 @@ class CompiledPlan:
             entry["arenas_built"] = stats["arenas_built"]
             report["planned_shapes"].append(entry)
             report["arenas_built"] += stats["arenas_built"]
-            report["arena_bytes"] += stats["arena_bytes"]
-            report["scratch_bytes"] += stats["scratch_bytes"]
+            for key in ("arena_bytes", "register_bytes",
+                        "persistent_scratch_bytes", "transient_bytes"):
+                report[key] += stats[key]
             report["steady_state_allocations"] += stats["last_run_allocs"]
             report["allocations_eliminated"] += stats["last_run_reuse_hits"]
             report["shape_misses"] += stats["shape_misses"]

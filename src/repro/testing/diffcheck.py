@@ -29,7 +29,8 @@ uncalibrated (quantized models)       every backend refuses to compile
 every ``compile_model`` call          leaves the model's signature
                                       unchanged (compiling only reads)
 ``fast``/``int8`` on the arena        bitwise equal to an unplanned copy
-                                      over batches of 6 → 2 → 6 rows
+                                      over batches of 6 → 2 → 6 rows, at
+                                      threads 1 and ``threads``
 ====================================  =====================================
 
 The threaded legs run on ``2 * MIN_LANE_ROWS`` rows, the smallest batch
@@ -245,14 +246,17 @@ def check_model(seed: int, threads: int = 2) -> dict:
             report["stem_audit"] = audit
 
     # -- arena: bound programs reused across batch sizes change no bit ------
+    # (serial and in lanes, each lane on its own transient pool)
     for backend in ("fast", "int8") if gm.quantized else ("fast",):
-        planned, unplanned = (_compile(gm, backend) for _ in range(2))
-        unplanned.planning = False  # binds afresh and allocates every call
-        for i, batch in enumerate((x_split, x, x_split)):
-            np.testing.assert_array_equal(
-                planned.run(batch, threads=threads), unplanned.run(batch, threads=threads),
-                err_msg=_msg(gm, f"{backend} arena run differs from unplanned, batch {i}"),
-            )
+        for lanes in sorted({1, threads}):
+            planned, unplanned = (_compile(gm, backend) for _ in range(2))
+            unplanned.planning = False  # binds afresh and allocates every call
+            for i, batch in enumerate((x_split, x, x_split)):
+                np.testing.assert_array_equal(
+                    planned.run(batch, threads=lanes), unplanned.run(batch, threads=lanes),
+                    err_msg=_msg(gm, f"{backend} arena run differs from unplanned, "
+                                     f"batch {i}, threads {lanes}"),
+                )
     return report
 
 

@@ -114,7 +114,10 @@ def _healthy():
         "int8_anomaly": {
             "fp32_fast_ms": 30.0, "int8_fast_ms": 60.0, "int8_native_ms": 28.0,
         },
-        "memory": {"workload": "w@fast", "steady_state_allocations": 0},
+        "memory": {
+            "workload": "w@fast", "steady_state_allocations": 0,
+            "arenas": {"w@fast": {"batch": 8, "arena_bytes": 10_000_000}},
+        },
         "trace_overhead": {"workload": "w@fast", "overhead_disabled_pct": 0.2},
         "bit_identical_reference": True,
         "bit_identical_workers": True,
@@ -148,6 +151,7 @@ FAILING = {
     "int8_anomaly": ("int8_anomaly/int8_native_ms", 40.0),
     "int8_native_vs_fast": ("int8_anomaly/int8_fast_ms", 25.0),
     "memory_allocations": ("memory/steady_state_allocations", 3),
+    "arena_bytes": ("memory/arenas/w@fast/arena_bytes", 13_000_000),
     "trace_overhead": ("trace_overhead/overhead_disabled_pct", 1.5),
     "bit_identical_reference": ("bit_identical_reference", False),
     "bit_identical_workers": ("bit_identical_workers", False),

@@ -11,6 +11,10 @@ Contract:
 * steady state is zero-allocation: after warm-up, ``memory_report()``
   shows no arena allocations for a run, while the eliminated-allocation
   counter shows the scratch/out requests that hit existing buffers;
+* scratch has two lifetimes: transient buffers share one pool per arena
+  (every step carves it from offset 0, and no step may return a view of
+  it), persistent ones (zero-bordered padded inputs, outputs in another
+  layout than their register) outlive their step;
 * arena execution is value-neutral: planned and unplanned runs of the
   same plan produce bit-identical outputs.
 """
@@ -20,9 +24,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.engine import compile_model
-from repro.engine.memplan import Arena, plan_layout
-from repro.engine.plan import Step
+from repro.engine import compile_model, kernels
+from repro.engine.memplan import (
+    Arena,
+    ScratchEscapeError,
+    bind_step,
+    plan_layout,
+    take_scratch,
+)
+from repro.engine.plan import CompiledPlan, Step
 from repro.models.common import ConvSpec
 from repro.models.lenet import lenet
 from repro.models.resnet import resnet18
@@ -109,30 +119,100 @@ class TestArena:
         layout = plan_layout(_chain_steps(), 0, 4, (4, 8, 8))
         arena = Arena(layout)
         arena.begin_run(2)
-        first_allocs = arena.last_run_allocs
-        assert first_allocs == len(layout.slot_elems)
-        buf = arena.scratch((0, "rows", 0), (16, 16), np.float32)
-        assert arena.scratch((0, "rows", 0), (16, 16), np.float32) is not None
-        assert arena.last_run_hits == 1  # second request hit the buffer
-        assert arena.owns(buf)
-        # Same key, smaller shape: still a hit (capacity-based).
-        arena.scratch((0, "rows", 0), (8, 16), np.float32)
-        assert arena.last_run_hits == 2
-        # Bigger batch grows the slots exactly once.
-        arena.begin_run(4)
+        # No step bound yet: the slots allocate, the pool does not.
         assert arena.last_run_allocs == len(layout.slot_elems)
+        assert arena.transient_nbytes == 0
+        with bind_step(arena, 0, None):
+            buf = take_scratch("gemm", (16, 16), persistent=True)
+            assert take_scratch("gemm", (16, 16), persistent=True) is not None
+            assert arena.last_run_hits == 1  # second request hit the buffer
+            assert arena.owns(buf)
+            # Same key, smaller shape: still a hit (capacity-based).
+            take_scratch("gemm", (8, 16), persistent=True)
+            assert arena.last_run_hits == 2
+            # The first binding grows the pool to fit the step's
+            # transient buffers.
+            take_scratch("rows", (2, 40))
+            take_scratch("tiles", (2, 8), np.float64)
+            assert arena.pool_grew and arena.last_run_hits == 2
+        with bind_step(arena, 1, None):
+            take_scratch("v", (2, 40))  # the next step fits: a hit
+        assert arena.last_run_hits == 3
+        pool_at_2 = arena.transient_nbytes
+        # Bigger batch: the slots and the pool grow exactly once, before
+        # any step binds, sized from the bytes per sample bound at 2.
+        arena.begin_run(4)
+        assert arena.last_run_allocs == len(layout.slot_elems) + 1
+        assert arena.transient_nbytes == 2 * (pool_at_2 - 64) + 64
+        with bind_step(arena, 0, None):
+            rows = take_scratch("rows", (4, 40))
+            tiles = take_scratch("tiles", (4, 8), np.float64)
+        with bind_step(arena, 1, None):
+            other = take_scratch("v", (4, 40))
+        assert not arena.pool_grew and arena.last_run_hits == 3
+        # One step's buffers are disjoint and 64-byte aligned; the next
+        # step carves the same pool from offset 0.
+        assert not np.shares_memory(rows, tiles)
+        assert rows.ctypes.data % 64 == 0 and tiles.ctypes.data % 64 == 0
+        assert tiles.ctypes.data - rows.ctypes.data == 640  # 4·40·4 bytes
+        assert other.ctypes.data == rows.ctypes.data
         arena.begin_run(4)
         assert arena.last_run_allocs == 0
+        # A fresh arena bound at 4 alone holds the same pool.
+        fresh = Arena(plan_layout(_chain_steps(), 0, 4, (4, 8, 8)))
+        fresh.begin_run(4)
+        with bind_step(fresh, 0, None):
+            take_scratch("rows", (4, 40))
+            take_scratch("tiles", (4, 8), np.float64)
+        assert fresh.transient_nbytes == arena.transient_nbytes
 
     def test_zeroed_scratch_borders_survive_reuse(self):
+        """A padded step binds and writes its interior, another step
+        fills its own scratch, and the padded step binds again."""
         layout = plan_layout(_chain_steps(), 0, 4, (4, 8, 8))
         arena = Arena(layout)
         arena.begin_run(1)
-        pad = arena.scratch((1, "xp", 0), (1, 2, 6, 6), np.float32, zero=True)
+        with bind_step(arena, 1, None):
+            pad = take_scratch("xp", (1, 2, 6, 6), np.float32, zero=True)
         assert not pad.any()
         pad[:, :, 1:5, 1:5] = 7.0  # kernel writes the interior only
-        again = arena.scratch((1, "xp", 0), (1, 2, 6, 6), np.float32, zero=True)
+        with bind_step(arena, 2, None):
+            take_scratch("rows", (1, 2, 6, 6)).fill(5.0)
+        with bind_step(arena, 1, None):
+            again = take_scratch("xp", (1, 2, 6, 6), np.float32, zero=True)
         assert again[0, 0, 0, 0] == 0.0 and again[0, 0, 2, 2] == 7.0
+
+    def test_border_test_catches_transient_padding(self, monkeypatch):
+        """A mutant arena that carves zero-bordered padding from the
+        transient pool fails the border test."""
+        monkeypatch.setattr(
+            Arena, "scratch",
+            lambda self, key, shape, dtype, zero=False: self.transient(shape, dtype),
+        )
+        with pytest.raises(AssertionError):
+            self.test_zeroed_scratch_borders_survive_reuse()
+
+    def test_output_in_transient_pool_is_refused(self, rng):
+        """A kernel returning a view of its transient scratch (which the
+        next step overwrites) fails its binding run, naming the step."""
+
+        def leaky(inputs, attrs):
+            buf = take_scratch("leak", inputs[0].shape)
+            return lambda x: np.maximum(x, 0.0, out=buf)
+
+        def build(fn):
+            steps = [Step("relu", (0,), 1, fn=fn), Step("relu", (1,), 2, fn=fn)]
+            return CompiledPlan(steps, 3, 0, 2, backend="fast", signature="leak")
+
+        x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
+        with pytest.raises(ScratchEscapeError, match=r"step 0 \(relu\)"):
+            build(leaky).run(x)
+        unplanned = build(leaky)
+        unplanned.planning = False  # fresh arrays: nothing to escape
+        np.testing.assert_array_equal(unplanned.run(x), np.maximum(x, 0.0))
+        np.testing.assert_array_equal(
+            build(kernels.relu_fast).run(x), np.maximum(x, 0.0)
+        )
 
 
 class TestPlannedExecution:
@@ -290,11 +370,11 @@ class TestBoundPrograms:
             assert report["shape_misses"] == 0
             assert report["allocations_eliminated"] > 20
             for arena in self._arenas(plan):
-                buffers = list(arena._scratch.values()) + arena._slots
+                buffers = [*arena._scratch.values(), *arena._slots, arena._pool]
                 replaced += [weakref.ref(b) for b in buffers if b is not None]
         gc.collect()
         live = {id(b) for a in self._arenas(plan) for b in a._scratch.values()}
-        live |= {id(b) for a in self._arenas(plan) for b in a._slots}
+        live |= {id(b) for a in self._arenas(plan) for b in [*a._slots, a._pool]}
         assert all(ref() is None or id(ref()) in live for ref in replaced)
 
         # Every arena holds exactly what an arena warmed only at its
@@ -371,3 +451,45 @@ class TestReplay:
         report = serial.memory_report()
         assert report["arenas_built"] == 2
         assert report["arena_bytes"] == overlapping.memory_report()["arena_bytes"]
+
+
+class TestServedArenas:
+    """The served ``resnet18-w0.25-F4`` plans hold their registers, the
+    persistent scratch and one transient pool sized by the largest step."""
+
+    @pytest.mark.parametrize(
+        "name,bound",
+        [("resnet18-w0.25-F4-fp32", 14.8e6), ("resnet18-w0.25-F4-int8@int8", 11.0e6)],
+    )
+    def test_arena_bytes_at_batch_8(self, rng, name, bound):
+        from repro.engine.cache import PlanCache
+        from repro.serve.registry import ModelSpec, compile_served
+
+        plan = compile_served(ModelSpec.parse(name), cache=PlanCache()).plan
+        x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+        plan.run(x, threads=1)
+        report = plan.memory_report()
+        assert report["arenas_built"] == 1
+        assert report["arena_bytes"] <= bound
+        parts = ("register_bytes", "persistent_scratch_bytes", "transient_bytes")
+        assert report["arena_bytes"] == sum(report[k] for k in parts)
+        (pool,) = plan._mem_pools.values()
+        assert report["transient_bytes"] == pool.layout.transient_bytes(8) + 64
+
+    @pytest.mark.parametrize(
+        "name", ["resnet18-w0.25-F4-fp32@fast", "resnet18-w0.25-F4-int8@int8"]
+    )
+    def test_batch_sizes_settle_after_two_runs_each(self, rng, name):
+        from repro.serve.registry import ModelSpec, build_model
+
+        spec = ModelSpec.parse(name)
+        model, _ = build_model(spec)
+        ensure_calibrated(model, rng.standard_normal((4, 3, 32, 32)).astype(np.float32))
+        plan = compile_model(model, backend=spec.backend)
+        xs = {b: rng.standard_normal((b, 3, 32, 32)).astype(np.float32) for b in (1, 8)}
+        for i, batch in enumerate((1, 8, 1, 8, 1, 8)):
+            plan.run(xs[batch], threads=1)
+            report = plan.memory_report()
+            assert report["shape_misses"] == 0
+            if i >= 3:  # each size has run twice
+                assert report["steady_state_allocations"] == 0, (i, batch)

@@ -182,15 +182,12 @@ class TestConcurrency:
         x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
         model = _calibrated(lenet(spec=ConvSpec("F2")), x)
         plan = compile_model(model, backend="fast")
-        plan.run(x)
-        broken = plan.steps[0]
-        original = broken.fn
-        broken.fn = lambda inputs, attrs: (_ for _ in ()).throw(RuntimeError("boom"))
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                plan.run(x, threads=4)
-        finally:
-            broken.fn = original
+        # Broken before the plan's first run, so the split run must bind
+        # (and call) the raising kernel in every lane, whatever the
+        # REPRO_THREADS default.
+        plan.steps[0].fn = lambda inputs, attrs: (_ for _ in ()).throw(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            plan.run(x, threads=4)
 
 
 class TestThreadResolution:
