@@ -100,33 +100,46 @@ def _paired_threads(plan, x, threads: int, rounds: int, warmup: int) -> dict:
     }
 
 
-#: Phases of the native Winograd runner in kernel order, and the module-level
-#: helper of ``repro.engine.kernels`` each one is timed through.  The
-#: three ``_int8_matmul`` calls of one Winograd step are, in order, the
-#: forward, Hadamard and inverse GEMMs.
-INT8_PHASES = (
-    ("quantize/pad", "_load_codes"),
-    ("tile gather", "_gather_tiles"),
-    ("forward GEMM", "_int8_matmul"),
-    ("requant", "_requant_codes"),
-    ("Hadamard GEMM", "_int8_matmul"),
-    ("inverse GEMM", "_int8_matmul"),
-    ("epilogue", "_int8_epilogue"),
-    ("scatter", "_scatter_tiles"),
-)
+#: Phases of each Winograd runner in kernel order, by step domain, and
+#: the module-level helper of ``repro.engine.kernels`` each one is timed
+#: through.  A domain's three GEMMs share one helper, whose calls in one
+#: Winograd step are, in order, the forward, Hadamard and inverse GEMMs.
+WINOGRAD_PHASES = {
+    "int8": (
+        ("quantize/pad", "_load_codes"),
+        ("tile gather", "_gather_tiles"),
+        ("forward GEMM", "_int8_matmul"),
+        ("requant", "_requant_codes"),
+        ("Hadamard GEMM", "_int8_matmul"),
+        ("inverse GEMM", "_int8_matmul"),
+        ("epilogue", "_int8_epilogue"),
+        ("scatter", "_scatter_tiles"),
+    ),
+    "float": (
+        ("pad", "_pad_input"),
+        ("tile gather", "_gather_tiles"),
+        ("forward GEMM", "_float_matmul"),
+        ("Hadamard GEMM", "_float_matmul"),
+        ("inverse GEMM", "_float_matmul"),
+        ("scatter", "_scatter_tiles"),
+        ("epilogue", "_float_epilogue"),
+    ),
+}
 
 
-def _int8_phases(plan, x, rounds: int) -> dict:
-    """Per-run ms of each :data:`INT8_PHASES` phase of ``plan``'s native
-    Winograd steps, over ``rounds`` runs of ``plan.run(x, threads=1)``.
+def _winograd_phases(plan, x, rounds: int, domain: str) -> dict:
+    """Per-run ms of each :data:`WINOGRAD_PHASES` phase of ``plan``'s
+    Winograd steps in ``domain`` (``"int8"`` native, ``"float"``), over
+    ``rounds`` runs of ``plan.run(x, threads=1)``.
 
-    A separate pass on a copy of ``plan`` whose native Winograd steps
-    bind timed runners, with the helpers wrapped in timers and restored
-    afterwards, so timed rows elsewhere run unwrapped.  Helper calls
-    outside a Winograd step (im2row steps share them) are not counted.
+    A separate pass on a copy of ``plan`` whose Winograd steps of that
+    domain bind timed runners, with the helpers wrapped in timers and
+    restored afterwards, so timed rows elsewhere run unwrapped.  Helper
+    calls outside those steps (im2row steps share some) are not counted.
     ``share`` is a phase's fraction of ``winograd_ms``, the time inside
-    the Winograd steps, and ``unattributed_ms`` the rest of it (casts,
-    dispatch).
+    the timed steps, and ``unattributed_ms`` the rest of it (casts,
+    dispatch, and any float step on the nested transforms, which calls
+    no helper).
     """
     import dataclasses
     import time
@@ -134,9 +147,10 @@ def _int8_phases(plan, x, rounds: int) -> dict:
     from repro.engine import kernels
     from repro.engine.plan import CompiledPlan
 
-    phases = [phase for phase, _ in INT8_PHASES]
-    gemms = [phase for phase, helper in INT8_PHASES if helper == "_int8_matmul"]
-    ms = dict.fromkeys(phases + ["winograd"], 0.0)
+    order = WINOGRAD_PHASES[domain]
+    gemm = dict(order)["forward GEMM"]
+    gemms = [phase for phase, helper in order if helper == gemm]
+    ms = dict.fromkeys([phase for phase, _ in order] + ["winograd"], 0.0)
     running = [None]  # the running Winograd step's GEMM phases, or None
 
     def timed(fn, phase):
@@ -169,13 +183,13 @@ def _int8_phases(plan, x, rounds: int) -> dict:
 
         return timed_bind
 
-    timed_steps = [s.op == "winograd_conv2d" and s.domain == "int8" for s in plan.steps]
+    timed_steps = [s.op == "winograd_conv2d" and s.domain == domain for s in plan.steps]
     probe = CompiledPlan(
         [dataclasses.replace(s, fn=timed_step(s.fn)) if timed else s
          for s, timed in zip(plan.steps, timed_steps)],
         plan.num_regs, plan.input_reg, plan.output_reg, plan.backend, plan.signature,
     )
-    helpers = {h: (None if h == "_int8_matmul" else p) for p, h in INT8_PHASES}
+    helpers = {h: (None if h == gemm else p) for p, h in order}
     saved = {helper: getattr(kernels, helper) for helper in helpers}
     try:
         for helper, phase in helpers.items():
@@ -214,8 +228,9 @@ def run_engine_benchmark(
     Quantized workloads get a native ``int8`` backend column next to
     ``fast``; the report records whether the int8 anomaly is
     inverted (int8 on its native backend beating fp32 on ``fast``), and
-    the ``int8_phases`` entry splits the native Winograd steps of that
-    workload into the phases of :data:`INT8_PHASES`.
+    the ``int8_phases`` and ``fp32_phases`` entries split the Winograd
+    steps of the ResNet ``int8`` and ``fast`` plans into the phases of
+    :data:`WINOGRAD_PHASES`.
 
     Per-workload rows are measured at ``threads=1`` (and say so), so the
     speedup columns stay comparable across hosts and PRs regardless of
@@ -316,11 +331,13 @@ def run_engine_benchmark(
             }
             threaded["workloads"][f"{name}@{backend}"] = row
 
+    phase_rounds = 10 if quick else 40
     int8_plan, int8_x = plans[("resnet18-w0.25-F4-int8", "int8")]
     int8_phases = {"workload": "resnet18-w0.25-F4-int8@int8"}
-    int8_phases.update(_int8_phases(int8_plan, int8_x, 10 if quick else 40))
-
+    int8_phases.update(_winograd_phases(int8_plan, int8_x, phase_rounds, "int8"))
     fast_plan, fast_x = plans[("resnet18-w0.25-F4", "fast")]
+    fp32_phases = {"workload": "resnet18-w0.25-F4@fast"}
+    fp32_phases.update(_winograd_phases(fast_plan, fast_x, phase_rounds, "float"))
 
     # Tracing-off overhead gate: the public ``run`` with tracing
     # disabled must stay within budget of the executor loop it
@@ -397,6 +414,7 @@ def run_engine_benchmark(
             "inverted": int8_row["engine_int8_ms"] < fp32_row["engine_fast_ms"],
         },
         "int8_phases": int8_phases,
+        "fp32_phases": fp32_phases,
         "threaded_speedup": threaded,
         "trace_overhead": trace_overhead,
         "memory": {

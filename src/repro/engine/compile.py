@@ -522,8 +522,11 @@ def _finalize_fast(steps: List[Step]) -> None:
             # Kronecker forms of the tile transforms: Bᵀ d B over a t×t
             # tile is one (t², t²) matrix applied to the flattened tile,
             # so the whole batch's input/output transforms each become a
-            # single large GEMM instead of per-tile t×t matmuls.  Two
-            # exclusions keep the nested form instead:
+            # single large GEMM instead of per-tile t×t matmuls.  They are
+            # stored transposed, kron(Bᵀ, Bᵀ)ᵀ and kron(Aᵀ, Aᵀ)ᵀ (the
+            # layout of every saved artifact); the runner multiplies by
+            # their ``.T`` views from the left, over tap-major operands.
+            # Two exclusions keep the nested form instead:
             # * t > 8 (F(6, 5)) — the one-shot t² product sum loses too
             #   much precision against the ill-conditioned large-tile
             #   Cook–Toom transforms;

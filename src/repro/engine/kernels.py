@@ -152,14 +152,19 @@ def _bind_epilogue(attrs: Dict, bias_shape: tuple, quantize_output: bool = True)
     relu = attrs.get("fuse_relu")
 
     def finish(y):
-        if bias is not None:
-            y += bias
-        y = fake_quant(y, q_out, out=y)
-        if relu:
-            np.maximum(y, 0.0, out=y)
-        return y
+        return _float_epilogue(y, bias, q_out, relu)
 
     return finish
+
+
+def _float_epilogue(y, bias, q_out, relu):
+    """Float epilogue phase (see :func:`_bind_epilogue`), in place on ``y``."""
+    if bias is not None:
+        y += bias
+    y = fake_quant(y, q_out, out=y)
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +642,54 @@ def winograd_fast(inputs, attrs):
 
     ``Bᵀ d B`` over a t×t tile is linear in the flattened tile, so the
     input transform for *all* N·C·th·tw tiles of the batch is one
-    ``(N·C·th·tw, t²) × (t², t²)`` GEMM against the cached Kronecker
-    matrix ``kron(Bᵀ, Bᵀ)ᵀ`` (``attrs["btk"]``), and likewise the output
-    transform against ``kron(Aᵀ, Aᵀ)ᵀ``.  The Hadamard stage is t² GEMMs
-    of (K/g × C/g)·(C/g × P) per group.  GEMM row counts scale with the
-    batch, so per-sample cost *drops* as the dynamic batcher coalesces
-    requests — deep layers (few tiles per sample) amortise hardest.
-    Bias / folded BN / fused ReLU are applied in a single epilogue.
-    Every intermediate (padded input, tile matrix, transform domains,
-    NCHW assembly) lives in step scratch.
+    ``(t², t²) × (t², C·P)`` GEMM against the Kronecker matrix
+    ``kron(Bᵀ, Bᵀ)`` (the ``.T`` view of the cached ``attrs["btk"]``),
+    and likewise the output transform against ``kron(Aᵀ, Aᵀ)``.  The
+    tiles are gathered tap-major, ``(t, t, C, N, th, tw)``, so the
+    forward GEMM writes the Hadamard operand ``(t, t, g, C/g, P)`` as it
+    lies, the Hadamard stage is t² GEMMs of (K/g × C/g)·(C/g × P) per
+    group, and the inverse GEMM reads the Hadamard output
+    ``(t, t, g, K/g, P)`` as it lies: no transpose between the three
+    GEMMs.  GEMM widths scale with the batch, so per-sample cost *drops*
+    as the dynamic batcher coalesces requests — deep layers (few tiles
+    per sample) amortise hardest.  One scatter writes the NCHW output,
+    and bias / folded BN / fused ReLU are applied in a single epilogue.
+    Every intermediate (padded input, tiles, transform domains, output
+    tiles) lives in step scratch.  Quantized steps and t > 8 keep the
+    nested two-stage transforms (see ``_finalize_fast``).
     """
     return _bind_by_domain(inputs, attrs, _bind_winograd, _bind_winograd_fast)
+
+
+def _pad_input(x, out):
+    """Pad phase of a float step: copy ``x`` into ``out``, the interior
+    of its zero-bordered padded buffer."""
+    np.copyto(out, x)
+
+
+def _float_matmul(a, b, out=None):
+    """GEMM of a float step: the phase helper the fp32 ledger times
+    (kept apart from :func:`_int8_matmul`, which tests replace with an
+    int64 oracle)."""
+    return np.matmul(a, b, out=out)
+
+
+def _gather_tiles(tiles, tmat):
+    """Tile gather: copy the tap-major tile view ``tiles`` into ``tmat``,
+    so each tap's tiles form one GEMM operand — ``(t, t, N, th, tw, C)``
+    on a native step (see :func:`_tile_view`), ``(t, t, C, N, th, tw)``
+    on a float one."""
+    np.copyto(tmat, tiles)
+    return tmat
+
+
+def _scatter_tiles(tiles, y):
+    """Output scatter: copy the output-tile view ``tiles`` into the
+    same-shaped view ``y`` of the output buffer — ``(N, th, m, tw, m, g,
+    K/g)`` of a channels-last one on a native step, ``(N, K, th, m, tw,
+    m)`` of an NCHW one on a float step."""
+    np.copyto(y, tiles)
+    return y
 
 
 def _bind_winograd_fast(shape, attrs):
@@ -667,15 +709,6 @@ def _bind_winograd_fast(shape, attrs):
     padded = not (pad == 0 and need_h == h and need_w == w)  # else no pad copy
     if padded:
         xp, interior = _bind_pad(shape, pad, pad, (need_h, need_w))
-    if btk is not None:
-        tmat = take_scratch("tiles", (n * c * th * tw, tt))
-        v = take_scratch("v", (n * c * th * tw, tt))
-        v_src = np.transpose(v.reshape(n, g, cg, th * tw, tt), (4, 1, 2, 0, 3))
-    v2 = take_scratch("v2", (t, t, g, cg, p))
-    had = take_scratch("had", (t, t, g, k // g, p))  # (t, t, g, K/g, P)
-    if atk is not None:
-        hadT = take_scratch("hadT", (k * p, tt))
-        ymat = take_scratch("ymat", (k * p, m * m))
     full = (n, k, th * m, tw * m)
     if full[2:] == (out_h, out_w):
         yout = take_out(full)
@@ -684,34 +717,61 @@ def _bind_winograd_fast(shape, attrs):
     result = yout[:, :, :out_h, :out_w]
     finish = _bind_epilogue(attrs, (1, k, 1, 1), quantize_output=False)
 
-    def run(x):
+    def load(x):
+        """The step's input, fake-quantized and zero-padded."""
         if qx is not None:
             x = fake_quant(x, q_in, out=qx)
         if padded:
-            interior[...] = x
-            x = xp
-        tiles = _strided_patches(x, t, t, m, m)  # view, no copy
-        if btk is None:  # large tiles: nested two-stage transform (precision)
+            _pad_input(x, interior)
+            return xp
+        return x
+
+    if btk is None:  # quantized or large tiles: nested two-stage transform
+        v2 = take_scratch("v2", (t, t, g, cg, p))
+        had = take_scratch("had", (t, t, g, k // g, p))
+
+        def run(x):
+            tiles = _strided_patches(load(x), t, t, m, m)  # view, no copy
             vn = np.matmul(np.matmul(BT, tiles), BT.transpose())
             vn = fake_quant(vn, q_v, out=vn)
             v2.reshape(t, t, g, cg, n, th * tw)[...] = np.transpose(
                 vn.reshape(n, g, cg, th, tw, t, t), (5, 6, 1, 2, 0, 3, 4)
             ).reshape(t, t, g, cg, n, th * tw)
-        else:
-            tmat.reshape(n, c, th, tw, t, t)[...] = tiles
-            fake_quant(np.matmul(tmat, btk, out=v), q_v, out=v)
-            v2.reshape(tt, g, cg, n, th * tw)[...] = v_src
-        fake_quant(np.matmul(u2, v2, out=had), q_h, out=had)
-        if atk is None:
+            fake_quant(np.matmul(u2, v2, out=had), q_h, out=had)
             y = np.transpose(had.reshape(t, t, k, p), (2, 3, 0, 1))
             y = np.matmul(np.matmul(AT, y), AT.transpose())  # (K, P, m, m)
-        else:
-            hadT[...] = np.transpose(had.reshape(tt, k * p), (1, 0))
-            y = np.matmul(hadT, atk, out=ymat)
-        y = fake_quant(y, q_out, out=y)
-        yout.reshape(n, k, th, m, tw, m)[...] = np.transpose(
-            y.reshape(k, n, th, tw, m, m), (1, 0, 2, 4, 3, 5)
-        )
+            y = fake_quant(y, q_out, out=y)
+            yout.reshape(n, k, th, m, tw, m)[...] = np.transpose(
+                y.reshape(k, n, th, tw, m, m), (1, 0, 2, 4, 3, 5)
+            )
+            return finish(result)
+
+        return run
+
+    # Kronecker forms exist only on unquantized steps (``_finalize_fast``),
+    # so no transform-domain stage applies between the GEMMs.
+    def tap_major(x):  # the (t, t, C, N, th, tw) tiles of NCHW x, a view
+        return np.transpose(_strided_patches(x, t, t, m, m), (4, 5, 1, 0, 2, 3))
+
+    tiles = tap_major(xp) if padded else None  # else tiled off each run's input
+    tmat = take_scratch("tiles", (tt, c * p))
+    v = take_scratch("v", (t, t, g, cg, p))  # the Hadamard operand
+    had = take_scratch("had", (t, t, g, k // g, p))
+    z = take_scratch("z", (m * m, k * p))  # output tiles, (m, m, K, N, th, tw)
+    # GEMM operands and scatter endpoints, as views of the buffers above
+    tmat6 = tmat.reshape(t, t, c, n, th, tw)
+    v2d, had2d = v.reshape(tt, c * p), had.reshape(tt, k * p)
+    z_tiles = np.transpose(z.reshape(m, m, k, n, th, tw), (3, 2, 4, 0, 5, 1))
+    y_tiles = yout.reshape(n, k, th, m, tw, m)
+    bt_kron, at_kron = btk.T, atk.T  # kron(Bᵀ, Bᵀ), kron(Aᵀ, Aᵀ): (t², t²), (m², t²)
+
+    def run(x):
+        x = load(x)
+        _gather_tiles(tap_major(x) if tiles is None else tiles, tmat6)
+        _float_matmul(bt_kron, tmat, out=v2d)  # (t², C·P)
+        _float_matmul(u2, v, out=had)  # (t, t, g, K/g, P)
+        _float_matmul(at_kron, had2d, out=z)  # (m², K·P)
+        _scatter_tiles(z_tiles, y_tiles)
         return finish(result)
 
     return run
@@ -726,10 +786,11 @@ def _bind_winograd_fast(shape, attrs):
 # exactness argument).  Every GEMM here runs over integer-valued float
 # arrays whose partial sums were proven, at compile time, to stay below
 # the dtype's mantissa bound — so the float GEMM is exact at any BLAS
-# blocking, and reassociation-friendly layouts (the transform output is
-# produced directly in the Hadamard layout; the output transform
-# consumes the Hadamard layout directly) are safe in a way they are not
-# for the float ``fast`` path.
+# blocking, and any GEMM layout is safe: the transform output is produced
+# directly in the Hadamard layout, and the output transform consumes the
+# Hadamard layout directly.  The float Kronecker runner above uses the
+# same two layouts; it runs only unquantized steps, where reassociation
+# moves values by float rounding but can flip no quantization bin.
 
 #: Set True (tests/debugging) to assert at run time that every integer
 #: accumulator stays within its compile-time bound.
@@ -880,22 +941,6 @@ def _tile_view(xp, t, m):
     codes ``xp``, as a strided view."""
     patches = _strided_patches(xp.transpose(0, 3, 1, 2), t, t, m, m)
     return np.transpose(patches, (4, 5, 0, 2, 3, 1))
-
-
-def _gather_tiles(tiles, tmat):
-    """Tile gather: copy the tile view ``tiles`` (see :func:`_tile_view`)
-    into ``tmat``, so each tap's tiles form one ``(P, C)`` matrix and
-    every copy run is ``C`` contiguous values."""
-    np.copyto(tmat, tiles)
-    return tmat
-
-
-def _scatter_tiles(tiles, y):
-    """Output scatter: the ``(N, th, m, tw, m, g, K/g)`` view ``tiles`` of
-    the output tiles into the same-shaped view ``y`` of the channels-last
-    ``(N, th·m, tw·m, K)`` output buffer."""
-    np.copyto(y, tiles)
-    return y
 
 
 def _bind_codes(shape, q, dtype):

@@ -109,6 +109,39 @@ class TestTileSizeGrid:
         x = rng.standard_normal((2, 4, 16, 16)).astype(np.float32)
         assert_parity(layer, x, quantized=qconfig.enabled)
 
+    @pytest.mark.parametrize(
+        "m,groups,hw,pad,batch",
+        [
+            (2, 1, 16, None, 8),
+            (4, 1, 16, None, 1),
+            (6, 1, 16, None, 8),  # F(6, 3): t = 8, the largest Kronecker tile
+            (4, 2, 16, None, 8),
+            (6, 2, 16, None, 1),
+            (4, 1, 14, None, 8),  # out_h % m != 0: a cropped tile assembly
+            (6, 2, 13, None, 1),
+            (4, 1, 18, 0, 8),  # pad=0, tiles cover the input: no pad copy
+            (2, 2, 10, 0, 1),
+        ],
+    )
+    def test_kronecker_runner_vs_reference(self, rng, m, groups, hw, pad, batch):
+        """The float Kronecker runner (tap-major tiles, three GEMMs on the
+        Hadamard layout): ``fast`` tolerance against ``reference``, and a
+        planned run (binding and replay) bitwise equal to an unplanned one."""
+        layer = WinogradConv2d(4, 6, kernel_size=3, m=m, padding=pad, groups=groups)
+        layer.eval()
+        x = rng.standard_normal((batch, 4, hw, hw)).astype(np.float32)
+        planned = compile_model(layer, backend="fast")
+        (step,) = [s for s in planned.steps if s.op == "winograd_conv2d"]
+        assert "btk" in step.attrs and "atk" in step.attrs
+        unplanned = compile_model(layer, backend="fast")
+        unplanned.planning = False
+        expected = compile_model(layer, backend="reference").run(x)
+        out = planned.run(x)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-4)
+        np.testing.assert_array_equal(out, unplanned.run(x))
+        np.testing.assert_array_equal(planned.run(x), out)
+
     def test_flex_transforms_are_honoured(self, rng):
         """A flex layer's *current* (trained/perturbed) transforms are
         what gets frozen into the plan, not the Cook–Toom init."""
