@@ -95,6 +95,9 @@ TENSOR_ALIGN = 4096
 #: Conventional artifact file extension ("repro plan").
 EXTENSION = ".rpln"
 
+#: Read size of the streamed content-hash check.
+HASH_CHUNK = 1 << 18
+
 
 class ArtifactError(Exception):
     """Base class for every plan-artifact failure (save or load)."""
@@ -482,12 +485,26 @@ def read_manifest(path: str, verify: bool = False) -> dict:
     raw = _open_mapped(path)
     file_size, manifest_off, manifest_len, digest = _read_header(raw, path)
     if verify:
-        _verify_hash(raw, file_size, digest, path)
+        _verify_hash(path, file_size, digest)
     return _parse_manifest(raw, manifest_off, manifest_len, path)
 
 
-def _verify_hash(raw: np.ndarray, file_size: int, digest: bytes, path: str) -> None:
-    actual = hashlib.sha256(raw[HEADER.size:file_size]).digest()
+def _verify_hash(path: str, file_size: int, digest: bytes) -> None:
+    """Recompute the content hash with small sequential reads of the
+    file, never through the mmap: hashing a mapping would fault every
+    tensor page into the caller's resident set."""
+    hasher = hashlib.sha256()
+    chunk = memoryview(bytearray(HASH_CHUNK))
+    remaining = file_size - HEADER.size
+    with open(path, "rb") as f:
+        f.seek(HEADER.size)
+        while remaining > 0:
+            n = f.readinto(chunk[:min(remaining, HASH_CHUNK)])
+            if not n:
+                break  # shrank since the header check: mismatch below
+            hasher.update(chunk[:n])
+            remaining -= n
+    actual = hasher.digest()
     if actual != digest:
         raise ArtifactCorruptError(
             f"{path}: content hash mismatch (expected "
@@ -524,7 +541,7 @@ def load_plan(path: str, verify: bool = True) -> CompiledPlan:
     raw = _open_mapped(path)
     file_size, manifest_off, manifest_len, digest = _read_header(raw, path)
     if verify:
-        _verify_hash(raw, file_size, digest, path)
+        _verify_hash(path, file_size, digest)
     manifest = _parse_manifest(raw, manifest_off, manifest_len, path)
 
     meta = manifest["plan"]

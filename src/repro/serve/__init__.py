@@ -16,7 +16,7 @@ The serving stack, bottom to top:
   ``/models``, ``/healthz``, ``/metrics``), stdlib only;
 * :mod:`repro.serve.workers` / :mod:`repro.serve.router` — multi-process
   sharded serving: forked worker processes (own plan cache + arenas per
-  worker) fed over ``multiprocessing.shared_memory`` slot rings, with
+  worker) fed over anonymous fork-shared slot rings, with
   per-model placement, health-checked respawn and in-flight batch retry
   (``repro serve --workers N``; ``workers=0`` keeps the exact
   in-process path);

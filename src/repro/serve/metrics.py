@@ -9,6 +9,7 @@ are computed over the most recent ``capacity`` observations, which keeps
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Dict, List, Optional
@@ -34,6 +35,19 @@ COUNTERS = (
     "deadline_exceeded_total", "errors_total", "batches_total",
     "batched_samples_total",
 )
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set (``ru_maxrss``) in MB, or None
+    where :mod:`resource` is missing.  Each serving process reports its
+    own, so the whole tree's memory is visible without reading /proc."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class LatencyWindow:
@@ -263,6 +277,7 @@ class ServerMetrics:
             "requests_total": requests,
             "responses_total": responses,
             "throughput_rps": responses / uptime if uptime > 0 else 0.0,
+            "rss_peak_mb": peak_rss_mb(),
             "models": models,
         }
         if plan_cache_stats is not None:

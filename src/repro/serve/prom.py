@@ -23,6 +23,7 @@ from repro.serve.metrics import (
     LATENCY_BUCKETS_MS,
     STEP_BUCKETS_MS,
     ServerMetrics,
+    peak_rss_mb,
 )
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -65,12 +66,13 @@ def render_prometheus(
 ) -> str:
     """Render the whole-server exposition document.
 
-    ``worker_info`` (only with ``--workers``) carries the router's
-    pool-level resilience counters: respawns, watchdog kills, batch
-    retries, corrupt-transport detections.  ``selfheal_info`` is
-    :meth:`SelfHealController.snapshot` — circuit states, ladder rungs,
-    autoscale decisions (docs/operations.md 'Self-healing & autoscaling
-    runbook').
+    ``worker_info`` (only with ``--workers``) is the router's
+    :meth:`~repro.serve.router.WorkerRouter.stats`: pool-level
+    resilience counters (respawns, watchdog kills, batch retries,
+    corrupt-transport detections) and each worker's peak RSS.
+    ``selfheal_info`` is :meth:`SelfHealController.snapshot` — circuit
+    states, ladder rungs, autoscale decisions (docs/operations.md
+    'Self-healing & autoscaling runbook').
     """
     lines: List[str] = []
 
@@ -80,6 +82,14 @@ def render_prometheus(
 
     head("repro_uptime_seconds", "gauge", "Seconds since server start.")
     lines.append(f"repro_uptime_seconds {_fmt(metrics.uptime_s())}")
+    rss = peak_rss_mb()
+    if rss is not None:
+        head(
+            "repro_rss_peak_mb",
+            "gauge",
+            "Peak resident set of the server (front-end) process, MB.",
+        )
+        lines.append(f"repro_rss_peak_mb {_fmt(round(rss, 3))}")
 
     if selfheal_info:
         from repro.serve.selfheal import CIRCUIT_STATE_CODE
@@ -177,6 +187,23 @@ def render_prometheus(
             if key in worker_info:
                 head(series, "counter", help_text)
                 lines.append(f"{series} {_fmt(worker_info[key])}")
+        rss_rows = [
+            (entry["worker"], entry["rss_peak_mb"])
+            for entry in worker_info.get("per_worker", ())
+            if entry.get("rss_peak_mb") is not None
+        ]
+        if rss_rows:
+            head(
+                "repro_worker_rss_peak_mb",
+                "gauge",
+                "Peak resident set of each worker process, MB (last "
+                "health ping).",
+            )
+            for worker_id, mb in rss_rows:
+                lines.append(
+                    f'repro_worker_rss_peak_mb{{worker="{worker_id}"}} '
+                    f"{_fmt(round(mb, 3))}"
+                )
 
     if trace_info:
         head(

@@ -285,6 +285,11 @@ def load_artifact_served(path: str, lazy: bool = False) -> ServedModel:
     workers map the file.  ``version`` is the artifact's content hash
     (first 12 hex chars), so ``/models`` distinguishes deployments of
     the same variant name.
+
+    The content hash is checked here, once, in both modes — before any
+    worker maps the file (workers load with ``verify=False``) — so boot
+    registration, journal replay and ``POST /models`` all refuse a
+    modified artifact with :class:`ArtifactCorruptError`.
     """
     from repro.engine.artifact import (
         ArtifactFormatError,
@@ -294,7 +299,7 @@ def load_artifact_served(path: str, lazy: bool = False) -> ServedModel:
     )
 
     path = os.path.abspath(path)
-    manifest = read_manifest(path)
+    manifest = read_manifest(path, verify=True)
     spec_name = (manifest.get("extra") or {}).get("model")
     if not spec_name:
         raise ArtifactFormatError(
@@ -309,7 +314,7 @@ def load_artifact_served(path: str, lazy: bool = False) -> ServedModel:
     if seed is not None:
         spec = dataclasses.replace(spec, seed=int(seed))
     version = content_hash(path)[:12]
-    plan = None if lazy else load_plan(path)
+    plan = None if lazy else load_plan(path, verify=False)
     return ServedModel(
         spec=spec,
         plan=plan,

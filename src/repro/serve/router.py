@@ -162,7 +162,7 @@ class _WorkerHandle:
         return self.slot_bytes * self.num_slots
 
     def close(self, terminate: bool = False) -> None:
-        """Tear down pipe/process/shm (idempotent)."""
+        """Tear down pipe/process/ring (idempotent)."""
         self._mark_dead()
         try:
             if not terminate and self.process.is_alive():
@@ -180,15 +180,10 @@ class _WorkerHandle:
             pass
         try:
             # BufferError: a dispatch thread may still hold a transient
-            # numpy view over shm.buf (the worker died under it); the
-            # mapping then lives until process exit, but the segment name
-            # is still unlinked below so no /dev/shm entry leaks.
+            # numpy view over the ring (the worker died under it); the
+            # anonymous mapping then lives until that view is dropped.
             self.shm.close()
         except (BufferError, OSError):
-            pass
-        try:
-            self.shm.unlink()
-        except (FileNotFoundError, OSError):
             pass
 
     # -- reader -------------------------------------------------------------
@@ -609,7 +604,7 @@ class WorkerRouter:
                 handle.wait_ready(self.ready_timeout)
         except BaseException:
             # wait_ready closes the failing handle itself; the siblings
-            # (already forked, each holding a shm segment) must not leak.
+            # (already forked, each holding a slot ring) must not linger.
             for handle in handles:
                 handle.close(terminate=True)
             raise
@@ -857,18 +852,6 @@ class WorkerRouter:
         with self._lock:
             return sum(self._restarts)
 
-    def watchdog_kills_total(self) -> int:
-        with self._lock:
-            return self._watchdog_kills
-
-    def retries_total(self) -> int:
-        with self._lock:
-            return self._retries
-
-    def corrupt_responses_total(self) -> int:
-        with self._lock:
-            return self._corrupt_responses
-
     def stats(self, refresh: bool = True, ping_timeout: float = 2.0) -> dict:
         with self._lock:
             handles = list(self._handles)
@@ -911,7 +894,8 @@ class WorkerRouter:
                 "models": handle.spec_names,
             }
             for key in ("requests_total", "errors_total",
-                        "inline_requests", "inline_responses"):
+                        "inline_requests", "inline_responses",
+                        "rss_peak_mb"):
                 if key in stats:
                     entry[key] = stats[key]
             if "plan_cache" in stats:

@@ -295,7 +295,7 @@ class InferenceServer:
                 )
         except BaseException:
             # A failed bind (or batcher bring-up) must not leak the
-            # already-forked worker pool and its shm segments.
+            # already-forked worker pool and its slot rings.
             await self.stop()
             raise
 
@@ -1032,15 +1032,11 @@ class InferenceServer:
             return self._trace_endpoint(request.query)
         if path == "/metrics":
             if wants_prometheus(request.headers.get("accept")):
+                # Pool counters plus each worker's last-known stats (the
+                # health monitor's pings keep them fresh): no round trip.
                 worker_info = None
                 if self._router is not None:
-                    worker_info = {
-                        "worker_restarts": self._router.restarts_total(),
-                        "watchdog_kills": self._router.watchdog_kills_total(),
-                        "retries_total": self._router.retries_total(),
-                        "corrupt_responses_total":
-                            self._router.corrupt_responses_total(),
-                    }
+                    worker_info = self._router.stats(refresh=False)
                 text = render_prometheus(
                     self.metrics, trace_info=self._trace_info(),
                     worker_info=worker_info,
@@ -1162,8 +1158,9 @@ class InferenceServer:
         from repro.serve.registry import load_artifact_served
 
         try:
-            served = load_artifact_served(
-                artifact, lazy=self._router is not None
+            # Off the loop: the content-hash check reads the whole file.
+            served = await self._off_loop(
+                load_artifact_served, artifact, self._router is not None
             )
         except FileNotFoundError:
             raise HttpError(404, f"no artifact at {artifact!r}")

@@ -13,10 +13,10 @@ Transport — the shared-memory slot ring
 ---------------------------------------
 
 Request/response tensors never travel through the control pipe.  Each
-worker owns one ``multiprocessing.shared_memory`` segment carved into
-``num_slots`` fixed-size slots (a ring: the parent claims a free slot,
-the response releases it).  One request uses **one** slot for both
-directions:
+worker owns one anonymous shared mapping (``mmap.mmap(-1, size)``:
+``MAP_SHARED | MAP_ANONYMOUS``) carved into ``num_slots`` fixed-size
+slots (a ring: the parent claims a free slot, the response releases
+it).  One request uses **one** slot for both directions:
 
 * the front-end writes the stacked batch into the slot and sends only a
   tiny header (``req_id``, model name, slot index, shape) over the pipe;
@@ -30,15 +30,17 @@ directions:
 
 So tensor bytes are never pickled and never cross the pipe: the only
 whole-tensor passes are the unavoidable write into and read out of the
-ring segment.  A tensor that does not fit its slot (mis-sized policy,
+ring.  A tensor that does not fit its slot (mis-sized policy,
 giant output) falls back to inline pickled bytes over the pipe and is
 *counted* (``inline_requests`` / ``inline_responses`` in the worker
 stats) so the degradation is visible in ``/metrics``, not silent.
 
-The segment is created by the parent and **inherited through fork** —
-workers never attach by name, so there is exactly one resource-tracker
-registration (the parent's) and unlink happens exactly once, at
-:meth:`router shutdown <repro.serve.router.WorkerRouter.stop>`.
+The mapping is created by the parent just before the fork and
+**inherited through fork** — it has no name, so nothing attaches to it
+by name, no resource tracker process is started to clean it up, and
+nothing is ever created in ``/dev/shm``.  The kernel frees a ring when
+the last process mapping it unmaps it or exits, so a crashed or
+``SIGKILL``-ed serving tree leaks nothing.
 
 Protocol (pipe messages, parent → worker)::
 
@@ -90,6 +92,7 @@ under its own key until the router drains it.
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 import time
@@ -105,7 +108,7 @@ DEFAULT_SLOTS = 4
 
 def slot_view(shm, slot: int, slot_bytes: int, shape, dtype=np.float32) -> np.ndarray:
     """An ndarray view onto one ring slot (no copy)."""
-    return np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf,
+    return np.ndarray(tuple(shape), dtype=dtype, buffer=shm,
                       offset=slot * slot_bytes)
 
 
@@ -169,6 +172,7 @@ def worker_main(
 
     from repro.engine.artifact import load_plan
     from repro.engine.cache import PlanCache
+    from repro.serve.metrics import peak_rss_mb
     from repro.serve.registry import ModelRegistry
 
     cache = PlanCache()
@@ -178,7 +182,7 @@ def worker_main(
 
     def boot(name: str):
         if name in artifacts:
-            # Hash verification happened at deploy time in the parent;
+            # The front-end's load_artifact_served verified the hash;
             # workers map without rehashing so respawn stays fast.
             return load_plan(artifacts[name], verify=False)
         return registry.load(name).plan
@@ -211,6 +215,7 @@ def worker_main(
             models=sorted(served),
             plan_cache=cache.stats(),
             plan_memory=cache.memory_stats(),
+            rss_peak_mb=peak_rss_mb(),
         )
         return snap
 
@@ -393,14 +398,12 @@ def spawn_worker(
     chaos: Optional[str] = None,
     chaos_generation: int = 0,
 ):
-    """Create (shm, parent_conn, process) for one worker; fork-only.
+    """Create (ring, parent_conn, process) for one worker; fork-only.
 
     Returns before the worker is ready — the caller waits for the
     ``("ready", ...)`` message (see ``_WorkerHandle.start``).
     """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=slot_bytes * num_slots)
+    shm = mmap.mmap(-1, slot_bytes * num_slots)
     parent_conn, child_conn = ctx.Pipe(duplex=True)
     process = ctx.Process(
         target=worker_main,

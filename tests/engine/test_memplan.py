@@ -459,7 +459,7 @@ class TestServedArenas:
 
     @pytest.mark.parametrize(
         "name,bound",
-        [("resnet18-w0.25-F4-fp32", 9.5e6), ("resnet18-w0.25-F4-int8@int8", 11.0e6)],
+        [("resnet18-w0.25-F4-fp32", 9.5e6), ("resnet18-w0.25-F4-int8@int8", 9.0e6)],
     )
     def test_arena_bytes_at_batch_8(self, rng, name, bound):
         from repro.engine.cache import PlanCache
